@@ -79,8 +79,12 @@ def _compute_text(g, what: str, fmt: str) -> str:
 
 
 def cmd_compute(args) -> int:
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        g = parse_edge_list(fh.read())
+    try:
+        with open(args.graph, "r", encoding="utf-8") as fh:
+            source = fh.read()
+    except UnicodeDecodeError as err:
+        raise GraphInputError(f"{args.graph}: not UTF-8 text (byte {err.start})") from err
+    g = parse_edge_list(source)
     text = _compute_text(g, args.what, args.format)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

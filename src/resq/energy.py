@@ -5,6 +5,11 @@ re-centered at the mean transmission: with U_j = RTr(j) and
 eta_i = gamma_i - mean(U), the eta sum to zero, their squares sum to 2F,
 and LE_R = sum |eta_i|. E_R = sum |gamma_i| over the resistance matrix
 spectrum; for transmission-regular graphs the two energies coincide.
+
+E_R needs no eigensolve of R. R is a Euclidean distance matrix, so it has
+exactly one positive eigenvalue gamma_1 (Bapat, "Resistance matrix of a
+weighted graph", MATCH 50, 2004), and trace(R) = 0 makes the negative ones
+sum to -gamma_1; hence E_R = 2 * gamma_1, the Perron root of R.
 """
 
 from __future__ import annotations
@@ -25,6 +30,19 @@ from .spectral import Spectrum, eigenvalues_symmetric
 RADICAND_FLOOR = -1e-9
 
 BOUND_NAMES = ("lower_2sqrtF", "upper_sqrt2nF", "upper_meanU", "upper_eta1")
+
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
+
+# Up to this order R goes to one dense eigvalsh call. On random graphs (one
+# core) it takes 21 us against 178 us for the iteration at n = 12, 74 against
+# 94 us at n = 32 and 239 against 72 us at n = 64; the margin above the
+# crossover keeps slowly converging small graphs on the dense path.
+_PERRON_DENSE_MAX_N = 64
+
+# Iterations before falling back to eigvalsh. |Rv - qv|^2 / q^2 shrinks by
+# (|gamma_n| / gamma_1)^2 per step, so 100 suffice whenever that ratio is at
+# most 0.83 (0.83^200 < u); for n >= 500 they cost less than one eigvalsh.
+_PERRON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -120,20 +138,42 @@ def check_bounds(report: EnergyReport, tol: float = 1e-9) -> dict[str, BoundChec
     )
 
 
-def resistance_laplacian_energy(g: Graph, tol: float = 1e-9) -> EnergyReport:
-    """Full energy report for a connected graph: eta, f, F, LE_R, E_R and
-    all four bounds with satisfaction flags and signed slack."""
-    bundle: ResistanceBundle = resistance_bundle(g)
-    rl_spectrum = eigenvalues_symmetric(bundle.rl)
+def _perron_root(r: np.ndarray) -> float:
+    """Largest eigenvalue gamma_1 of a resistance matrix.
+
+    Power iteration from the all-ones vector on the Rayleigh quotient q. As
+    every other eigenvalue of R is <= 0 < q, the Kato-Temple inequality gives
+    gamma_1 - q <= |Rv - qv|^2 / q, so stopping at |Rv - qv|^2 <= u * q^2
+    bounds the relative error of q by the unit roundoff u. Small orders, and
+    matrices that do not converge within the cap, go to the dense solver.
+    """
+    n = r.shape[0]
+    if n > _PERRON_DENSE_MAX_N:
+        v = np.full(n, 1.0 / math.sqrt(n))
+        for _ in range(_PERRON_MAX_ITER):
+            w = r @ v
+            q = float(v @ w)
+            res = w - q * v
+            if float(res @ res) <= _UNIT_ROUNDOFF * q * q:
+                return q
+            v = w / math.sqrt(float(w @ w))
+    return float(np.linalg.eigvalsh(r)[-1])
+
+
+def _energy_report(
+    n: int, bundle: ResistanceBundle, rl_spectrum: Spectrum, tol: float
+) -> EnergyReport:
+    """The report of resistance_laplacian_energy from an already computed
+    bundle and R^L spectrum."""
     eta = centered_eigenvalues(rl_spectrum, bundle.rtr)
     f, big_f = energy_moments(bundle.r, bundle.rtr)
     le_r = float(np.abs(eta).sum())
-    e_r = float(np.abs(eigenvalues_symmetric(bundle.r).values).sum())
+    e_r = 2.0 * _perron_root(bundle.r)
     mean_u = float(bundle.rtr.mean())
     eta1 = float(eta[0]) if eta.size else 0.0
-    bounds = _evaluate_bounds(g.n, mean_u, big_f, eta1, le_r, tol)
+    bounds = _evaluate_bounds(n, mean_u, big_f, eta1, le_r, tol)
     return EnergyReport(
-        n=g.n,
+        n=n,
         mean_transmission=mean_u,
         eta=eta,
         f=f,
@@ -144,7 +184,14 @@ def resistance_laplacian_energy(g: Graph, tol: float = 1e-9) -> EnergyReport:
     )
 
 
+def resistance_laplacian_energy(g: Graph, tol: float = 1e-9) -> EnergyReport:
+    """Full energy report for a connected graph: eta, f, F, LE_R, E_R and
+    all four bounds with satisfaction flags and signed slack."""
+    bundle = resistance_bundle(g)
+    return _energy_report(g.n, bundle, eigenvalues_symmetric(bundle.rl), tol)
+
+
 def resistance_energy(g: Graph) -> float:
-    """E_R: sum of absolute eigenvalues of the resistance matrix."""
-    values = eigenvalues_symmetric(resistance_matrix(g)).values
-    return float(np.abs(values).sum())
+    """E_R: sum of absolute eigenvalues of the resistance matrix, computed
+    as twice its one positive eigenvalue."""
+    return 2.0 * _perron_root(resistance_matrix(g))

@@ -294,12 +294,13 @@ def _random_graphs(count, max_n, seed, min_n=2) -> list[Graph]:
 
 def _prepare(g: Graph) -> _Prepared:
     bundle = resistance.resistance_bundle(g)
+    rl_spectrum = spectral.eigenvalues_symmetric(bundle.rl)
     return _Prepared(
         graph=g,
         bundle=bundle,
-        rl_spectrum=spectral.eigenvalues_symmetric(bundle.rl),
+        rl_spectrum=rl_spectrum,
         dist=graph_mod.classical_distance_matrix(g),
-        report=energy_mod.resistance_laplacian_energy(g),
+        report=energy_mod._energy_report(g.n, bundle, rl_spectrum, DEFAULT_TOL),
     )
 
 

@@ -75,6 +75,12 @@ class TestCompute:
         path = write_graph(tmp_path, "bad.el", "3\n0 zero\n")
         assert main(["compute", path, "--what", "rl"]) == 2
 
+    def test_non_utf8_bytes_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.el"
+        path.write_bytes(b"3\n0 1\n\xff\xfe 2\n")
+        assert main(["compute", str(path), "--what", "energy"]) == 2
+        assert "GraphInputError" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["compute", "nope.el", "--what", "rl"]) == 2
 

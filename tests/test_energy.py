@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import resq.energy
 from resq.energy import (
     EnergyReport,
     centered_eigenvalues,
@@ -147,6 +148,62 @@ class TestResistanceEnergy:
             g = generate(spec)
             report = resistance_laplacian_energy(g)
             assert abs(report.le_r - report.e_r) <= 1e-8
+
+
+def _lollipop(clique, tail):
+    """K_clique with a path of `tail` extra vertices hanging off one vertex."""
+    edges = [(i, j) for i in range(clique) for j in range(i + 1, clique)]
+    edges += [(clique - 1 + i, clique + i) for i in range(tail)]
+    return Graph.from_edges(clique + tail, edges)
+
+
+@pytest.fixture(scope="module")
+def perron_corpus():
+    """(graph, eigenvalues of R) over families, lollipops and random graphs."""
+    specs = [FamilySpec.complete(n) for n in (2, 5, 64, 65, 400)]
+    specs += [FamilySpec.bipartite(p, q) for p, q in ((1, 63), (1, 64), (10, 390), (200, 200))]
+    specs += [FamilySpec.cycle(n) for n in (3, 64, 65, 399)]
+    specs += [FamilySpec.path(n) for n in (2, 64, 65, 400)]
+    graphs = [generate(spec) for spec in specs]
+    # |gamma_n| / gamma_1 = 0.72 and 0.61: the slowest power iterations here.
+    graphs += [_lollipop(30, 35), _lollipop(30, 200)]
+    graphs += [random_connected_graph(2 + seed % 11, 0.45, seed) for seed in range(30)]
+    graphs += [random_connected_graph(n, 0.1, seed) for seed, n in enumerate((64, 65, 150, 300))]
+    return [(g, np.linalg.eigvalsh(resistance_bundle(g).r)) for g in graphs]
+
+
+class TestPerronRoot:
+    """E_R = 2 * gamma_1 rests on R having exactly one positive eigenvalue."""
+
+    def test_matches_sum_of_absolute_eigenvalues(self, perron_corpus):
+        u = np.finfo(float).eps / 2
+        for g, gamma in perron_corpus:
+            expected = float(np.abs(gamma).sum())
+            assert abs(resistance_energy(g) - expected) <= 4 * g.n * u * expected, g.n
+
+    def test_report_uses_the_same_value(self):
+        g = _lollipop(30, 35)
+        assert resistance_laplacian_energy(g).e_r == resistance_energy(g)
+
+    def test_exactly_one_positive_eigenvalue(self, perron_corpus):
+        for g, gamma in perron_corpus:
+            noise = 4 * g.n * np.finfo(float).eps * gamma[-1]
+            assert int((gamma > noise).sum()) == 1, g.n
+
+    def test_dense_solver_only_at_small_order_or_after_the_cap(self, monkeypatch):
+        calls = []
+        dense = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda m: calls.append(m.shape[0]) or dense(m)
+        )
+        small, large = generate(FamilySpec.path(64)), generate(FamilySpec.path(65))
+        resistance_energy(small)
+        iterated = resistance_energy(large)
+        assert calls == [64]
+        monkeypatch.setattr(resq.energy, "_PERRON_MAX_ITER", 1)
+        fallback = resistance_energy(large)
+        assert calls == [64, 65]
+        assert fallback == pytest.approx(iterated, rel=1e-14)
 
 
 class TestIdentitiesOnRandomGraphs:

@@ -70,6 +70,31 @@ class TestPseudoinverse:
         with pytest.raises(Disconnected):
             laplacian_pseudoinverse(lap)
 
+    def test_probe_residual_flags_shuffled_disjoint_unions(self):
+        # Unions whose L + J/n is singular only up to rounding, so inv()
+        # returns instead of raising and the probe residual must catch them.
+        rng = np.random.default_rng(2024)
+        flagged = 0
+        for _ in range(150):
+            sizes = rng.integers(1, 12, size=int(rng.integers(2, 4)))
+            edges, offset = [], 0
+            for size in sizes.tolist():
+                if size > 1:
+                    seed = int(rng.integers(2**31))
+                    part = random_connected_graph(size, rng.uniform(0.2, 0.9), seed)
+                    edges += [(u + offset, v + offset) for u, v in part.edges]
+                offset += size
+            perm = rng.permutation(offset).tolist()
+            lap = laplacian(Graph.from_edges(offset, [(perm[u], perm[v]) for u, v in edges]))
+            try:
+                np.linalg.inv(lap + 1.0 / offset)
+            except np.linalg.LinAlgError:
+                continue
+            with pytest.raises(Disconnected, match="Penrose residual"):
+                laplacian_pseudoinverse(lap)
+            flagged += 1
+        assert flagged >= 100
+
 
 class TestResistanceMatrix:
     def test_complete_graphs(self):
