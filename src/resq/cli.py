@@ -118,20 +118,32 @@ def cmd_verify(args) -> int:
         tol=tol,
     )
     failed = [o for o in outcomes if not o.passed]
+    skipped = sum(o.status == "skip" for o in outcomes)
+    summary = (
+        f"{len(outcomes)} checks: {len(outcomes) - len(failed) - skipped} passed, "
+        + (f"{skipped} skipped, " if skipped else "")
+        + f"{len(failed)} failed"
+    )
     if args.jsonl:
         for outcome in outcomes:
             sys.stdout.write(serialize.dumps(outcome.to_json()) + "\n")
-        print(
-            f"{len(outcomes)} checks: {len(outcomes) - len(failed)} passed, {len(failed)} failed",
-            file=sys.stderr,
-        )
+        print(summary, file=sys.stderr)
     else:
         for outcome in outcomes:
             _print_outcome(outcome)
-        print(
-            f"{len(outcomes)} checks: {len(outcomes) - len(failed)} passed, {len(failed)} failed"
-        )
+        print(summary)
     return EXIT_VERIFY if failed else EXIT_OK
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the property verification suite")
     ver.add_argument("--scope", default="all", choices=("families", "random", "all"))
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--max-n", dest="max_n", type=int, default=12)
-    ver.add_argument("--count", type=int, default=200, help="random corpus size")
+    ver.add_argument("--max-n", dest="max_n", type=_int_at_least(2), default=12)
+    ver.add_argument("--count", type=_int_at_least(0), default=200, help="random corpus size")
     ver.add_argument("--jsonl", action="store_true", help="one JSON object per check")
     ver.set_defaults(handler=cmd_verify)
 

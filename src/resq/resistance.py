@@ -10,6 +10,18 @@ From the resistance matrix R and the transmissions RTr(v) = sum_u r(u, v)
 we form the resistance Laplacian  Diag(RTr) - R  and the resistance
 signless Laplacian  Diag(RTr) + R.
 
+Up to n = 128 the pseudoinverse is inv(L + J/n) - J/n. Above that, the last
+vertex is grounded: its row and column are deleted, which leaves a symmetric
+positive definite block L_g for a connected graph. X = inv(L_g), padded with
+a zero row and column, is a generalized inverse of L, and centring it gives
+the pseudoinverse, pinv(L)[i, j] = X[i, j] - c[i] - c[j] + mean(c), with c
+the column means of X. L_g is inverted by recursive 2x2 block elimination,
+so almost all the work is matrix products. Every Schur complement of a
+grounded Laplacian is again a grounded Laplacian (Kron reduction), hence
+positive definite, and block LU is stable on such matrices. Shifting by J/n
+instead would put dense blocks into the elimination whose contributions
+cancel in the Schur complements and cost accuracy.
+
 The pseudoinverse is checked against the Penrose identity L X L = L applied
 to one fixed probe vector v, |L(X(Lv)) - Lv|, which costs three
 matrix-vector products (O(n^2)) instead of a second O(n^3) matrix product.
@@ -27,6 +39,12 @@ from .graph import Graph, is_connected, laplacian
 # Residual ceiling for the Penrose identity L X L = L, relative to |L|.
 _PENROSE_RTOL = 1e-8
 
+# Largest order inverted by a single np.linalg.inv call: the leaf size of the
+# block elimination and the order up to which the shifted inverse is used.
+# On one core, at n = 129 both take about 0.9 ms; at n = 200 the block path
+# takes 2.1 ms against 3.0 ms.
+_BLOCK_N = 128
+
 
 @dataclass(frozen=True)
 class ResistanceBundle:
@@ -38,21 +56,67 @@ class ResistanceBundle:
     rq: np.ndarray
 
 
+def _spd_inverse(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write inv(a) into out for a symmetric positive definite a.
+
+    Splits a = [[A11, B], [B^T, A22]] at k = n // 2 and inverts A11 and the
+    Schur complement S = A22 - B^T inv(A11) B recursively, down to blocks of
+    order _BLOCK_N. The blocks of out hold the intermediate products, so each
+    level allocates only S, inv(A11) B inv(S) and one product of the size of
+    A11.
+    """
+    n = a.shape[0]
+    if n <= _BLOCK_N:
+        out[...] = np.linalg.inv(a)
+        return out
+    k = n // 2
+    b = a[:k, k:]
+    ai, aib = out[:k, :k], out[:k, k:]
+    _spd_inverse(a[:k, :k], ai)
+    np.matmul(ai, b, out=aib)
+    s = b.T @ aib
+    np.subtract(a[k:, k:], s, out=s)
+    si = _spd_inverse(s, out[k:, k:])
+    del s
+    t = aib @ si
+    ai += t @ aib.T  # inv(A11) + inv(A11) B inv(S) B^T inv(A11)
+    np.negative(t, out=aib)  # -inv(A11) B inv(S)
+    out[k:, :k] = aib.T
+    return out
+
+
+def _grounded_pseudoinverse(lap: np.ndarray) -> np.ndarray:
+    """pinv(L) from the inverse of L with its last row and column deleted."""
+    n = lap.shape[0]
+    pinv = np.zeros((n, n))
+    _spd_inverse(lap[:-1, :-1], pinv[:-1, :-1])
+    c = pinv.mean(axis=0)
+    pinv -= c
+    pinv -= c[:, None]
+    pinv += c.mean()
+    return pinv
+
+
 def laplacian_pseudoinverse(lap: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a connected graph Laplacian.
 
-    Uses the identity pinv(L) = inv(L + J/n) - J/n, exact for connected
-    graphs (L + J/n is then nonsingular, since the all-ones kernel of L is
-    shifted away). Raises Disconnected when L has nullity >= 2, which is
+    Up to order _BLOCK_N uses the identity pinv(L) = inv(L + J/n) - J/n,
+    exact for connected graphs (L + J/n is then nonsingular, since the
+    all-ones kernel of L is shifted away). Above it, grounds the last vertex
+    and inverts the remaining block by block elimination (see the module
+    docstring). Raises Disconnected when L has nullity >= 2, which is
     detected through the Penrose residual on a probe vector.
     """
     lap = np.asarray(lap, dtype=float)
     n = lap.shape[0]
     if n == 1:
         return np.zeros((1, 1))
-    shift = np.full((n, n), 1.0 / n)
     try:
-        pinv = np.linalg.inv(lap + shift) - shift
+        if n <= _BLOCK_N:
+            shift = np.full((n, n), 1.0 / n)
+            pinv = np.linalg.inv(lap + shift) - shift
+        else:
+            pinv = _grounded_pseudoinverse(lap)
     except np.linalg.LinAlgError as exc:
         raise Disconnected("laplacian has nullity >= 2") from exc
     scale = max(1.0, float(np.abs(lap).max()))
@@ -60,9 +124,11 @@ def laplacian_pseudoinverse(lap: np.ndarray) -> np.ndarray:
     # along a kernel vector of L, which the residual exposes unless the probe
     # is blind to it. The entries sin(1), ..., sin(n) bear no relation to how
     # vertices are labelled, and |v| <= 1 keeps the threshold relative to |L|.
+    # The comparison is written so that a NaN residual, from a NaN or an inf
+    # entry of pinv, fails it too.
     lv = lap @ np.sin(np.arange(1.0, n + 1.0))
     residual = float(np.abs(lap @ (pinv @ lv) - lv).max())
-    if residual > _PENROSE_RTOL * scale:
+    if not residual <= _PENROSE_RTOL * scale:
         raise Disconnected(
             f"laplacian has nullity >= 2 (Penrose residual {residual:.3e})"
         )

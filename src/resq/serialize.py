@@ -22,7 +22,10 @@ def format_float(x: float) -> str:
 
 def matrix_to_csv(m: np.ndarray) -> str:
     m = np.asarray(m, dtype=float)
-    return "\n".join(",".join(format_float(x) for x in row) for row in m)
+    # One %-format per row; converting the whole matrix with tolist() at once
+    # would hold every entry as a Python float.
+    row_fmt = ",".join(["%.17g"] * m.shape[1])
+    return "\n".join(row_fmt % tuple(row.tolist()) for row in m)
 
 
 def matrix_to_json(m: np.ndarray, kind: str) -> dict:

@@ -70,13 +70,16 @@ class _Timer:
 
 
 def _outcome(name, timer, ok, measured, tol, detail="", failing=None) -> VerifyOutcome:
+    # The checks start their worst case at -inf, so it is still -inf only
+    # when the check examined no instance: that is a skip, not a pass.
+    examined = measured != -math.inf
     return VerifyOutcome(
         name=name,
-        status="pass" if ok else "fail",
-        measured=float(measured),
+        status=("pass" if ok else "fail") if examined else "skip",
+        measured=float(measured) if examined else None,
         tolerance=float(tol),
         elapsed_ms=timer.elapsed_ms,
-        detail=detail,
+        detail=detail if examined else "no instance examined",
         failing_graph=failing,
     )
 
@@ -453,7 +456,7 @@ def run_verify(
         outcomes.append(
             VerifyOutcome(
                 name="random_corpus",
-                status="pass",
+                status="pass" if prepared else "skip",
                 measured=float(len(prepared)),
                 tolerance=None,
                 elapsed_ms=prep_timer.elapsed_ms,

@@ -123,6 +123,30 @@ class TestVerify:
         assert all(r["status"] == "pass" for r in records)
         assert any(r["name"] == "tree_distance_equality" for r in records)
 
+    @pytest.mark.parametrize("args", [["--max-n", "1"], ["--count", "-1"]])
+    def test_out_of_range_arguments_exit_2(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *args])
+        assert exc.value.code == 2
+        assert "must be >=" in capsys.readouterr().err
+
+    def test_empty_corpus_skips(self, capsys):
+        assert main(["verify", "--scope", "random", "--count", "0", "--jsonl"]) == 0
+        captured = capsys.readouterr()
+        records = {r["name"]: r for r in map(json.loads, captured.out.splitlines())}
+        corpus_checks = [
+            "random_corpus", "rl_positive_semidefinite", "rl_zero_row_sums",
+            "rl_spectral_radius_at_least_2", "resistance_below_distance",
+            "resistance_triangle_inequality", "rl_trace_identity", "eta_sum_zero",
+            "eta_square_sum_2F", "energy_bounds",
+        ]
+        for name in corpus_checks:
+            assert records[name]["status"] == "skip", name
+        for name in corpus_checks[1:]:
+            assert records[name]["measured"] is None, name
+        assert records["tree_distance_equality"]["status"] == "pass"
+        assert "10 skipped, 0 failed" in captured.err
+
     def test_env_tolerance_override(self, capsys, monkeypatch):
         monkeypatch.setenv("RESQ_TOL", "1e-3")
         assert main(

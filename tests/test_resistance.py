@@ -26,6 +26,9 @@ from resq.resistance import (
 )
 
 
+EPS = np.finfo(float).eps
+
+
 def random_corpus(count, max_n, seed0):
     return [
         random_connected_graph(3 + seed % (max_n - 2), 0.25 + (seed % 7) / 10.0, seed0 + seed)
@@ -94,6 +97,70 @@ class TestPseudoinverse:
                 laplacian_pseudoinverse(lap)
             flagged += 1
         assert flagged >= 100
+
+
+def shifted_pseudoinverse(lap):
+    n = lap.shape[0]
+    return np.linalg.inv(lap + 1.0 / n) - 1.0 / n
+
+
+class TestBlockPseudoinverse:
+    """Orders above 128: grounded block elimination."""
+
+    @pytest.mark.parametrize("n", [128, 129, 200, 257, 1000])
+    def test_matches_svd_and_shifted_inverse(self, n):
+        # 128 takes the shifted inverse, 129 a single grounded leaf, 200 and
+        # 1000 split unevenly, 257 evenly into two leaves.
+        lap = laplacian(random_connected_graph(n, 8.0 / n, seed=n))
+        pinv = laplacian_pseudoinverse(lap)
+        shifted = shifted_pseudoinverse(lap)
+        if n <= 128:
+            np.testing.assert_array_equal(pinv, (shifted + shifted.T) / 2.0)
+        tol = 16 * n * EPS * np.abs(pinv).max()
+        assert np.abs(pinv - pinv.T).max() == 0.0
+        assert np.abs(pinv - shifted).max() <= tol
+        if n <= 257:
+            assert np.abs(pinv - np.linalg.pinv(lap)).max() <= tol
+
+    @pytest.mark.parametrize("n", [500, 1000])
+    def test_path_and_cycle_closed_forms(self, n):
+        # P_n: r(i, j) = d; C_n: r(i, j) = d (n - d) / n, with d = |i - j|.
+        # The shifted inverse misses these bounds by factors of 5 to 10 on
+        # the path and 2 to 3 on the cycle.
+        d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        r_path = resistance_matrix(generate(FamilySpec.path(n)))
+        assert np.abs(r_path - d).max() <= 8 * n * EPS * (n - 1)
+        r_cycle = resistance_matrix(generate(FamilySpec.cycle(n)))
+        assert np.abs(r_cycle - d * (n - d) / n).max() <= 8 * n * EPS * (n / 4)
+
+    def test_complete_graph(self):
+        n = 300
+        r = resistance_matrix(generate(FamilySpec.complete(n)))
+        off = r[~np.eye(n, dtype=bool)]
+        assert np.abs(off - 2.0 / n).max() <= 16 * n * EPS * (2.0 / n)
+
+    def test_shuffled_disjoint_unions_raise(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(8):
+            sizes = rng.integers(60, 501, size=int(rng.integers(2, 4)))
+            edges, offset = [], 0
+            for size in sizes.tolist():
+                seed = int(rng.integers(2**31))
+                part = random_connected_graph(size, rng.uniform(6.0 / size, 0.2), seed)
+                edges += [(u + offset, v + offset) for u, v in part.edges]
+                offset += size
+            perm = rng.permutation(offset).tolist()
+            lap = laplacian(Graph.from_edges(offset, [(perm[u], perm[v]) for u, v in edges]))
+            with pytest.raises(Disconnected):
+                laplacian_pseudoinverse(lap)
+
+    @pytest.mark.parametrize("n", [5, 200])
+    def test_nan_entry_is_rejected(self, n):
+        # inv() returns NaN here instead of raising; the probe must not pass it.
+        lap = laplacian(generate(FamilySpec.cycle(n)))
+        lap[0, 1] = lap[1, 0] = np.nan
+        with pytest.raises(Disconnected, match="Penrose residual nan"):
+            laplacian_pseudoinverse(lap)
 
 
 class TestResistanceMatrix:

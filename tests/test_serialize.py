@@ -33,6 +33,21 @@ def test_matrix_csv_k2():
     assert matrix_to_csv(rl) == "1,-1\n-1,1"
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.array([[-0.0, 5e-324, 1e300, 0.1], [0.1, -1e300, 2.0 / 3.0, -0.0]]),
+        np.zeros((0, 0)),
+        np.zeros((3, 0)),
+        np.array([[1.0 / 3.0]]),
+    ],
+    ids=["extremes", "0x0", "3x0", "1x1"],
+)
+def test_matrix_csv_matches_per_element_format(m):
+    reference = "\n".join(",".join(format_float(x) for x in row) for row in m)
+    assert matrix_to_csv(m) == reference
+
+
 def test_matrix_json_schema_and_roundtrip():
     m = np.array([[0.0, 2.0 / 3.0], [2.0 / 3.0, 0.0]])
     payload = matrix_to_json(m, "resistance")
