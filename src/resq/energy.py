@@ -138,8 +138,9 @@ def check_bounds(report: EnergyReport, tol: float = 1e-9) -> dict[str, BoundChec
     )
 
 
-def _perron_root(r: np.ndarray) -> float:
-    """Largest eigenvalue gamma_1 of a resistance matrix.
+def _perron_root(r: np.ndarray):
+    """Largest eigenvalue gamma_1 of a resistance matrix, or an array of them
+    for a stack of shape (k, n, n).
 
     Power iteration from the all-ones vector on the Rayleigh quotient q. As
     every other eigenvalue of R is <= 0 < q, the Kato-Temple inequality gives
@@ -147,8 +148,10 @@ def _perron_root(r: np.ndarray) -> float:
     bounds the relative error of q by the unit roundoff u. Small orders, and
     matrices that do not converge within the cap, go to the dense solver.
     """
-    n = r.shape[0]
+    n = r.shape[-1]
     if n > _PERRON_DENSE_MAX_N:
+        if r.ndim > 2:
+            return np.array([_perron_root(m) for m in r])
         v = np.full(n, 1.0 / math.sqrt(n))
         for _ in range(_PERRON_MAX_ITER):
             w = r @ v
@@ -157,20 +160,20 @@ def _perron_root(r: np.ndarray) -> float:
             if float(res @ res) <= _UNIT_ROUNDOFF * q * q:
                 return q
             v = w / math.sqrt(float(w @ w))
-    return float(np.linalg.eigvalsh(r)[-1])
+    return np.linalg.eigvalsh(r)[..., -1]
 
 
 def _energy_report(
-    n: int, bundle: ResistanceBundle, rl_spectrum: Spectrum, tol: float
+    bundle: ResistanceBundle, rl_values: np.ndarray, e_r: float, tol: float
 ) -> EnergyReport:
     """The report of resistance_laplacian_energy from an already computed
-    bundle and R^L spectrum."""
-    eta = centered_eigenvalues(rl_spectrum, bundle.rtr)
+    bundle, R^L eigenvalues (descending) and E_R."""
+    eta = rl_values - bundle.rtr.mean()
     f, big_f = energy_moments(bundle.r, bundle.rtr)
     le_r = float(np.abs(eta).sum())
-    e_r = 2.0 * _perron_root(bundle.r)
+    n = eta.size
     mean_u = float(bundle.rtr.mean())
-    eta1 = float(eta[0]) if eta.size else 0.0
+    eta1 = float(eta[0]) if n else 0.0
     bounds = _evaluate_bounds(n, mean_u, big_f, eta1, le_r, tol)
     return EnergyReport(
         n=n,
@@ -179,7 +182,7 @@ def _energy_report(
         f=f,
         F=big_f,
         le_r=le_r,
-        e_r=e_r,
+        e_r=float(e_r),
         bounds=bounds,
     )
 
@@ -188,10 +191,11 @@ def resistance_laplacian_energy(g: Graph, tol: float = 1e-9) -> EnergyReport:
     """Full energy report for a connected graph: eta, f, F, LE_R, E_R and
     all four bounds with satisfaction flags and signed slack."""
     bundle = resistance_bundle(g)
-    return _energy_report(g.n, bundle, eigenvalues_symmetric(bundle.rl), tol)
+    rl_values = eigenvalues_symmetric(bundle.rl).values
+    return _energy_report(bundle, rl_values, 2.0 * _perron_root(bundle.r), tol)
 
 
 def resistance_energy(g: Graph) -> float:
     """E_R: sum of absolute eigenvalues of the resistance matrix, computed
     as twice its one positive eigenvalue."""
-    return 2.0 * _perron_root(resistance_matrix(g))
+    return float(2.0 * _perron_root(resistance_matrix(g)))

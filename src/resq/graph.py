@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     Disconnected,
     DuplicateEdge,
+    GraphInputError,
     InvalidFamilyParams,
     MalformedLine,
     SelfLoop,
@@ -26,6 +27,10 @@ from .errors import (
 Edge = tuple[int, int]
 
 FAMILY_KINDS = ("complete", "bipartite", "cycle", "path")
+
+#: Largest vertex count parse_edge_list accepts: one n x n float64 matrix of
+#: this order takes 3.2 GB, and the pipeline holds a few of them.
+MAX_ORDER = 20_000
 
 
 @dataclass(frozen=True)
@@ -148,6 +153,7 @@ def parse_edge_list(text: str) -> Graph:
     Format: the first non-comment line is the vertex count; each following
     line is "u v". Lines starting with '#' are comments; blank lines are
     ignored; LF and CRLF both accepted. Errors name the offending line.
+    Vertex counts above MAX_ORDER are rejected before any O(n) allocation.
     """
     n: int | None = None
     edges: list[Edge] = []
@@ -165,6 +171,8 @@ def parse_edge_list(text: str) -> Graph:
                 ) from None
             if n < 1:
                 raise MalformedLine(f"line {lineno}: vertex count must be >= 1, got {n}")
+            if n > MAX_ORDER:
+                raise GraphInputError(f"line {lineno}: vertex count {n} exceeds {MAX_ORDER}")
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -238,18 +246,21 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
-    return a
-
-
 def laplacian(g: Graph) -> np.ndarray:
     """Combinatorial Laplacian Diag(deg) - A; rows sum to zero."""
-    a = adjacency_matrix(g)
-    return np.diag(a.sum(axis=1)) - a
+    return _laplacians([g], g.n)[0]
+
+
+def _laplacians(graphs: list[Graph], n: int) -> np.ndarray:
+    """Stacked Laplacians, shape (k, n, n), of graphs that all have order n,
+    built from edge index arrays."""
+    which = np.repeat(np.arange(len(graphs)), [len(g.edges) for g in graphs])
+    u, v = np.array([e for g in graphs for e in g.edges], dtype=np.intp).reshape(-1, 2).T
+    laps = np.zeros((len(graphs), n, n))
+    laps[which, u, v] = laps[which, v, u] = -1.0
+    i = np.arange(n)
+    laps[:, i, i] = 0.0 - laps.sum(axis=-1)
+    return laps
 
 
 def classical_distance_matrix(g: Graph) -> np.ndarray:

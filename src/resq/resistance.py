@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Disconnected
-from .graph import Graph, is_connected, laplacian
+from .graph import Graph, _laplacians, is_connected, laplacian
 
 # Residual ceiling for the Penrose identity L X L = L, relative to |L|.
 _PENROSE_RTOL = 1e-8
@@ -98,19 +98,20 @@ def _grounded_pseudoinverse(lap: np.ndarray) -> np.ndarray:
 
 
 def laplacian_pseudoinverse(lap: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a connected graph Laplacian.
+    """Moore-Penrose pseudoinverse of a connected graph Laplacian, or of each
+    Laplacian in a stack of shape (k, n, n) with n <= _BLOCK_N.
 
     Up to order _BLOCK_N uses the identity pinv(L) = inv(L + J/n) - J/n,
     exact for connected graphs (L + J/n is then nonsingular, since the
     all-ones kernel of L is shifted away). Above it, grounds the last vertex
     and inverts the remaining block by block elimination (see the module
-    docstring). Raises Disconnected when L has nullity >= 2, which is
+    docstring). Raises Disconnected when some L has nullity >= 2, which is
     detected through the Penrose residual on a probe vector.
     """
     lap = np.asarray(lap, dtype=float)
-    n = lap.shape[0]
+    n = lap.shape[-1]
     if n == 1:
-        return np.zeros((1, 1))
+        return np.zeros(lap.shape)
     try:
         if n <= _BLOCK_N:
             shift = np.full((n, n), 1.0 / n)
@@ -119,38 +120,50 @@ def laplacian_pseudoinverse(lap: np.ndarray) -> np.ndarray:
             pinv = _grounded_pseudoinverse(lap)
     except np.linalg.LinAlgError as exc:
         raise Disconnected("laplacian has nullity >= 2") from exc
-    scale = max(1.0, float(np.abs(lap).max()))
+    scale = np.maximum(1.0, np.abs(lap).max(axis=(-2, -1)))
     # With nullity >= 2, inv() either raises or returns a huge component
     # along a kernel vector of L, which the residual exposes unless the probe
     # is blind to it. The entries sin(1), ..., sin(n) bear no relation to how
     # vertices are labelled, and |v| <= 1 keeps the threshold relative to |L|.
     # The comparison is written so that a NaN residual, from a NaN or an inf
     # entry of pinv, fails it too.
-    lv = lap @ np.sin(np.arange(1.0, n + 1.0))
-    residual = float(np.abs(lap @ (pinv @ lv) - lv).max())
-    if not residual <= _PENROSE_RTOL * scale:
-        raise Disconnected(
-            f"laplacian has nullity >= 2 (Penrose residual {residual:.3e})"
-        )
-    return (pinv + pinv.T) / 2.0
+    lv = lap @ np.sin(np.arange(1.0, n + 1.0))[:, None]
+    residual = np.abs(lap @ (pinv @ lv) - lv).max(axis=(-2, -1))
+    if not np.all(residual <= _PENROSE_RTOL * scale):
+        raise Disconnected(f"laplacian has nullity >= 2 (Penrose residual {residual.max():.3e})")
+    return (pinv + pinv.swapaxes(-1, -2)) / 2.0
+
+
+def _resistance(pinv: np.ndarray) -> np.ndarray:
+    """R from the Laplacian pseudoinverse of a connected graph, or from a
+    stack of them."""
+    d = np.diagonal(pinv, axis1=-2, axis2=-1)
+    r = d[..., :, None] + d[..., None, :] - 2.0 * pinv
+    i = np.arange(pinv.shape[-1])
+    r[..., i, i] = 0.0
+    return r
+
+
+def _bundle(r: np.ndarray) -> ResistanceBundle:
+    """Transmissions and both Laplacians from R, or from a stack of R."""
+    rtr = resistance_transmissions(r)
+    diag = np.zeros_like(r)
+    i = np.arange(r.shape[-1])
+    diag[..., i, i] = rtr
+    return ResistanceBundle(r=r, rtr=rtr, rl=diag - r, rq=diag + r)
 
 
 def resistance_matrix(g: Graph) -> np.ndarray:
     """Pairwise resistance distances; symmetric with zero diagonal."""
     if not is_connected(g):
         raise Disconnected("graph is disconnected; resistance undefined")
-    if g.n == 1:
-        return np.zeros((1, 1))
-    pinv = laplacian_pseudoinverse(laplacian(g))
-    d = np.diag(pinv)
-    r = d[:, None] + d[None, :] - 2.0 * pinv
-    np.fill_diagonal(r, 0.0)
-    return (r + r.T) / 2.0
+    return _resistance(laplacian_pseudoinverse(laplacian(g)))
 
 
 def resistance_transmissions(r: np.ndarray) -> np.ndarray:
-    """Column sums of a resistance matrix: RTr(v) = sum_u r(u, v)."""
-    return np.asarray(r, dtype=float).sum(axis=0)
+    """Column sums of a resistance matrix, or of each in a stack:
+    RTr(v) = sum_u r(u, v)."""
+    return np.asarray(r, dtype=float).sum(axis=-2)
 
 
 def resistance_laplacian(g: Graph) -> np.ndarray:
@@ -167,10 +180,36 @@ def resistance_signless_laplacian(g: Graph) -> np.ndarray:
 
 def resistance_bundle(g: Graph) -> ResistanceBundle:
     """Compute R once and derive transmissions and both Laplacians from it."""
-    r = resistance_matrix(g)
-    rtr = resistance_transmissions(r)
-    diag = np.diag(rtr)
-    return ResistanceBundle(r=r, rtr=rtr, rl=diag - r, rq=diag + r)
+    return _bundle(resistance_matrix(g))
+
+
+def _resistance_bundles(graphs: list[Graph]) -> list[ResistanceBundle]:
+    """resistance_bundle of every graph, with one stacked computation for
+    all graphs of each order up to _BLOCK_N; each bundle holds views into
+    its order's stack. Raises Disconnected if any graph is disconnected.
+    """
+
+    def solve(n: int, idx: list[int]) -> list[ResistanceBundle]:
+        group = [graphs[i] for i in idx]
+        if n > _BLOCK_N:  # the grounded path works on one matrix at a time
+            return [resistance_bundle(g) for g in group]
+        s = _bundle(_resistance(laplacian_pseudoinverse(_laplacians(group, n))))
+        return [ResistanceBundle(*fields) for fields in zip(s.r, s.rtr, s.rl, s.rq)]
+
+    return _by_order(graphs, solve)
+
+
+def _by_order(graphs: list[Graph], solve) -> list:
+    """Call solve(n, indices) once for the graphs of each order n and return
+    its per-graph results in input order."""
+    groups: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        groups.setdefault(g.n, []).append(i)
+    out: list = [None] * len(graphs)
+    for n, idx in groups.items():
+        for i, x in zip(idx, solve(n, idx)):
+            out[i] = x
+    return out
 
 
 def is_transmission_regular(rtr: np.ndarray, tol: float = 1e-9) -> float | None:

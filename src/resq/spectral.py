@@ -49,12 +49,19 @@ def eigenvalues_symmetric(m: np.ndarray, tol: float = DEFAULT_GROUP_TOL) -> Spec
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    asym = float(np.abs(m - m.T).max())
-    if asym > _SYMMETRY_RTOL * scale:
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {_SYMMETRY_RTOL:g} * {scale:g}")
-    w = np.linalg.eigvalsh((m + m.T) / 2.0)
-    return Spectrum.from_values(w[::-1], tol=tol)
+    return Spectrum.from_values(_descending_eigenvalues(m), tol=tol)
+
+
+def _descending_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, or of each matrix in a stack of
+    shape (k, n, n), descending along the last axis; no grouping."""
+    m = np.asarray(m, dtype=float)
+    mt = m.swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    asym = np.max(np.abs(m - mt).max(axis=(-2, -1)) / scale)
+    if asym > _SYMMETRY_RTOL:
+        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {_SYMMETRY_RTOL:g} relative to max |m|")
+    return np.linalg.eigvalsh((m + mt) / 2.0)[..., ::-1]
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,13 @@ violating graph serialized inline so they can be replayed. The family
 checks compare the closed forms against the numeric pipeline; the random
 checks exercise the order-independent properties (positive
 semidefiniteness, monotonicity under edge addition, metric axioms, energy
-identities and bounds) on seeded corpora.
+identities and bounds) on seeded corpora, with the graphs of each order
+computed as one stack. Each family instance is computed once for all checks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -97,80 +99,72 @@ def family_specs(max_n: int) -> list[FamilySpec]:
     return specs
 
 
-def _check_closed_form_matrices(specs, tol) -> VerifyOutcome:
-    worst, worst_graph, worst_label = -math.inf, None, ""
+@dataclass
+class _Family:
+    spec: FamilySpec
+    graph: Graph
+    rl: np.ndarray
+    rq: np.ndarray
+    rl_values: np.ndarray  # descending
+    rq_values: np.ndarray
+
+    @functools.cached_property
+    def energy(self) -> energy_mod.EnergyReport:
+        # R^L = Diag(RTr) - R with a zero diagonal in R, so RTr and R are
+        # read back from R^L exactly.
+        rtr = np.diag(self.rl).copy()
+        r = np.diag(rtr) - self.rl
+        bundle = resistance.ResistanceBundle(r=r, rtr=rtr, rl=self.rl, rq=self.rq)
+        e_r = 2.0 * energy_mod._perron_root(r)
+        return energy_mod._energy_report(bundle, self.rl_values, e_r, DEFAULT_TOL)
+
+
+class _Families(dict):
+    """Each family spec's R^L, R^Q and their spectra, computed on first use
+    and shared by the family checks. R^L and R^Q come from the public
+    functions behind `resq compute --what rl|rq`, looked up at call time, so
+    the checks verify what that command prints."""
+
+    def __missing__(self, spec: FamilySpec) -> _Family:
+        g = graph_mod.generate(spec)
+        rl = resistance.resistance_laplacian(g)
+        rq = resistance.resistance_signless_laplacian(g)
+        values = spectral._descending_eigenvalues(np.stack([rl, rq]))
+        self[spec] = family = _Family(spec, g, rl, rq, *values)
+        return family
+
+
+def _family_check(name, families, specs, measure, tol) -> VerifyOutcome:
     with _Timer() as t:
-        for spec in specs:
-            g = graph_mod.generate(spec)
-            closed = cf.closed_form(spec)
-            rl_num = resistance.resistance_laplacian(g)
-            rq_num = resistance.resistance_signless_laplacian(g)
-            err = max(
-                float(np.abs(closed.rl_matrix - rl_num).max()),
-                float(np.abs(closed.rq_matrix - rq_num).max()),
-            )
-            if err > worst:
-                worst, worst_graph, worst_label = err, g, spec.label()
+        worst, fam = _worst_over([families[spec] for spec in specs], measure)
     ok = worst <= tol
-    detail = "" if ok else f"worst instance {worst_label}"
-    failing = None if ok else format_edge_list(worst_graph)
-    return _outcome("closed_form_matrices", t, ok, worst, tol, detail, failing)
+    detail = "" if ok else f"worst instance {fam.spec.label()}"
+    failing = None if ok else format_edge_list(fam.graph)
+    return _outcome(name, t, ok, worst, tol, detail, failing)
 
 
-def _check_closed_form_spectra(specs) -> VerifyOutcome:
-    worst, worst_graph, worst_label = -math.inf, None, ""
-    with _Timer() as t:
-        for spec in specs:
-            g = graph_mod.generate(spec)
-            closed = cf.closed_form(spec)
-            rl_vals = spectral.eigenvalues_symmetric(resistance.resistance_laplacian(g)).values
-            rq_vals = spectral.eigenvalues_symmetric(
-                resistance.resistance_signless_laplacian(g)
-            ).values
-            err = max(
-                float(np.abs(closed.rl_spectrum.values - rl_vals).max()),
-                float(np.abs(closed.rq_spectrum.values - rq_vals).max()),
-            )
-            if err > worst:
-                worst, worst_graph, worst_label = err, g, spec.label()
-    ok = worst <= SPECTRUM_TOL
-    detail = "" if ok else f"worst instance {worst_label}"
-    failing = None if ok else format_edge_list(worst_graph)
-    return _outcome("closed_form_spectra", t, ok, worst, SPECTRUM_TOL, detail, failing)
-
-
-def _check_complete_energy(max_n, tol) -> VerifyOutcome:
-    worst, worst_graph = -math.inf, None
-    with _Timer() as t:
-        for n in range(2, max_n + 1):
-            g = graph_mod.generate(FamilySpec.complete(n))
-            report = energy_mod.resistance_laplacian_energy(g)
-            err = abs(report.le_r - 4.0 * (1.0 - 1.0 / n))
-            if err > worst:
-                worst, worst_graph = err, g
-    ok = worst <= tol
-    failing = None if ok else format_edge_list(worst_graph)
-    return _outcome("complete_energy_formula", t, ok, worst, tol, "", failing)
-
-
-def _check_transmission_regular_energy(max_n) -> VerifyOutcome:
-    specs = [FamilySpec.complete(n) for n in range(2, max_n + 1)]
-    specs += [FamilySpec.cycle(n) for n in range(3, max_n + 1)]
-    specs += [FamilySpec.bipartite(p, p) for p in range(1, max_n // 2 + 1)]
-    worst, worst_graph, worst_label = -math.inf, None, ""
-    with _Timer() as t:
-        for spec in specs:
-            g = graph_mod.generate(spec)
-            report = energy_mod.resistance_laplacian_energy(g)
-            err = abs(report.le_r - report.e_r)
-            if err > worst:
-                worst, worst_graph, worst_label = err, g, spec.label()
-    ok = worst <= ENERGY_EQUALITY_TOL
-    detail = "" if ok else f"worst instance {worst_label}"
-    failing = None if ok else format_edge_list(worst_graph)
-    return _outcome(
-        "transmission_regular_energy", t, ok, worst, ENERGY_EQUALITY_TOL, detail, failing
+def _closed_matrix_error(fam: _Family) -> float:
+    closed = cf.closed_form(fam.spec)
+    return max(
+        float(np.abs(closed.rl_matrix - fam.rl).max()),
+        float(np.abs(closed.rq_matrix - fam.rq).max()),
     )
+
+
+def _closed_spectrum_error(fam: _Family) -> float:
+    closed = cf.closed_form(fam.spec)
+    return max(
+        float(np.abs(closed.rl_spectrum.values - fam.rl_values).max()),
+        float(np.abs(closed.rq_spectrum.values - fam.rq_values).max()),
+    )
+
+
+def _complete_energy_error(fam: _Family) -> float:
+    return abs(fam.energy.le_r - 4.0 * (1.0 - 1.0 / fam.graph.n))
+
+
+def _energy_equality_error(fam: _Family) -> float:
+    return abs(fam.energy.le_r - fam.energy.e_r)
 
 
 def _real_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -182,31 +176,27 @@ def _containment_error(parent: np.ndarray, candidates: np.ndarray) -> float:
     return max(float(np.abs(parent - c).min()) for c in candidates)
 
 
-def _check_quotient_containment(max_pq) -> VerifyOutcome:
-    worst, worst_graph, worst_label = -math.inf, None, ""
-    with _Timer() as t:
-        for p in range(1, max_pq + 1):
-            for q in range(p, max_pq + 1):
-                g = graph_mod.generate(FamilySpec.bipartite(p, q))
-                partition = spectral.Partition.from_sizes(p, q)
-                matrices = (
-                    graph_mod.laplacian(g),
-                    resistance.resistance_laplacian(g),
-                    resistance.resistance_signless_laplacian(g),
-                )
-                for m in matrices:
-                    quotient, equitable = spectral.quotient_matrix(m, partition)
-                    parent = spectral.eigenvalues_symmetric(m).values
-                    err = _containment_error(parent, _real_eigenvalues(quotient))
-                    if not equitable:
-                        err = math.inf
-                    if err > worst:
-                        worst, worst_graph = err, g
-                        worst_label = f"K_{{{p},{q}}}"
-    ok = worst <= CONTAINMENT_TOL
-    detail = "" if ok else f"worst instance {worst_label}"
-    failing = None if ok else format_edge_list(worst_graph)
-    return _outcome("quotient_containment", t, ok, worst, CONTAINMENT_TOL, detail, failing)
+def _quotient_containment_error(fam: _Family) -> float:
+    """Worst containment of the (p, q) quotient spectrum in the spectra of
+    L, R^L and R^Q of K_{p,q}; inf if a partition is not equitable."""
+    partition = spectral.Partition.from_sizes(*fam.spec.params)
+    lap = graph_mod.laplacian(fam.graph)
+    worst = -math.inf
+    for m, parent in (
+        (lap, spectral.eigenvalues_symmetric(lap).values),
+        (fam.rl, fam.rl_values),
+        (fam.rq, fam.rq_values),
+    ):
+        quotient, equitable = spectral.quotient_matrix(m, partition)
+        err = _containment_error(parent, _real_eigenvalues(quotient))
+        worst = max(worst, err if equitable else math.inf)
+    return worst
+
+
+def _bipartite_specs(max_pq: int) -> list[FamilySpec]:
+    return [
+        FamilySpec.bipartite(p, q) for p in range(1, max_pq + 1) for q in range(p, max_pq + 1)
+    ]
 
 
 def rq_quotient_report(max_pq: int = 8) -> list[dict]:
@@ -218,38 +208,39 @@ def rq_quotient_report(max_pq: int = 8) -> list[dict]:
     general (already at p = q = 2) and its disagreement is reported, not
     treated as a failure.
     """
+    return _rq_quotient_rows(_Families(), max_pq)
+
+
+def _rq_quotient_rows(families, max_pq) -> list[dict]:
     rows = []
-    for p in range(1, max_pq + 1):
-        for q in range(p, max_pq + 1):
-            g = graph_mod.generate(FamilySpec.bipartite(p, q))
-            numeric = spectral.eigenvalues_symmetric(
-                resistance.resistance_signless_laplacian(g)
-            ).values
-            quotient_pair = cf.bipartite_rq_quotient_eigenvalues(p, q)
-            quotient_err = _containment_error(numeric, np.array(quotient_pair))
-            pm_pair = cf.bipartite_rq_pm_formula(p, q)
-            if any(math.isnan(v) for v in pm_pair):
-                pm_err = math.inf
-            else:
-                pm_err = _containment_error(numeric, np.array(pm_pair))
-            rows.append(
-                {
-                    "p": p,
-                    "q": q,
-                    "quotient": [float(v) for v in quotient_pair],
-                    "quotient_err": float(quotient_err),
-                    "pm": [float(v) for v in pm_pair],
-                    "pm_err": float(pm_err),
-                    "pm_matches": bool(pm_err <= SPECTRUM_TOL),
-                }
-            )
+    for spec in _bipartite_specs(max_pq):
+        p, q = spec.params
+        numeric = families[spec].rq_values
+        quotient_pair = cf.bipartite_rq_quotient_eigenvalues(p, q)
+        quotient_err = _containment_error(numeric, np.array(quotient_pair))
+        pm_pair = cf.bipartite_rq_pm_formula(p, q)
+        if any(math.isnan(v) for v in pm_pair):
+            pm_err = math.inf
+        else:
+            pm_err = _containment_error(numeric, np.array(pm_pair))
+        rows.append(
+            {
+                "p": p,
+                "q": q,
+                "quotient": [float(v) for v in quotient_pair],
+                "quotient_err": float(quotient_err),
+                "pm": [float(v) for v in pm_pair],
+                "pm_err": float(pm_err),
+                "pm_matches": bool(pm_err <= SPECTRUM_TOL),
+            }
+        )
     return rows
 
 
-def _check_rq_quotient_vs_pm(max_pq) -> VerifyOutcome:
+def _check_rq_quotient_vs_pm(families, max_pq) -> VerifyOutcome:
     with _Timer() as t:
-        rows = rq_quotient_report(max_pq)
-        worst = max(row["quotient_err"] for row in rows)
+        rows = _rq_quotient_rows(families, max_pq)
+        worst = max((row["quotient_err"] for row in rows), default=-math.inf)
         lines = []
         for row in rows:
             pm_note = (
@@ -259,16 +250,7 @@ def _check_rq_quotient_vs_pm(max_pq) -> VerifyOutcome:
             )
             lines.append(
                 "K_{%d,%d}: quotient=(%.12g, %.12g) err=%.3g; pm=(%.12g, %.12g) %s"
-                % (
-                    row["p"],
-                    row["q"],
-                    row["quotient"][0],
-                    row["quotient"][1],
-                    row["quotient_err"],
-                    row["pm"][0],
-                    row["pm"][1],
-                    pm_note,
-                )
+                % (row["p"], row["q"], *row["quotient"], row["quotient_err"], *row["pm"], pm_note)
             )
     ok = worst <= SPECTRUM_TOL
     return _outcome(
@@ -280,7 +262,7 @@ def _check_rq_quotient_vs_pm(max_pq) -> VerifyOutcome:
 class _Prepared:
     graph: Graph
     bundle: resistance.ResistanceBundle
-    rl_spectrum: spectral.Spectrum
+    rl_values: np.ndarray  # descending
     dist: np.ndarray
     report: energy_mod.EnergyReport
 
@@ -295,49 +277,57 @@ def _random_graphs(count, max_n, seed, min_n=2) -> list[Graph]:
     return out
 
 
-def _prepare(g: Graph) -> _Prepared:
-    bundle = resistance.resistance_bundle(g)
-    rl_spectrum = spectral.eigenvalues_symmetric(bundle.rl)
-    return _Prepared(
-        graph=g,
-        bundle=bundle,
-        rl_spectrum=rl_spectrum,
-        dist=graph_mod.classical_distance_matrix(g),
-        report=energy_mod._energy_report(g.n, bundle, rl_spectrum, DEFAULT_TOL),
-    )
+def _per_order(graphs, matrices, solve) -> list:
+    """solve() on the matrices of each order as one stack, split per graph."""
+    return resistance._by_order(graphs, lambda n, idx: solve(np.stack([matrices[i] for i in idx])))
 
 
-def _worst_over(prepared, measure):
-    worst, worst_graph = -math.inf, None
-    for item in prepared:
+def _rl_values(graphs, bundles) -> list[np.ndarray]:
+    return _per_order(graphs, [b.rl for b in bundles], spectral._descending_eigenvalues)
+
+
+def _prepare_all(graphs: list[Graph]) -> list[_Prepared]:
+    bundles = resistance._resistance_bundles(graphs)
+    rl_values = _rl_values(graphs, bundles)
+    e_r = _per_order(graphs, [b.r for b in bundles], energy_mod._perron_root)
+    return [
+        _Prepared(g, b, values, graph_mod.classical_distance_matrix(g),
+                  energy_mod._energy_report(b, values, 2.0 * gamma1, DEFAULT_TOL))
+        for g, b, values, gamma1 in zip(graphs, bundles, rl_values, e_r)
+    ]
+
+
+def _worst_over(items, measure):
+    worst, worst_item = -math.inf, None
+    for item in items:
         value = measure(item)
         if value > worst:
-            worst, worst_graph = value, item.graph
-    return worst, worst_graph
+            worst, worst_item = value, item
+    return worst, worst_item
 
 
 def _corpus_check(name, prepared, measure, tol) -> VerifyOutcome:
     with _Timer() as t:
-        worst, worst_graph = _worst_over(prepared, measure)
+        worst, item = _worst_over(prepared, measure)
     ok = worst <= tol
-    failing = None if ok else format_edge_list(worst_graph)
+    failing = None if ok else format_edge_list(item.graph)
     return _outcome(name, t, ok, worst, tol, "", failing)
 
 
 def _psd_measure(item: _Prepared) -> float:
-    values = item.rl_spectrum.values
+    values = item.rl_values
     norm = max(float(np.abs(values).max()), 1e-300)
     return float(-values.min()) / norm
 
 
 def _row_sum_measure(item: _Prepared) -> float:
-    values = item.rl_spectrum.values
+    values = item.rl_values
     norm = max(float(np.abs(values).max()), 1e-300)
     return float(np.abs(item.bundle.rl.sum(axis=1)).max()) / norm
 
 
 def _radius_measure(item: _Prepared) -> float:
-    return 2.0 - float(item.rl_spectrum.values[0])
+    return 2.0 - float(item.rl_values[0])
 
 
 def _resistance_distance_measure(item: _Prepared) -> float:
@@ -372,29 +362,23 @@ def _check_edge_monotonicity(pair_count, max_n, seed, tol) -> VerifyOutcome:
     rng = random.Random(seed)
     worst, worst_graph = -math.inf, None
     with _Timer() as t:
-        made = 0
-        while made < pair_count:
+        smaller, bigger = [], []
+        while len(smaller) < pair_count:
             n = rng.randint(3, max(3, max_n))
-            g = graph_mod.random_connected_graph(
-                n, rng.uniform(0.2, 0.8), rng.randrange(2**31)
-            )
+            g = graph_mod.random_connected_graph(n, rng.uniform(0.2, 0.8), rng.randrange(2**31))
             missing = graph_mod.non_edges(g)
-            if not missing:
-                continue
-            made += 1
-            u, v = missing[rng.randrange(len(missing))]
-            bigger = graph_mod.add_edge(g, u, v)
-            r_before = resistance.resistance_matrix(g)
-            r_after = resistance.resistance_matrix(bigger)
-            spec_before = spectral.eigenvalues_symmetric(
-                np.diag(r_before.sum(axis=0)) - r_before
-            ).values
-            spec_after = spectral.eigenvalues_symmetric(
-                np.diag(r_after.sum(axis=0)) - r_after
-            ).values
+            if missing:
+                u, v = missing[rng.randrange(len(missing))]
+                smaller.append(g)
+                bigger.append(graph_mod.add_edge(g, u, v))
+        graphs = smaller + bigger
+        bundles = resistance._resistance_bundles(graphs)
+        values = _rl_values(graphs, bundles)
+        for j, g in enumerate(smaller):
+            k = j + len(smaller)
             err = max(
-                float((r_after - r_before).max()),
-                float((spec_after - spec_before).max()),
+                float((bundles[k].r - bundles[j].r).max()),
+                float((values[k] - values[j]).max()),
             )
             if err > worst:
                 worst, worst_graph = err, g
@@ -407,14 +391,14 @@ def _check_tree_distance(tree_count, max_tree_n, seed, tol) -> VerifyOutcome:
     rng = random.Random(seed)
     worst, worst_graph = -math.inf, None
     with _Timer() as t:
-        for _ in range(tree_count):
-            n = rng.randint(2, max_tree_n)
-            tree = graph_mod.random_tree(n, rng.randrange(2**31))
-            r = resistance.resistance_matrix(tree)
+        trees = [
+            graph_mod.random_tree(rng.randint(2, max_tree_n), rng.randrange(2**31))
+            for _ in range(tree_count)
+        ]
+        for tree, b in zip(trees, resistance._resistance_bundles(trees)):
             d = graph_mod.classical_distance_matrix(tree)
-            rl = np.diag(r.sum(axis=0)) - r
             dl = np.diag(d.sum(axis=0)) - d
-            err = max(float(np.abs(r - d).max()), float(np.abs(rl - dl).max()))
+            err = max(float(np.abs(b.r - d).max()), float(np.abs(b.rl - dl).max()))
             if err > worst:
                 worst, worst_graph = err, tree
     ok = worst <= tol
@@ -443,16 +427,23 @@ def run_verify(
         raise ValueError(f"scope must be families, random or all, got {scope!r}")
     outcomes: list[VerifyOutcome] = []
     if scope in ("families", "all"):
-        specs = family_specs(max_n)
-        outcomes.append(_check_closed_form_matrices(specs, tol))
-        outcomes.append(_check_closed_form_spectra(specs))
-        outcomes.append(_check_complete_energy(max_n, tol))
-        outcomes.append(_check_transmission_regular_energy(max_n))
-        outcomes.append(_check_quotient_containment(max_pq))
-        outcomes.append(_check_rq_quotient_vs_pm(max_pq))
+        specs, families = family_specs(max_n), _Families()
+        complete = [FamilySpec.complete(n) for n in range(2, max_n + 1)]
+        regular = complete + [FamilySpec.cycle(n) for n in range(3, max_n + 1)]
+        regular += [FamilySpec.bipartite(p, p) for p in range(1, max_n // 2 + 1)]
+        for name, subset, measure, check_tol in (
+            ("closed_form_matrices", specs, _closed_matrix_error, tol),
+            ("closed_form_spectra", specs, _closed_spectrum_error, SPECTRUM_TOL),
+            ("complete_energy_formula", complete, _complete_energy_error, tol),
+            ("transmission_regular_energy", regular, _energy_equality_error, ENERGY_EQUALITY_TOL),
+            ("quotient_containment", _bipartite_specs(max_pq), _quotient_containment_error,
+             CONTAINMENT_TOL),
+        ):
+            outcomes.append(_family_check(name, families, subset, measure, check_tol))
+        outcomes.append(_check_rq_quotient_vs_pm(families, max_pq))
     if scope in ("random", "all"):
         with _Timer() as prep_timer:
-            prepared = [_prepare(g) for g in _random_graphs(count, max_n, seed)]
+            prepared = _prepare_all(_random_graphs(count, max_n, seed))
         outcomes.append(
             VerifyOutcome(
                 name="random_corpus",
@@ -482,6 +473,7 @@ def run_verify(
             _corpus_check("eta_square_sum_2F", prepared, _eta_square_measure, ETA_SQUARE_RTOL)
         )
         outcomes.append(_corpus_check("energy_bounds", prepared, _bounds_measure, tol))
+        del prepared  # peak memory: the edge-addition check holds all its pairs at once
         outcomes.append(_check_edge_monotonicity(pair_count, max_n, seed + 1, tol))
         outcomes.append(_check_tree_distance(tree_count, max_tree_n, seed + 2, tol))
     return outcomes

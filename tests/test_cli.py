@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,13 @@ class TestCompute:
         path = write_graph(tmp_path, "disc.el", "4\n0 1\n2 3\n")
         assert main(["compute", path, "--what", "resistance"]) == 3
         assert "Disconnected" in capsys.readouterr().err
+
+    def test_oversized_vertex_count_exit_2(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "huge.el", "1000000000\n0 1\n")
+        start = time.perf_counter()
+        assert main(["compute", path, "--what", "energy"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "exceeds 20000" in capsys.readouterr().err
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         path = write_graph(tmp_path, "bad.el", "3\n0 zero\n")

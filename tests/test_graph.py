@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from resq.errors import (
     Disconnected,
     DuplicateEdge,
+    GraphInputError,
     InvalidFamilyParams,
     MalformedLine,
     SelfLoop,
     VertexOutOfRange,
 )
 from resq.graph import (
+    MAX_ORDER,
     FamilySpec,
     Graph,
     add_edge,
@@ -68,6 +70,11 @@ class TestParseEdgeList:
     def test_bad_vertex_count(self):
         with pytest.raises(MalformedLine):
             parse_edge_list("0\n")
+
+    def test_vertex_count_cap(self):
+        assert parse_edge_list(f"{MAX_ORDER}\n0 1\n").n == MAX_ORDER
+        with pytest.raises(GraphInputError, match="exceeds"):
+            parse_edge_list(f"{MAX_ORDER + 1}\n0 1\n")
 
     @settings(max_examples=60)
     @given(n=st.integers(1, 12), seed=st.integers(0, 10**6))

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resq.errors import Disconnected
+from resq.spectral import eigenvalues_symmetric
+from resq.verify import _random_graphs, _rl_values
 from resq.graph import (
     FamilySpec,
     Graph,
@@ -15,6 +17,7 @@ from resq.graph import (
     random_connected_graph,
     random_tree,
 )
+from resq import resistance
 from resq.resistance import (
     is_transmission_regular,
     laplacian_pseudoinverse,
@@ -196,6 +199,66 @@ class TestResistanceMatrix:
         assert r.min() >= 0.0
         sums = r[:, :, None] + r[None, :, :]
         assert (r - sums.min(axis=1)).max() <= 1e-9
+
+
+    @pytest.mark.parametrize("n", [12, 129, 1000])
+    def test_exactly_symmetric(self, n):
+        # R is assembled from the symmetrised pseudoinverse, so no further
+        # symmetrisation is needed on either side of the n = 128 dispatch.
+        r = resistance_matrix(random_connected_graph(n, min(0.5, 10.0 / n), seed=n))
+        assert np.array_equal(r, r.T)
+
+
+class TestStackedBundles:
+    """One stacked computation per order gives the per-graph results bit for bit."""
+
+    def test_bitwise_equal_to_per_graph(self):
+        graphs = _random_graphs(200, 12, 0) + [
+            Graph.from_edges(1, []),
+            Graph.from_edges(2, [(0, 1)]),
+            random_connected_graph(13, 0.4, seed=1),  # the only graph of its order
+            random_connected_graph(129, 0.08, seed=2),  # grounded path
+        ]
+        stacked = resistance._resistance_bundles(graphs)
+        stacked_values = _rl_values(graphs, stacked)
+        assert len({g.n for g in graphs}) == 14
+        for g, b, values in zip(graphs, stacked, stacked_values):
+            ref = resistance_bundle(g)
+            for field in ("r", "rtr", "rl", "rq"):
+                assert np.array_equal(getattr(b, field), getattr(ref, field)), (g.n, field)
+            assert np.array_equal(values, eigenvalues_symmetric(ref.rl).values), g.n
+
+    def test_empty(self):
+        assert resistance._resistance_bundles([]) == []
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+            Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)]),  # isolated vertex
+            Graph.from_edges(2, []),
+        ],
+    )
+    def test_disconnected_member_raises(self, bad):
+        graphs = [random_connected_graph(bad.n, 0.6, seed=s) for s in range(5)]
+        with pytest.raises(Disconnected):
+            resistance._resistance_bundles(graphs[:2] + [bad] + graphs[2:])
+
+    def test_shuffled_disjoint_unions_raise_in_a_stack(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            sizes = rng.integers(1, 8, size=int(rng.integers(2, 4))).tolist()
+            edges, offset = [], 0
+            for size in sizes:
+                if size > 1:
+                    part = random_connected_graph(size, 0.6, int(rng.integers(2**31)))
+                    edges += [(u + offset, v + offset) for u, v in part.edges]
+                offset += size
+            perm = rng.permutation(offset).tolist()
+            bad = Graph.from_edges(offset, [(perm[u], perm[v]) for u, v in edges])
+            good = [random_connected_graph(offset, 0.5, seed=s) for s in range(3)]
+            with pytest.raises(Disconnected):
+                resistance._resistance_bundles([good[0], bad, good[1], good[2]])
 
 
 class TestTransmissions:

@@ -56,6 +56,27 @@ class TestRunVerify:
         b = run_verify(scope="random", seed=5, max_n=7, count=15, tree_count=5, pair_count=5)
         assert [(o.name, o.measured) for o in a] == [(o.name, o.measured) for o in b]
 
+    def test_no_bipartite_pairs_skip(self):
+        outcomes = {o.name: o for o in run_verify(scope="families", max_n=4, max_pq=0)}
+        for name in ("quotient_containment", "rq_bipartite_quotient_report"):
+            assert outcomes[name].status == "skip"
+            assert outcomes[name].measured is None
+        assert outcomes["closed_form_matrices"].status == "pass"
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_stacked_engine_matches_per_graph(self, monkeypatch, seed):
+        args = dict(scope="all", seed=seed, max_n=12, count=60, tree_count=30, pair_count=40)
+        stacked = run_verify(**args)
+        monkeypatch.setattr(
+            resq.resistance,
+            "_resistance_bundles",
+            lambda graphs: [resq.resistance.resistance_bundle(g) for g in graphs],
+        )
+        per_graph = run_verify(**args)
+        key = [(o.name, o.status, o.measured) for o in stacked]
+        assert key == [(o.name, o.status, o.measured) for o in per_graph]
+        assert all(o.passed for o in stacked)
+
     def test_bad_scope(self):
         with pytest.raises(ValueError):
             run_verify(scope="everything")
