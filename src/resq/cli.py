@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 input error, 3 domain error (disconnected graph),
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -56,26 +57,26 @@ def cmd_generate(args) -> int:
 
 
 def _compute_text(g, what: str, fmt: str) -> str:
-    if what in ("resistance", "rl", "rq"):
-        matrix = {
-            "resistance": resistance_matrix,
-            "rl": resistance_laplacian,
-            "rq": resistance_signless_laplacian,
-        }[what](g)
+    if what == "energy":
+        report = resistance_laplacian_energy(g)
+        tag = serialize.graph_hash(g)
         if fmt == "csv":
-            return serialize.matrix_to_csv(matrix)
-        return serialize.dumps(serialize.matrix_to_json(matrix, what))
-    if what in ("spectrum-rl", "spectrum-rq"):
-        builder = resistance_laplacian if what == "spectrum-rl" else resistance_signless_laplacian
-        spectrum = eigenvalues_symmetric(builder(g))
+            return serialize.energy_report_to_csv(report, tag)
+        return serialize.dumps(serialize.energy_report_to_json(report, tag))
+    builders = {
+        "resistance": resistance_matrix,
+        "rl": resistance_laplacian,
+        "rq": resistance_signless_laplacian,
+    }
+    matrix = builders[what.removeprefix("spectrum-")](g)
+    if what.startswith("spectrum-"):
+        spectrum = eigenvalues_symmetric(matrix)
         if fmt == "csv":
             return serialize.spectrum_to_csv(spectrum)
         return serialize.dumps(serialize.spectrum_to_json(spectrum))
-    report = resistance_laplacian_energy(g)
-    tag = serialize.graph_hash(g)
     if fmt == "csv":
-        return serialize.energy_report_to_csv(report, tag)
-    return serialize.dumps(serialize.energy_report_to_json(report, tag))
+        return serialize.matrix_to_csv(matrix)
+    return serialize.dumps(serialize.matrix_to_json(matrix, what))
 
 
 def cmd_compute(args) -> int:
@@ -109,7 +110,14 @@ def _print_outcome(outcome) -> None:
 
 
 def cmd_verify(args) -> int:
-    tol = float(os.environ.get("RESQ_TOL", DEFAULT_TOL))
+    text = os.environ.get("RESQ_TOL", str(DEFAULT_TOL))
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:
+        print(f"error: RESQ_TOL must be a finite number >= 0, got {text!r}", file=sys.stderr)
+        return EXIT_INPUT
     outcomes = run_verify(
         scope=args.scope,
         seed=args.seed,

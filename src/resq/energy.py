@@ -106,9 +106,16 @@ def _safe_sqrt(radicand: float) -> float:
     return math.sqrt(max(radicand, 0.0))
 
 
-def _evaluate_bounds(
-    n: int, mean_u: float, big_f: float, eta1: float, le_r: float, tol: float
-) -> dict[str, BoundCheck]:
+def check_bounds(report: EnergyReport, tol: float = 1e-9) -> dict[str, BoundCheck]:
+    """Evaluate all four energy bounds for an existing report.
+
+    lower_2sqrtF and upper_sqrt2nF bracket LE_R by 2*sqrt(F) and
+    sqrt(2nF); upper_meanU and upper_eta1 are the mean-transmission and
+    eta_1 refinements. Tiny negative radicands (rounding at equality
+    cases) are clamped; genuinely negative ones raise NegativeRadicand.
+    """
+    n, mean_u, big_f, le_r = report.n, report.mean_transmission, report.F, report.le_r
+    eta1 = float(report.eta[0]) if len(report.eta) else 0.0
     lower = 2.0 * math.sqrt(max(big_f, 0.0))
     upper = math.sqrt(max(2.0 * n * big_f, 0.0))
     upper_mean = mean_u + _safe_sqrt((n - 1) * (2.0 * big_f - mean_u * mean_u))
@@ -122,20 +129,6 @@ def _evaluate_bounds(
     ):
         out[name] = BoundCheck(value, le_r <= value + tol, value - le_r)
     return out
-
-
-def check_bounds(report: EnergyReport, tol: float = 1e-9) -> dict[str, BoundCheck]:
-    """Evaluate all four energy bounds for an existing report.
-
-    lower_2sqrtF and upper_sqrt2nF bracket LE_R by 2*sqrt(F) and
-    sqrt(2nF); upper_meanU and upper_eta1 are the mean-transmission and
-    eta_1 refinements. Tiny negative radicands (rounding at equality
-    cases) are clamped; genuinely negative ones raise NegativeRadicand.
-    """
-    eta1 = float(report.eta[0]) if len(report.eta) else 0.0
-    return _evaluate_bounds(
-        report.n, report.mean_transmission, report.F, eta1, report.le_r, tol
-    )
 
 
 def _perron_root(r: np.ndarray):
@@ -170,21 +163,20 @@ def _energy_report(
     bundle, R^L eigenvalues (descending) and E_R."""
     eta = rl_values - bundle.rtr.mean()
     f, big_f = energy_moments(bundle.r, bundle.rtr)
-    le_r = float(np.abs(eta).sum())
-    n = eta.size
-    mean_u = float(bundle.rtr.mean())
-    eta1 = float(eta[0]) if n else 0.0
-    bounds = _evaluate_bounds(n, mean_u, big_f, eta1, le_r, tol)
-    return EnergyReport(
-        n=n,
-        mean_transmission=mean_u,
+    report = EnergyReport(
+        n=eta.size,
+        mean_transmission=float(bundle.rtr.mean()),
         eta=eta,
         f=f,
         F=big_f,
-        le_r=le_r,
+        le_r=float(np.abs(eta).sum()),
         e_r=float(e_r),
-        bounds=bounds,
+        bounds={},
     )
+    # check_bounds reads the finished fields; filling the dict in place
+    # spares building the report twice.
+    report.bounds.update(check_bounds(report, tol))
+    return report
 
 
 def resistance_laplacian_energy(g: Graph, tol: float = 1e-9) -> EnergyReport:

@@ -73,22 +73,12 @@ class Graph:
         """Edges in lexicographic order, for deterministic output."""
         return sorted(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def neighbor_lists(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.sorted_edges():
             adj[u].append(v)
             adj[v].append(u)
         return adj
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
 
 
 @dataclass(frozen=True)
@@ -156,7 +146,6 @@ def parse_edge_list(text: str) -> Graph:
     Vertex counts above MAX_ORDER are rejected before any O(n) allocation.
     """
     n: int | None = None
-    edges: list[Edge] = []
     seen: set[Edge] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -191,10 +180,9 @@ def parse_edge_list(text: str) -> Graph:
         if key in seen:
             raise DuplicateEdge(f"line {lineno}: duplicate edge ({u}, {v})")
         seen.add(key)
-        edges.append(key)
     if n is None:
         raise MalformedLine("missing vertex count line")
-    return Graph.from_edges(n, edges)
+    return Graph(n=n, edges=frozenset(seen))
 
 
 def format_edge_list(g: Graph) -> str:

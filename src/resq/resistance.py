@@ -146,11 +146,14 @@ def _resistance(pinv: np.ndarray) -> np.ndarray:
 
 def _bundle(r: np.ndarray) -> ResistanceBundle:
     """Transmissions and both Laplacians from R, or from a stack of R."""
+    # R has a zero diagonal, so writing RTr into the diagonals of -R and of
+    # a copy of R gives Diag(RTr) -/+ R bit for bit.
     rtr = resistance_transmissions(r)
-    diag = np.zeros_like(r)
     i = np.arange(r.shape[-1])
-    diag[..., i, i] = rtr
-    return ResistanceBundle(r=r, rtr=rtr, rl=diag - r, rq=diag + r)
+    rl, rq = -r, r.copy()
+    rl[..., i, i] = rtr
+    rq[..., i, i] = rtr
+    return ResistanceBundle(r=r, rtr=rtr, rl=rl, rq=rq)
 
 
 def resistance_matrix(g: Graph) -> np.ndarray:
@@ -168,14 +171,12 @@ def resistance_transmissions(r: np.ndarray) -> np.ndarray:
 
 def resistance_laplacian(g: Graph) -> np.ndarray:
     """Diag(RTr) - R; rows sum to zero."""
-    r = resistance_matrix(g)
-    return np.diag(resistance_transmissions(r)) - r
+    return resistance_bundle(g).rl
 
 
 def resistance_signless_laplacian(g: Graph) -> np.ndarray:
     """Diag(RTr) + R."""
-    r = resistance_matrix(g)
-    return np.diag(resistance_transmissions(r)) + r
+    return resistance_bundle(g).rq
 
 
 def resistance_bundle(g: Graph) -> ResistanceBundle:

@@ -1,12 +1,15 @@
 """Batch verification of structural, spectral and energy properties.
 
-Every check returns a VerifyOutcome instead of raising; failures carry the
-violating graph serialized inline so they can be replayed. The family
-checks compare the closed forms against the numeric pipeline; the random
+Every check returns a VerifyOutcome instead of raising. All but the corpus
+count go through one runner, _check, which judges the worst of the (value,
+graph, label) triples a check yields: a failure carries the violating graph
+serialized inline so it can be replayed, and a check that examined nothing
+is a skip. The family checks compare the closed forms against the numeric
+pipeline, computing each family instance once for all checks; the random
 checks exercise the order-independent properties (positive
 semidefiniteness, monotonicity under edge addition, metric axioms, energy
 identities and bounds) on seeded corpora, with the graphs of each order
-computed as one stack. Each family instance is computed once for all checks.
+computed as one stack.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import functools
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,39 +54,26 @@ class VerifyOutcome:
         return self.status != "fail"
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "elapsed_ms": self.elapsed_ms,
-            "detail": self.detail,
-            "failing_graph": self.failing_graph,
-        }
+        return asdict(self)
 
 
-class _Timer:
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed_ms = (time.perf_counter() - self.start) * 1000.0
-
-
-def _outcome(name, timer, ok, measured, tol, detail="", failing=None) -> VerifyOutcome:
-    # The checks start their worst case at -inf, so it is still -inf only
-    # when the check examined no instance: that is a skip, not a pass.
-    examined = measured != -math.inf
-    return VerifyOutcome(
-        name=name,
-        status=("pass" if ok else "fail") if examined else "skip",
-        measured=float(measured) if examined else None,
-        tolerance=float(tol),
-        elapsed_ms=timer.elapsed_ms,
-        detail=detail if examined else "no instance examined",
-        failing_graph=failing,
-    )
+def _check(name, tol, measured) -> VerifyOutcome:
+    """Time measured(), an iterable of (value, graph, label) triples, and
+    judge its worst value against tol. A failure names the worst graph and,
+    when it has a label, the instance; no triple at all is a skip."""
+    start = time.perf_counter()
+    worst, worst_graph, worst_label = -math.inf, None, None
+    for value, g, label in measured():
+        if value > worst:
+            worst, worst_graph, worst_label = value, g, label
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    if worst == -math.inf:
+        return VerifyOutcome(name, "skip", None, float(tol), elapsed_ms, "no instance examined")
+    ok = worst <= tol
+    detail = "" if ok or worst_label is None else f"worst instance {worst_label}"
+    failing = None if ok or worst_graph is None else format_edge_list(worst_graph)
+    status = "pass" if ok else "fail"
+    return VerifyOutcome(name, status, float(worst), float(tol), elapsed_ms, detail, failing)
 
 
 def family_specs(max_n: int) -> list[FamilySpec]:
@@ -134,13 +124,11 @@ class _Families(dict):
         return family
 
 
-def _family_check(name, families, specs, measure, tol) -> VerifyOutcome:
-    with _Timer() as t:
-        worst, fam = _worst_over([families[spec] for spec in specs], measure)
-    ok = worst <= tol
-    detail = "" if ok else f"worst instance {fam.spec.label()}"
-    failing = None if ok else format_edge_list(fam.graph)
-    return _outcome(name, t, ok, worst, tol, detail, failing)
+def _over_families(families, specs, measure):
+    # Every instance is computed before any is measured: interleaving the
+    # two made closed_form_matrices about 15% slower.
+    for fam in [families[spec] for spec in specs]:
+        yield measure(fam), fam.graph, fam.spec.label()
 
 
 def _closed_matrix_error(fam: _Family) -> float:
@@ -167,11 +155,6 @@ def _energy_equality_error(fam: _Family) -> float:
     return abs(fam.energy.le_r - fam.energy.e_r)
 
 
-def _real_eigenvalues(m: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvals(m)
-    return np.sort(w.real)[::-1]
-
-
 def _containment_error(parent: np.ndarray, candidates: np.ndarray) -> float:
     return max(float(np.abs(parent - c).min()) for c in candidates)
 
@@ -188,7 +171,7 @@ def _quotient_containment_error(fam: _Family) -> float:
         (fam.rq, fam.rq_values),
     ):
         quotient, equitable = spectral.quotient_matrix(m, partition)
-        err = _containment_error(parent, _real_eigenvalues(quotient))
+        err = _containment_error(parent, np.linalg.eigvals(quotient).real)
         worst = max(worst, err if equitable else math.inf)
     return worst
 
@@ -238,11 +221,10 @@ def _rq_quotient_rows(families, max_pq) -> list[dict]:
 
 
 def _check_rq_quotient_vs_pm(families, max_pq) -> VerifyOutcome:
-    with _Timer() as t:
-        rows = _rq_quotient_rows(families, max_pq)
-        worst = max((row["quotient_err"] for row in rows), default=-math.inf)
-        lines = []
-        for row in rows:
+    lines = []
+
+    def measured():
+        for row in _rq_quotient_rows(families, max_pq):
             pm_note = (
                 "matches"
                 if row["pm_matches"]
@@ -252,10 +234,12 @@ def _check_rq_quotient_vs_pm(families, max_pq) -> VerifyOutcome:
                 "K_{%d,%d}: quotient=(%.12g, %.12g) err=%.3g; pm=(%.12g, %.12g) %s"
                 % (row["p"], row["q"], *row["quotient"], row["quotient_err"], *row["pm"], pm_note)
             )
-    ok = worst <= SPECTRUM_TOL
-    return _outcome(
-        "rq_bipartite_quotient_report", t, ok, worst, SPECTRUM_TOL, "\n".join(lines)
-    )
+            yield row["quotient_err"], None, None
+
+    outcome = _check("rq_bipartite_quotient_report", SPECTRUM_TOL, measured)
+    if lines:
+        outcome.detail = "\n".join(lines)
+    return outcome
 
 
 @dataclass
@@ -295,23 +279,6 @@ def _prepare_all(graphs: list[Graph]) -> list[_Prepared]:
                   energy_mod._energy_report(b, values, 2.0 * gamma1, DEFAULT_TOL))
         for g, b, values, gamma1 in zip(graphs, bundles, rl_values, e_r)
     ]
-
-
-def _worst_over(items, measure):
-    worst, worst_item = -math.inf, None
-    for item in items:
-        value = measure(item)
-        if value > worst:
-            worst, worst_item = value, item
-    return worst, worst_item
-
-
-def _corpus_check(name, prepared, measure, tol) -> VerifyOutcome:
-    with _Timer() as t:
-        worst, item = _worst_over(prepared, measure)
-    ok = worst <= tol
-    failing = None if ok else format_edge_list(item.graph)
-    return _outcome(name, t, ok, worst, tol, "", failing)
 
 
 def _psd_measure(item: _Prepared) -> float:
@@ -358,52 +325,39 @@ def _bounds_measure(item: _Prepared) -> float:
     return max(-b.slack for b in item.report.bounds.values())
 
 
-def _check_edge_monotonicity(pair_count, max_n, seed, tol) -> VerifyOutcome:
+def _edge_addition_errors(pair_count, max_n, seed):
     rng = random.Random(seed)
-    worst, worst_graph = -math.inf, None
-    with _Timer() as t:
-        smaller, bigger = [], []
-        while len(smaller) < pair_count:
-            n = rng.randint(3, max(3, max_n))
-            g = graph_mod.random_connected_graph(n, rng.uniform(0.2, 0.8), rng.randrange(2**31))
-            missing = graph_mod.non_edges(g)
-            if missing:
-                u, v = missing[rng.randrange(len(missing))]
-                smaller.append(g)
-                bigger.append(graph_mod.add_edge(g, u, v))
-        graphs = smaller + bigger
-        bundles = resistance._resistance_bundles(graphs)
-        values = _rl_values(graphs, bundles)
-        for j, g in enumerate(smaller):
-            k = j + len(smaller)
-            err = max(
-                float((bundles[k].r - bundles[j].r).max()),
-                float((values[k] - values[j]).max()),
-            )
-            if err > worst:
-                worst, worst_graph = err, g
-    ok = worst <= tol
-    failing = None if ok else format_edge_list(worst_graph)
-    return _outcome("edge_addition_monotonicity", t, ok, worst, tol, "", failing)
+    smaller, bigger = [], []
+    while len(smaller) < pair_count:
+        n = rng.randint(3, max(3, max_n))
+        g = graph_mod.random_connected_graph(n, rng.uniform(0.2, 0.8), rng.randrange(2**31))
+        missing = graph_mod.non_edges(g)
+        if missing:
+            u, v = missing[rng.randrange(len(missing))]
+            smaller.append(g)
+            bigger.append(graph_mod.add_edge(g, u, v))
+    graphs = smaller + bigger
+    bundles = resistance._resistance_bundles(graphs)
+    values = _rl_values(graphs, bundles)
+    for j, g in enumerate(smaller):
+        k = j + len(smaller)
+        err = max(
+            float((bundles[k].r - bundles[j].r).max()),
+            float((values[k] - values[j]).max()),
+        )
+        yield err, g, None
 
 
-def _check_tree_distance(tree_count, max_tree_n, seed, tol) -> VerifyOutcome:
+def _tree_distance_errors(tree_count, max_tree_n, seed):
     rng = random.Random(seed)
-    worst, worst_graph = -math.inf, None
-    with _Timer() as t:
-        trees = [
-            graph_mod.random_tree(rng.randint(2, max_tree_n), rng.randrange(2**31))
-            for _ in range(tree_count)
-        ]
-        for tree, b in zip(trees, resistance._resistance_bundles(trees)):
-            d = graph_mod.classical_distance_matrix(tree)
-            dl = np.diag(d.sum(axis=0)) - d
-            err = max(float(np.abs(b.r - d).max()), float(np.abs(b.rl - dl).max()))
-            if err > worst:
-                worst, worst_graph = err, tree
-    ok = worst <= tol
-    failing = None if ok else format_edge_list(worst_graph)
-    return _outcome("tree_distance_equality", t, ok, worst, tol, "", failing)
+    trees = [
+        graph_mod.random_tree(rng.randint(2, max_tree_n), rng.randrange(2**31))
+        for _ in range(tree_count)
+    ]
+    for tree, b in zip(trees, resistance._resistance_bundles(trees)):
+        d = graph_mod.classical_distance_matrix(tree)
+        dl = np.diag(d.sum(axis=0)) - d
+        yield max(float(np.abs(b.r - d).max()), float(np.abs(b.rl - dl).max())), tree, None
 
 
 def run_verify(
@@ -439,41 +393,44 @@ def run_verify(
             ("quotient_containment", _bipartite_specs(max_pq), _quotient_containment_error,
              CONTAINMENT_TOL),
         ):
-            outcomes.append(_family_check(name, families, subset, measure, check_tol))
+            outcomes.append(
+                _check(name, check_tol, lambda: _over_families(families, subset, measure))
+            )
         outcomes.append(_check_rq_quotient_vs_pm(families, max_pq))
     if scope in ("random", "all"):
-        with _Timer() as prep_timer:
-            prepared = _prepare_all(_random_graphs(count, max_n, seed))
+        start = time.perf_counter()
+        prepared = _prepare_all(_random_graphs(count, max_n, seed))
         outcomes.append(
             VerifyOutcome(
                 name="random_corpus",
                 status="pass" if prepared else "skip",
                 measured=float(len(prepared)),
                 tolerance=None,
-                elapsed_ms=prep_timer.elapsed_ms,
+                elapsed_ms=(time.perf_counter() - start) * 1000.0,
                 detail=f"{len(prepared)} connected graphs, 2 <= n <= {max_n}, seed {seed}",
             )
         )
-        outcomes.append(_corpus_check("rl_positive_semidefinite", prepared, _psd_measure, tol))
-        outcomes.append(_corpus_check("rl_zero_row_sums", prepared, _row_sum_measure, tol))
-        outcomes.append(
-            _corpus_check("rl_spectral_radius_at_least_2", prepared, _radius_measure, tol)
-        )
-        outcomes.append(
-            _corpus_check(
-                "resistance_below_distance", prepared, _resistance_distance_measure, tol
+        for name, measure, check_tol in (
+            ("rl_positive_semidefinite", _psd_measure, tol),
+            ("rl_zero_row_sums", _row_sum_measure, tol),
+            ("rl_spectral_radius_at_least_2", _radius_measure, tol),
+            ("resistance_below_distance", _resistance_distance_measure, tol),
+            ("resistance_triangle_inequality", _triangle_measure, tol),
+            ("rl_trace_identity", _trace_measure, tol),
+            ("eta_sum_zero", _eta_sum_measure, ETA_SUM_TOL),
+            ("eta_square_sum_2F", _eta_square_measure, ETA_SQUARE_RTOL),
+            ("energy_bounds", _bounds_measure, tol),
+        ):
+            outcomes.append(
+                _check(name, check_tol, lambda: ((measure(p), p.graph, None) for p in prepared))
             )
-        )
-        outcomes.append(
-            _corpus_check("resistance_triangle_inequality", prepared, _triangle_measure, tol)
-        )
-        outcomes.append(_corpus_check("rl_trace_identity", prepared, _trace_measure, tol))
-        outcomes.append(_corpus_check("eta_sum_zero", prepared, _eta_sum_measure, ETA_SUM_TOL))
-        outcomes.append(
-            _corpus_check("eta_square_sum_2F", prepared, _eta_square_measure, ETA_SQUARE_RTOL)
-        )
-        outcomes.append(_corpus_check("energy_bounds", prepared, _bounds_measure, tol))
         del prepared  # peak memory: the edge-addition check holds all its pairs at once
-        outcomes.append(_check_edge_monotonicity(pair_count, max_n, seed + 1, tol))
-        outcomes.append(_check_tree_distance(tree_count, max_tree_n, seed + 2, tol))
+        outcomes.append(
+            _check("edge_addition_monotonicity", tol,
+                   lambda: _edge_addition_errors(pair_count, max_n, seed + 1))
+        )
+        outcomes.append(
+            _check("tree_distance_equality", tol,
+                   lambda: _tree_distance_errors(tree_count, max_tree_n, seed + 2))
+        )
     return outcomes

@@ -165,6 +165,21 @@ class TestVerify:
         psd = next(r for r in records if r["name"] == "rl_positive_semidefinite")
         assert psd["tolerance"] == 1e-3
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf", ""])
+    def test_invalid_env_tolerance_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("RESQ_TOL", value)
+        assert main(["verify", "--scope", "families", "--max-n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "RESQ_TOL" in captured.err
+
+    def test_zero_env_tolerance_accepted(self, capsys, monkeypatch):
+        # 0 is a valid tolerance; rounding then fails the closed-form checks.
+        monkeypatch.setenv("RESQ_TOL", "0")
+        assert main(["verify", "--scope", "families", "--max-n", "3", "--jsonl"]) == 4
+        records = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+        assert records[0]["name"] == "closed_form_matrices" and records[0]["tolerance"] == 0.0
+
     def test_fault_injection_fails_with_named_check(self, capsys, monkeypatch):
         # simulate a build with a broken sign in the signless Laplacian
         def broken(g):

@@ -96,7 +96,7 @@ class TestGenerate:
     def test_bipartite_22_isomorphic_to_cycle4(self):
         g = generate(FamilySpec.bipartite(2, 2))
         c = generate(FamilySpec.cycle(4))
-        assert sorted(g.degrees()) == sorted(c.degrees())
+        assert sorted(laplacian(g).diagonal()) == sorted(laplacian(c).diagonal())
         assert g.edge_count == c.edge_count == 4
 
     def test_cycle_edges(self):
@@ -223,7 +223,7 @@ class TestEdgeHelpers:
     def test_add_edge(self):
         g = generate(FamilySpec.path(3))
         g2 = add_edge(g, 2, 0)
-        assert g2.has_edge(0, 2) and g2.edge_count == 3
+        assert (0, 2) in g2.edges and g2.edge_count == 3
 
     def test_non_edges(self):
         g = generate(FamilySpec.path(3))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import resq.resistance
-from resq.graph import parse_edge_list
+from resq.graph import format_edge_list, generate, parse_edge_list
 from resq.verify import VerifyOutcome, family_specs, rq_quotient_report, run_verify
 
 
@@ -76,6 +76,39 @@ class TestRunVerify:
         key = [(o.name, o.status, o.measured) for o in stacked]
         assert key == [(o.name, o.status, o.measured) for o in per_graph]
         assert all(o.passed for o in stacked)
+
+    def test_every_check_kind_reports_failures(self):
+        # At a tolerance below rounding, family, corpus, edge-addition and
+        # tree checks all fail; the quotient report keeps its own tolerance.
+        outcomes = {o.name: o for o in run_verify(scope="all", seed=7, max_n=8, count=30,
+                                                  tol=1e-30)}
+        kinds = {
+            "family": ["closed_form_matrices", "closed_form_spectra",
+                       "complete_energy_formula", "transmission_regular_energy",
+                       "quotient_containment"],
+            "corpus": ["rl_positive_semidefinite", "rl_zero_row_sums",
+                       "rl_spectral_radius_at_least_2", "resistance_below_distance",
+                       "resistance_triangle_inequality", "rl_trace_identity", "eta_sum_zero",
+                       "eta_square_sum_2F", "energy_bounds"],
+            "edge": ["edge_addition_monotonicity"],
+            "tree": ["tree_distance_equality"],
+        }
+        graph_of = {f"worst instance {s.label()}": format_edge_list(generate(s))
+                    for s in family_specs(16)}
+        for kind, names in kinds.items():
+            failed = [outcomes[name] for name in names if outcomes[name].status == "fail"]
+            assert failed, kind
+            for o in failed:
+                assert o.measured > o.tolerance
+                assert parse_edge_list(o.failing_graph).n >= 2
+                if kind == "family":
+                    assert graph_of[o.detail] == o.failing_graph, o.name
+                else:
+                    assert o.detail == "", o.name
+        report = outcomes["rq_bipartite_quotient_report"]
+        assert report.failing_graph is None
+        lines = report.detail.splitlines()
+        assert len(lines) == 36 and all(ln.startswith("K_{") for ln in lines)
 
     def test_bad_scope(self):
         with pytest.raises(ValueError):
