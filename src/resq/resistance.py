@@ -29,6 +29,7 @@ matrix-vector products (O(n^2)) instead of a second O(n^3) matrix product.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +49,24 @@ _BLOCK_N = 128
 
 @dataclass(frozen=True)
 class ResistanceBundle:
-    """Resistance matrix, transmissions, and both derived Laplacians."""
+    """Resistance matrix, transmissions, and both derived Laplacians.
+
+    R^Q is built on first access, so a caller that reads only R^L (such as
+    the energy report) never holds a fourth n x n array.
+    """
 
     r: np.ndarray
     rtr: np.ndarray
     rl: np.ndarray
-    rq: np.ndarray
+
+    @functools.cached_property
+    def rq(self) -> np.ndarray:
+        # R has a zero diagonal, so writing RTr into the diagonal of a copy
+        # of R gives Diag(RTr) + R bit for bit.
+        rq = self.r.copy()
+        i = np.arange(rq.shape[-1])
+        rq[..., i, i] = self.rtr
+        return rq
 
 
 def _spd_inverse(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -145,15 +158,14 @@ def _resistance(pinv: np.ndarray) -> np.ndarray:
 
 
 def _bundle(r: np.ndarray) -> ResistanceBundle:
-    """Transmissions and both Laplacians from R, or from a stack of R."""
-    # R has a zero diagonal, so writing RTr into the diagonals of -R and of
-    # a copy of R gives Diag(RTr) -/+ R bit for bit.
+    """Transmissions and R^L from R, or from a stack of R."""
+    # R has a zero diagonal, so writing RTr into the diagonal of -R gives
+    # Diag(RTr) - R bit for bit.
     rtr = resistance_transmissions(r)
+    rl = -r
     i = np.arange(r.shape[-1])
-    rl, rq = -r, r.copy()
     rl[..., i, i] = rtr
-    rq[..., i, i] = rtr
-    return ResistanceBundle(r=r, rtr=rtr, rl=rl, rq=rq)
+    return ResistanceBundle(r=r, rtr=rtr, rl=rl)
 
 
 def resistance_matrix(g: Graph) -> np.ndarray:
@@ -195,7 +207,7 @@ def _resistance_bundles(graphs: list[Graph]) -> list[ResistanceBundle]:
         if n > _BLOCK_N:  # the grounded path works on one matrix at a time
             return [resistance_bundle(g) for g in group]
         s = _bundle(_resistance(laplacian_pseudoinverse(_laplacians(group, n))))
-        return [ResistanceBundle(*fields) for fields in zip(s.r, s.rtr, s.rl, s.rq)]
+        return [ResistanceBundle(*fields) for fields in zip(s.r, s.rtr, s.rl)]
 
     return _by_order(graphs, solve)
 

@@ -1,7 +1,22 @@
-"""Dense symmetric spectra, quotient matrices, and circulant eigenvalues."""
+"""Dense symmetric spectra, quotient matrices, and circulant eigenvalues.
+
+Symmetric eigenvalues come from LAPACK. Up to order _TWO_STAGE_N, and for
+every stack of matrices, np.linalg.eigvalsh (divide and conquer, dsyevd)
+computes them. Above it, a single matrix goes to the two-stage solver
+dsyevd_2stage, values only, through the LAPACKE interface of the OpenBLAS
+that numpy already loads. It reduces to band form with matrix products before
+the tridiagonal step, and it overwrites a symmetrised copy that this module
+owns, where eigvalsh would copy its input once more. If that library or
+symbol is missing (another numpy build) or the call reports an error, the
+matrix goes to eigvalsh. Both solvers are backward stable, and on the same
+matrix their values agree to a few units of roundoff relative to |M|.
+"""
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import pathlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +28,36 @@ DEFAULT_GROUP_TOL = 1e-7
 
 # Relative asymmetry allowed before a matrix is rejected as non-symmetric.
 _SYMMETRY_RTOL = 1e-12
+
+# Largest order solved by eigvalsh; larger single matrices go to the two-stage
+# solver. On R^L of G(n, 10/n), one core and one BLAS thread, median of 9
+# calls, the two-stage time over eigvalsh's is 1.19 at n = 900, 1.06 at 1000,
+# 0.93 at 1100 and 0.82 at 1200; at n = 2000 it takes 0.54 s against 0.77 s.
+_TWO_STAGE_N = 1000
+
+# LAPACKE takes the layout as its first argument. (m + m^T) / 2 is exactly
+# symmetric, as floating-point addition commutes, so its C-contiguous array
+# reads the same in column-major order; row-major would make LAPACKE
+# transpose it into a hidden n x n copy.
+_LAPACK_COL_MAJOR = 102
+
+
+@functools.cache
+def _dsyevd_2stage():
+    """LAPACKE_dsyevd_2stage (64-bit integers) from numpy's bundled OpenBLAS,
+    or None when this numpy build ships no such library or symbol. The
+    library is the one numpy has loaded, so loading it again opens nothing."""
+    libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            fn = ctypes.CDLL(str(path)).scipy_LAPACKE_dsyevd_2stage64_
+        except (OSError, AttributeError):
+            continue
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr]
+        fn.restype = i64
+        return fn
+    return None
 
 
 @dataclass(frozen=True)
@@ -44,7 +89,8 @@ def eigenvalues_symmetric(m: np.ndarray, tol: float = DEFAULT_GROUP_TOL) -> Spec
     """All eigenvalues of a symmetric matrix, descending.
 
     Rejects matrices whose asymmetry exceeds 1e-12 relative to the largest
-    entry. Backed by the LAPACK symmetric solver, which is backward stable.
+    entry, and matrices with a NaN or infinite entry. Backed by a LAPACK
+    symmetric solver, which is backward stable (see the module docstring).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -54,14 +100,36 @@ def eigenvalues_symmetric(m: np.ndarray, tol: float = DEFAULT_GROUP_TOL) -> Spec
 
 def _descending_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, or of each matrix in a stack of
-    shape (k, n, n), descending along the last axis; no grouping."""
+    shape (k, n, n), descending along the last axis; no grouping.
+
+    Raises NotSymmetric when the asymmetry exceeds _SYMMETRY_RTOL relative to
+    max(1, max |m|), and when m holds a NaN or an infinity: both make the
+    measured asymmetry NaN, which fails the comparison.
+    """
     m = np.asarray(m, dtype=float)
     mt = m.swapaxes(-1, -2)
-    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-    asym = np.max(np.abs(m - mt).max(axis=(-2, -1)) / scale)
-    if asym > _SYMMETRY_RTOL:
+    # max |m| without an n x n temporary
+    scale = np.maximum(1.0, np.maximum(m.max(axis=(-2, -1)), -m.min(axis=(-2, -1))))
+    sym = np.empty(m.shape)  # C-contiguous, as the two-stage call requires
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is caught below
+        np.subtract(m, mt, out=sym)
+    np.abs(sym, out=sym)
+    asym = np.max(sym.max(axis=(-2, -1)) / scale)
+    if not asym <= _SYMMETRY_RTOL:
+        if np.isnan(asym):
+            raise NotSymmetric("matrix has a NaN or infinite entry")
         raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {_SYMMETRY_RTOL:g} relative to max |m|")
-    return np.linalg.eigvalsh((m + mt) / 2.0)[..., ::-1]
+    np.add(m, mt, out=sym)
+    sym /= 2.0
+    n = m.shape[-1]
+    solver = _dsyevd_2stage() if m.ndim == 2 and n > _TWO_STAGE_N else None
+    if solver is not None:
+        w = np.empty(n)
+        info = solver(_LAPACK_COL_MAJOR, b"N", b"L", n, sym.ctypes.data, n, w.ctypes.data)
+        if info == 0:
+            return w[::-1]
+        sym = (m + mt) / 2.0  # the failed call may have overwritten sym
+    return np.linalg.eigvalsh(sym)[..., ::-1]
 
 
 @dataclass(frozen=True)
@@ -114,17 +182,13 @@ def quotient_matrix(
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
     partition.validate(n)
-    k = len(partition.blocks)
-    q = np.zeros((k, k))
-    equitable = True
-    for s, bs in enumerate(partition.blocks):
-        for t, bt in enumerate(partition.blocks):
-            block = m[np.ix_(bs, bt)]
-            row_sums = block.sum(axis=1)
-            q[s, t] = row_sums.mean()
-            if float(row_sums.max() - row_sums.min()) > tol:
-                equitable = False
-    return q, equitable
+    indicator = np.zeros((n, len(partition.blocks)))
+    for t, block in enumerate(partition.blocks):
+        indicator[block, t] = 1.0
+    row_sums = m @ indicator  # row_sums[i, t]: sum of row i over block t
+    per_block = [row_sums[block, :] for block in partition.blocks]
+    q = np.array([rows.mean(axis=0) for rows in per_block])
+    return q, all(np.ptp(rows, axis=0).max() <= tol for rows in per_block)
 
 
 def circulant_eigenvalues(

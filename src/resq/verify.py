@@ -104,7 +104,7 @@ class _Family:
         # read back from R^L exactly.
         rtr = np.diag(self.rl).copy()
         r = np.diag(rtr) - self.rl
-        bundle = resistance.ResistanceBundle(r=r, rtr=rtr, rl=self.rl, rq=self.rq)
+        bundle = resistance.ResistanceBundle(r=r, rtr=rtr, rl=self.rl)
         e_r = 2.0 * energy_mod._perron_root(r)
         return energy_mod._energy_report(bundle, self.rl_values, e_r, DEFAULT_TOL)
 

@@ -14,7 +14,7 @@ from resq.energy import (
 )
 from resq.errors import DimensionMismatch, NegativeRadicand
 from resq.graph import FamilySpec, Graph, generate, random_connected_graph
-from resq.resistance import resistance_bundle
+from resq.resistance import ResistanceBundle, resistance_bundle
 from resq.spectral import Spectrum, eigenvalues_symmetric
 
 
@@ -114,6 +114,13 @@ class TestLaplacianEnergy:
         assert report.bounds["lower_2sqrtF"].value == pytest.approx(2.449489742783178, abs=1e-12)
         assert report.bounds["upper_sqrt2nF"].value == pytest.approx(3.4641016151377544, abs=1e-12)
         assert report.bounds["upper_meanU"].value == pytest.approx(3.0, abs=1e-9)
+
+    def test_report_builds_no_signless_laplacian(self, monkeypatch):
+        monkeypatch.setattr(
+            ResistanceBundle, "rq", property(lambda self: pytest.fail("R^Q was built"))
+        )
+        g = random_connected_graph(40, 0.2, seed=3)
+        assert resistance_laplacian_energy(g).n == 40
 
     def test_single_vertex(self):
         report = resistance_laplacian_energy(Graph.from_edges(1, []))

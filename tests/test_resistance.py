@@ -302,6 +302,8 @@ class TestDerivedLaplacians:
     def test_bundle_consistency(self):
         for g in random_corpus(10, 9, seed0=900):
             b = resistance_bundle(g)
+            assert "rq" not in vars(b)  # R^Q is built on first access, then kept
+            assert b.rq is b.rq
             np.testing.assert_allclose(b.rl, np.diag(b.rtr) - b.r, atol=0)
             np.testing.assert_allclose(b.rq, np.diag(b.rtr) + b.r, atol=0)
             assert np.abs(b.rl @ np.ones(g.n)).max() < 1e-9

@@ -1,9 +1,20 @@
+import ctypes
+import pathlib
+
 import numpy as np
 import pytest
 
+from resq import closed_forms as cf
+from resq import spectral
+from resq.energy import resistance_laplacian_energy
 from resq.errors import InvalidPartition, NonRealSpectrum, NotSymmetric
 from resq.graph import FamilySpec, add_edge, generate, laplacian, non_edges, random_connected_graph
-from resq.resistance import resistance_bundle, resistance_laplacian, resistance_signless_laplacian
+from resq.resistance import (
+    resistance_bundle,
+    resistance_laplacian,
+    resistance_matrix,
+    resistance_signless_laplacian,
+)
 from resq.spectral import (
     Partition,
     Spectrum,
@@ -52,6 +63,104 @@ class TestEigenvaluesSymmetric:
         tight = Spectrum.from_values([1.0, 1.0 + 5e-8, 0.0], tol=1e-9)
         assert [c for _, c in tight.multiplicities] == [1, 1, 1]
 
+    @pytest.mark.parametrize("n", [3, spectral._TWO_STAGE_N + 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+    def test_rejects_non_finite_entries(self, n, bad, where):
+        m = np.eye(n)
+        m[where] = m[where[::-1]] = bad
+        with pytest.raises(NotSymmetric):
+            eigenvalues_symmetric(m)
+
+
+_U = float(np.finfo(float).eps) / 2.0
+ABOVE = spectral._TWO_STAGE_N + 1  # the smallest order solved by the two-stage path
+
+
+@pytest.fixture
+def two_stage_calls(monkeypatch):
+    """Orders passed to the two-stage solver, one entry per call; skips the
+    test where this numpy build has no such solver."""
+    solver, calls = spectral._dsyevd_2stage(), []
+    if solver is None:
+        pytest.skip("this numpy build ships no LAPACKE_dsyevd_2stage")
+
+    def counted(*args):
+        calls.append(args[3])
+        return solver(*args)
+
+    monkeypatch.setattr(spectral, "_dsyevd_2stage", lambda: counted)
+    return calls
+
+
+def _random_symmetric(n, seed):
+    a = np.random.default_rng(seed).normal(size=(n, n))
+    return a + a.T
+
+
+class TestSolverPaths:
+    def test_two_stage_solver_found_in_bundled_openblas(self):
+        libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
+        if not list(libs.glob("libscipy_openblas64_*.so")):
+            pytest.skip("numpy ships no bundled scipy-openblas")
+        assert spectral._dsyevd_2stage() is not None
+
+    def test_two_stage_agrees_with_fallback(self, monkeypatch, two_stage_calls):
+        m = _random_symmetric(ABOVE, 3)
+        two_stage = eigenvalues_symmetric(m).values
+        assert two_stage_calls == [ABOVE]
+        monkeypatch.setattr(spectral, "_dsyevd_2stage", lambda: None)
+        fallback = eigenvalues_symmetric(m).values
+        assert np.array_equal(fallback, np.linalg.eigvalsh(m)[::-1])
+        # Both solvers are backward stable: each value is within a small
+        # multiple of u |M| of the exact one (Weyl); measured about 2e-15 |M|.
+        assert np.abs(two_stage - fallback).max() <= ABOVE * _U * np.abs(fallback).max()
+
+    def test_eigvalsh_at_crossover_and_for_stacks(self, two_stage_calls):
+        at = _random_symmetric(ABOVE - 1, 4)
+        assert np.array_equal(eigenvalues_symmetric(at).values, np.linalg.eigvalsh(at)[::-1])
+        stack = np.stack([_random_symmetric(ABOVE, 5)] * 2)
+        values = spectral._descending_eigenvalues(stack)
+        assert np.array_equal(values, np.linalg.eigvalsh(stack)[..., ::-1])
+        assert two_stage_calls == []
+
+    def test_failed_call_falls_back_to_eigvalsh(self, monkeypatch):
+        def failing(layout, jobz, uplo, n, a, lda, w):
+            ctypes.memset(a, 0xFF, n * n * 8)  # a failed call may leave the input garbled
+            return 1
+
+        monkeypatch.setattr(spectral, "_dsyevd_2stage", lambda: failing)
+        m = _random_symmetric(ABOVE, 6)
+        assert np.array_equal(eigenvalues_symmetric(m).values, np.linalg.eigvalsh(m)[::-1])
+
+    @pytest.mark.parametrize(
+        "spec, closed",
+        [
+            (FamilySpec.cycle(ABOVE), lambda: cf.cycle_spectra(ABOVE)[0]),
+            (FamilySpec.bipartite(3, ABOVE - 3), lambda: cf.bipartite_rl_spectrum(3, ABOVE - 3)),
+        ],
+    )
+    def test_rl_spectrum_matches_closed_form(self, two_stage_calls, spec, closed):
+        values = eigenvalues_symmetric(resistance_laplacian(generate(spec))).values
+        assert two_stage_calls == [ABOVE]
+        expected = closed().values
+        # The error of R from the pseudoinverse dominates that of the solver:
+        # 1.1 to 6.9 n u |M| measured on C_1001, C_1200, K_{1,1000} and
+        # K_{400,601}.
+        assert np.abs(values - expected).max() <= 32 * ABOVE * _U * np.abs(expected).max()
+
+    def test_energy_report_matches_evr(self, two_stage_calls):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        g = random_connected_graph(ABOVE, 10 / ABOVE, seed=4)
+        report = resistance_laplacian_energy(g)
+        assert two_stage_calls == [ABOVE]
+        r = resistance_matrix(g)
+        rtr = r.sum(axis=0)
+        gamma = scipy_linalg.eigvalsh(np.diag(rtr) - r, driver="evr")[::-1]
+        tol = ABOVE * _U * np.abs(gamma).max()
+        assert np.abs(report.eta - (gamma - rtr.mean())).max() <= tol
+        assert abs(report.le_r - np.abs(gamma - rtr.mean()).sum()) <= ABOVE * tol
+
 
 class TestQuotientMatrix:
     def test_bipartite_laplacian(self):
@@ -78,6 +187,23 @@ class TestQuotientMatrix:
         lap = laplacian(generate(FamilySpec.path(3)))
         _, equitable = quotient_matrix(lap, Partition.of([(0, 1), (2,)]))
         assert not equitable
+
+    def test_matches_block_row_sums(self):
+        rng = np.random.default_rng(2)
+        m = rng.normal(size=(9, 9))
+        blocks = [(4, 0, 7), (2,), (8, 1, 3, 5, 6)]
+        quot, equitable = quotient_matrix(m, Partition.of(blocks))
+        expected = [[m[np.ix_(bs, bt)].sum(axis=1).mean() for bt in blocks] for bs in blocks]
+        np.testing.assert_allclose(quot, expected, rtol=0, atol=16 * _U * np.abs(m).sum(axis=1).max())
+        assert not equitable
+
+    def test_equitable_with_scattered_blocks(self):
+        # K_{2,3} with its vertices relabelled, so that both parts interleave
+        perm = [3, 0, 4, 1, 2]
+        lap = laplacian(generate(FamilySpec.bipartite(2, 3)))[np.ix_(perm, perm)]
+        quot, equitable = quotient_matrix(lap, Partition.of([(1, 3), (0, 2, 4)]))
+        assert equitable
+        np.testing.assert_allclose(quot, [[3, -3], [-2, 2]], atol=1e-12)
 
     def test_invalid_partitions(self):
         m = np.zeros((3, 3))
