@@ -87,11 +87,14 @@ def cmd_compute(args) -> int:
         raise GraphInputError(f"{args.graph}: not UTF-8 text (byte {err.start})") from err
     g = parse_edge_list(source)
     text = _compute_text(g, args.what, args.format)
+    # Two writes, not text + "\n": a matrix's text runs to tens of megabytes.
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+        sys.stdout.write("\n")
     return EXIT_OK
 
 

@@ -61,12 +61,18 @@ class ResistanceBundle:
 
     @functools.cached_property
     def rq(self) -> np.ndarray:
-        # R has a zero diagonal, so writing RTr into the diagonal of a copy
-        # of R gives Diag(RTr) + R bit for bit.
-        rq = self.r.copy()
-        i = np.arange(rq.shape[-1])
-        rq[..., i, i] = self.rtr
-        return rq
+        return _set_diagonal(self.r.copy(), self.rtr)
+
+
+def _set_diagonal(m: np.ndarray, d) -> np.ndarray:
+    """Write d into the diagonal of m, or of each matrix in a stack; returns m.
+
+    R has a zero diagonal, so with d = RTr this turns -R into Diag(RTr) - R
+    and R into Diag(RTr) + R bit for bit.
+    """
+    i = np.arange(m.shape[-1])
+    m[..., i, i] = d
+    return m
 
 
 def _spd_inverse(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -151,21 +157,13 @@ def _resistance(pinv: np.ndarray) -> np.ndarray:
     """R from the Laplacian pseudoinverse of a connected graph, or from a
     stack of them."""
     d = np.diagonal(pinv, axis1=-2, axis2=-1)
-    r = d[..., :, None] + d[..., None, :] - 2.0 * pinv
-    i = np.arange(pinv.shape[-1])
-    r[..., i, i] = 0.0
-    return r
+    return _set_diagonal(d[..., :, None] + d[..., None, :] - 2.0 * pinv, 0.0)
 
 
 def _bundle(r: np.ndarray) -> ResistanceBundle:
     """Transmissions and R^L from R, or from a stack of R."""
-    # R has a zero diagonal, so writing RTr into the diagonal of -R gives
-    # Diag(RTr) - R bit for bit.
     rtr = resistance_transmissions(r)
-    rl = -r
-    i = np.arange(r.shape[-1])
-    rl[..., i, i] = rtr
-    return ResistanceBundle(r=r, rtr=rtr, rl=rl)
+    return ResistanceBundle(r=r, rtr=rtr, rl=_set_diagonal(-r, rtr))
 
 
 def resistance_matrix(g: Graph) -> np.ndarray:
@@ -182,13 +180,16 @@ def resistance_transmissions(r: np.ndarray) -> np.ndarray:
 
 
 def resistance_laplacian(g: Graph) -> np.ndarray:
-    """Diag(RTr) - R; rows sum to zero."""
-    return resistance_bundle(g).rl
+    """Diag(RTr) - R; rows sum to zero. Built in the memory of R."""
+    r = resistance_matrix(g)
+    rtr = resistance_transmissions(r)
+    return _set_diagonal(np.negative(r, out=r), rtr)
 
 
 def resistance_signless_laplacian(g: Graph) -> np.ndarray:
-    """Diag(RTr) + R."""
-    return resistance_bundle(g).rq
+    """Diag(RTr) + R. Built in the memory of R."""
+    r = resistance_matrix(g)
+    return _set_diagonal(r, resistance_transmissions(r))
 
 
 def resistance_bundle(g: Graph) -> ResistanceBundle:

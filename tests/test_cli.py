@@ -10,7 +10,13 @@ import pytest
 
 import resq.resistance
 from resq.cli import main
-from resq.graph import parse_edge_list
+from resq.graph import format_edge_list, parse_edge_list, random_connected_graph
+from resq.resistance import (
+    resistance_laplacian,
+    resistance_matrix,
+    resistance_signless_laplacian,
+)
+from resq.serialize import format_float
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,6 +58,24 @@ class TestCompute:
         path = write_graph(tmp_path, "k2.el", "2\n0 1\n")
         assert main(["compute", path, "--what", "rl", "--format", "csv"]) == 0
         assert capsys.readouterr().out == "1,-1\n-1,1\n"
+
+    @pytest.mark.parametrize("what", ["resistance", "rl", "rq"])
+    def test_matrix_csv_matches_per_element_format(self, what, tmp_path, capsys):
+        g = random_connected_graph(300, 10 / 300, seed=2)
+        path = write_graph(tmp_path, "g300.el", format_edge_list(g))
+        matrix = {
+            "resistance": resistance_matrix,
+            "rl": resistance_laplacian,
+            "rq": resistance_signless_laplacian,
+        }[what](g)
+        # Lines, with the final "" after the last newline: pytest's diff of
+        # two megabyte strings takes minutes.
+        expected = [",".join(format_float(x) for x in row) for row in matrix] + [""]
+        out = tmp_path / f"{what}.csv"
+        assert main(["compute", path, "--what", what, "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_text(encoding="ascii").split("\n") == expected
+        assert main(["compute", path, "--what", what, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.split("\n") == expected
 
     def test_energy_json_k4(self, tmp_path, capsys):
         path = write_graph(tmp_path, "k4.el", "4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")

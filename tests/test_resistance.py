@@ -309,6 +309,14 @@ class TestDerivedLaplacians:
             assert np.abs(b.rl @ np.ones(g.n)).max() < 1e-9
             assert abs(np.trace(b.rl) - b.rtr.sum()) < 1e-9 * max(1.0, b.rtr.sum())
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 129])
+    def test_direct_builders_bitwise_equal_to_bundle(self, n):
+        g = random_connected_graph(n, min(1.0, 10 / n), seed=n)
+        b = resistance_bundle(g)
+        for direct, field in ((resistance_laplacian, b.rl), (resistance_signless_laplacian, b.rq)):
+            m = direct(g)
+            assert np.array_equal(m.view(np.int64), field.view(np.int64))
+
 
 class TestTransmissionRegularity:
     def test_cycle5(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from resq.energy import resistance_laplacian_energy
-from resq.graph import FamilySpec, generate
+from resq.graph import FamilySpec, generate, random_connected_graph
 from resq.resistance import resistance_laplacian
 from resq.serialize import (
     dumps,
@@ -33,19 +33,62 @@ def test_matrix_csv_k2():
     assert matrix_to_csv(rl) == "1,-1\n-1,1"
 
 
+def csv_reference(m):
+    """The CSV of m formatted one element at a time."""
+    return "\n".join(",".join(format_float(x) for x in row) for row in m)
+
+
+def symmetric_with(corner):
+    """A 3x3 bitwise-symmetric matrix whose (0, 1) and (1, 0) entries are corner."""
+    m = np.array([[1.0, corner, 0.5], [corner, -2.0, 0.25], [0.5, 0.25, 3.0]])
+    assert np.array_equal(m.view(np.int64), m.T.view(np.int64))
+    return m
+
+
 @pytest.mark.parametrize(
     "m",
     [
         np.array([[-0.0, 5e-324, 1e300, 0.1], [0.1, -1e300, 2.0 / 3.0, -0.0]]),
+        np.array([[1.0, 0.0], [-0.0, 1.0]]),
+        symmetric_with(-1.2345678901234567e-100),
+        symmetric_with(5e-324),
+        symmetric_with(-1e300),
+        symmetric_with(np.nan),
+        symmetric_with(np.inf),
+        np.array([[np.inf, -np.inf, np.nan]] * 3),
         np.zeros((0, 0)),
         np.zeros((3, 0)),
+        np.zeros((0, 3)),
         np.array([[1.0 / 3.0]]),
+        np.arange(8.0).reshape(2, 4) / 7.0,
+        (np.arange(16.0).reshape(4, 4) / 7.0)[::-1, ::-1].T,
     ],
-    ids=["extremes", "0x0", "3x0", "1x1"],
+    ids=[
+        "extremes",
+        "signed-zero-pair",
+        "widest-cell",
+        "smallest-subnormal",
+        "minus-1e300",
+        "nan",
+        "inf",
+        "nonfinite-asymmetric",
+        "0x0",
+        "3x0",
+        "0x3",
+        "1x1",
+        "2x4",
+        "strided-view",
+    ],
 )
 def test_matrix_csv_matches_per_element_format(m):
-    reference = "\n".join(",".join(format_float(x) for x in row) for row in m)
-    assert matrix_to_csv(m) == reference
+    assert matrix_to_csv(m) == csv_reference(m)
+
+
+def test_matrix_csv_symmetric_rl_300():
+    rl = resistance_laplacian(random_connected_graph(300, 10 / 300, seed=5))
+    assert np.array_equal(rl, rl.T)
+    # Compared line by line: pytest's diff of two megabyte strings takes minutes.
+    assert matrix_to_csv(rl).split("\n") == csv_reference(rl).split("\n")
 
 
 def test_matrix_json_schema_and_roundtrip():
@@ -56,6 +99,18 @@ def test_matrix_json_schema_and_roundtrip():
     assert len(payload["data"]) == 4
     decoded = json.loads(dumps(payload))
     assert decoded["data"] == payload["data"]  # exact float round-trip
+
+
+def test_json_lists_print_as_per_element_floats():
+    m = np.array([[-0.0, 5e-324, 1e300], [0.1, -1.2345678901234567e-100, 2.0 / 3.0]])
+    expected = {"n": 2, "kind": "rl", "data": [float(x) for x in m.ravel()]}
+    assert dumps(matrix_to_json(m, "rl")) == dumps(expected)
+    s = Spectrum.from_values(m.ravel())
+    assert dumps(spectrum_to_json(s)["values"]) == dumps([float(v) for v in s.values])
+    g = generate(FamilySpec.cycle(5))
+    report = resistance_laplacian_energy(g)
+    eta = energy_report_to_json(report, graph_hash(g))["eta"]
+    assert dumps(eta) == dumps([float(v) for v in report.eta])
 
 
 def test_spectrum_serialization():
