@@ -2,10 +2,8 @@
 
 CSV carries floats as %.17g; JSON numbers use Python's shortest
 round-trip representation. Both reproduce the underlying doubles exactly.
-
-A bitwise-symmetric matrix, such as R, R^L or R^Q, has each unordered pair
-of entries formatted once for CSV, and the text is copied to the mirrored
-cell; the bytes are those of formatting every entry on its own.
+A bitwise-symmetric matrix (R, R^L, R^Q) has each unordered pair of entries
+formatted once for CSV, with the same bytes as formatting every entry.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ def format_float(x: float) -> str:
 # the comma after it.
 _CELL = 25
 _CELL_FMT = b"%24.17g,"
-_SPACE = ord(" ")
 
 
 def matrix_to_csv(m: np.ndarray) -> str:
@@ -61,11 +58,11 @@ def matrix_to_csv(m: np.ndarray) -> str:
     # the mask before they are written back.
     flat = buf.reshape(rows, cols * _CELL)
     out = buf.reshape(-1)
-    step = max(1, (1 << 20) // flat.shape[1])
+    step = max(1, (1 << 20) // (cols * _CELL))
     end = 0
     for a in range(0, rows, step):
         block = flat[a : a + step]
-        kept = block[block != _SPACE]
+        kept = block[block != ord(" ")]
         out[end : end + kept.size] = kept
         end += kept.size
     return str(out[: end - 1].data, "ascii")
