@@ -87,23 +87,42 @@ def centered_eigenvalues(rl_spectrum: Spectrum, transmissions: np.ndarray) -> np
 
 def energy_moments(r: np.ndarray, transmissions: np.ndarray) -> tuple[float, float]:
     """(f, F): squared resistances over unordered pairs, and the corrected
-    second moment F = f + (1/2) sum (U_i - mean U)^2.
+    second moment F = f + (1/2) sum (U_i - mean U)^2. For a stack of R of
+    shape (k, n, n) and transmissions of shape (k, n), two arrays of shape
+    (k,).
 
     f is summed over i < j so that trace((R^L)^2) = sum U_i^2 + 2f and
     sum eta_i^2 = 2F hold exactly.
     """
     r = np.asarray(r, dtype=float)
     rtr = np.asarray(transmissions, dtype=float)
-    iu = np.triu_indices(r.shape[0], k=1)
-    f = float((r[iu] ** 2).sum())
-    big_f = f + 0.5 * float(((rtr - rtr.mean()) ** 2).sum())
+    i, j = np.triu_indices(r.shape[-1], k=1)
+    # C order: the indexed stack comes out column-major, and its row sums
+    # would then add in another order than the sum of one graph's entries.
+    # For one matrix it is contiguous already and is squared in place.
+    sq = np.ascontiguousarray(r[..., i, j])
+    f = np.square(sq, out=sq).sum(axis=-1)
+    big_f = f + 0.5 * ((rtr - rtr.mean(axis=-1, keepdims=True)) ** 2).sum(axis=-1)
     return f, big_f
 
 
-def _safe_sqrt(radicand: float) -> float:
-    if radicand < RADICAND_FLOOR:
-        raise NegativeRadicand(f"radicand {radicand:.3e} below floor {RADICAND_FLOOR:g}")
-    return math.sqrt(max(radicand, 0.0))
+def _safe_sqrt(radicand):
+    low = np.min(radicand)
+    if low < RADICAND_FLOOR:
+        raise NegativeRadicand(f"radicand {low:.3e} below floor {RADICAND_FLOOR:g}")
+    return np.sqrt(np.maximum(radicand, 0.0))
+
+
+def _bound_values(n: int, mean_u, big_f, eta1) -> tuple:
+    """The four bounds of BOUND_NAMES, in that order, for one graph or
+    elementwise over graphs of order n. The first bounds LE_R from below,
+    the others from above."""
+    return (
+        2.0 * np.sqrt(np.maximum(big_f, 0.0)),
+        np.sqrt(np.maximum(2.0 * n * big_f, 0.0)),
+        mean_u + _safe_sqrt((n - 1) * (2.0 * big_f - mean_u * mean_u)),
+        eta1 + _safe_sqrt((n - 1) * (2.0 * big_f - eta1 * eta1)),
+    )
 
 
 def check_bounds(report: EnergyReport, tol: float = 1e-9) -> dict[str, BoundCheck]:
@@ -114,26 +133,20 @@ def check_bounds(report: EnergyReport, tol: float = 1e-9) -> dict[str, BoundChec
     eta_1 refinements. Tiny negative radicands (rounding at equality
     cases) are clamped; genuinely negative ones raise NegativeRadicand.
     """
-    n, mean_u, big_f, le_r = report.n, report.mean_transmission, report.F, report.le_r
+    le_r = report.le_r
     eta1 = float(report.eta[0]) if len(report.eta) else 0.0
-    lower = 2.0 * math.sqrt(max(big_f, 0.0))
-    upper = math.sqrt(max(2.0 * n * big_f, 0.0))
-    upper_mean = mean_u + _safe_sqrt((n - 1) * (2.0 * big_f - mean_u * mean_u))
-    upper_eta1 = eta1 + _safe_sqrt((n - 1) * (2.0 * big_f - eta1 * eta1))
+    lower, *uppers = (
+        float(v) for v in _bound_values(report.n, report.mean_transmission, report.F, eta1)
+    )
     out: dict[str, BoundCheck] = {}
     out["lower_2sqrtF"] = BoundCheck(lower, le_r >= lower - tol, le_r - lower)
-    for name, value in (
-        ("upper_sqrt2nF", upper),
-        ("upper_meanU", upper_mean),
-        ("upper_eta1", upper_eta1),
-    ):
+    for name, value in zip(BOUND_NAMES[1:], uppers):
         out[name] = BoundCheck(value, le_r <= value + tol, value - le_r)
     return out
 
 
 def _perron_root(r: np.ndarray):
-    """Largest eigenvalue gamma_1 of a resistance matrix, or an array of them
-    for a stack of shape (k, n, n).
+    """Largest eigenvalue gamma_1 of a resistance matrix.
 
     Power iteration from the all-ones vector on the Rayleigh quotient q. As
     every other eigenvalue of R is <= 0 < q, the Kato-Temple inequality gives
@@ -141,10 +154,8 @@ def _perron_root(r: np.ndarray):
     bounds the relative error of q by the unit roundoff u. Small orders, and
     matrices that do not converge within the cap, go to the dense solver.
     """
-    n = r.shape[-1]
+    n = r.shape[0]
     if n > _PERRON_DENSE_MAX_N:
-        if r.ndim > 2:
-            return np.array([_perron_root(m) for m in r])
         v = np.full(n, 1.0 / math.sqrt(n))
         for _ in range(_PERRON_MAX_ITER):
             w = r @ v
@@ -153,7 +164,7 @@ def _perron_root(r: np.ndarray):
             if float(res @ res) <= _UNIT_ROUNDOFF * q * q:
                 return q
             v = w / math.sqrt(float(w @ w))
-    return np.linalg.eigvalsh(r)[..., -1]
+    return np.linalg.eigvalsh(r)[-1]
 
 
 def _energy_report(
@@ -167,8 +178,8 @@ def _energy_report(
         n=eta.size,
         mean_transmission=float(bundle.rtr.mean()),
         eta=eta,
-        f=f,
-        F=big_f,
+        f=float(f),
+        F=float(big_f),
         le_r=float(np.abs(eta).sum()),
         e_r=float(e_r),
         bounds={},

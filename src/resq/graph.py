@@ -28,8 +28,9 @@ Edge = tuple[int, int]
 
 FAMILY_KINDS = ("complete", "bipartite", "cycle", "path")
 
-#: Largest vertex count parse_edge_list accepts: one n x n float64 matrix of
-#: this order takes 3.2 GB, and the pipeline holds a few of them.
+#: Largest vertex count parse_edge_list accepts and generate builds: one
+#: n x n float64 matrix of this order takes 3.2 GB, and the pipeline holds a
+#: few of them.
 MAX_ORDER = 20_000
 
 
@@ -122,6 +123,8 @@ class FamilySpec:
             raise InvalidFamilyParams(f"{self.kind} takes exactly one parameter n")
         if self.kind == "cycle" and self.params[0] < 3:
             raise InvalidFamilyParams(f"cycle needs n >= 3, got {self.params[0]}")
+        if self.order > MAX_ORDER:
+            raise InvalidFamilyParams(f"order {self.order} exceeds {MAX_ORDER}")
 
     @property
     def order(self) -> int:
@@ -249,6 +252,18 @@ def _laplacians(graphs: list[Graph], n: int) -> np.ndarray:
     i = np.arange(n)
     laps[:, i, i] = 0.0 - laps.sum(axis=-1)
     return laps
+
+
+def _distances(graphs: list[Graph], n: int) -> np.ndarray:
+    """Stacked shortest-path lengths, shape (k, n, n), of connected graphs
+    that all have order n: n Floyd-Warshall min-plus sweeps on the stacked
+    adjacency. Equal to classical_distance_matrix bit for bit (small integers
+    are exact in float64); O(n^3) per graph, so for small orders only."""
+    d = np.where(_laplacians(graphs, n) < 0.0, 1.0, np.inf)
+    d[:, np.arange(n), np.arange(n)] = 0.0
+    for m in range(n):
+        np.minimum(d, d[:, :, m, None] + d[:, None, m, :], out=d)
+    return d
 
 
 def classical_distance_matrix(g: Graph) -> np.ndarray:

@@ -105,27 +105,29 @@ def _spd_inverse(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _grounded_pseudoinverse(lap: np.ndarray) -> np.ndarray:
-    """pinv(L) from the inverse of L with its last row and column deleted."""
-    n = lap.shape[0]
-    pinv = np.zeros((n, n))
-    _spd_inverse(lap[:-1, :-1], pinv[:-1, :-1])
-    c = pinv.mean(axis=0)
-    pinv -= c
-    pinv -= c[:, None]
-    pinv += c.mean()
+    """pinv(L), or of each L in a stack, from the inverse of L with its last
+    row and column deleted."""
+    n = lap.shape[-1]
+    pinv = np.zeros(lap.shape)
+    for lg, out in zip(lap.reshape(-1, n, n), pinv.reshape(-1, n, n)):
+        _spd_inverse(lg[:-1, :-1], out[:-1, :-1])
+    c = pinv.mean(axis=-2)
+    pinv -= c[..., None, :]
+    pinv -= c[..., :, None]
+    pinv += c.mean(axis=-1)[..., None, None]
     return pinv
 
 
 def laplacian_pseudoinverse(lap: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a connected graph Laplacian, or of each
-    Laplacian in a stack of shape (k, n, n) with n <= _BLOCK_N.
+    Laplacian in a stack of shape (k, n, n), for stacks of any order.
 
     Up to order _BLOCK_N uses the identity pinv(L) = inv(L + J/n) - J/n,
     exact for connected graphs (L + J/n is then nonsingular, since the
     all-ones kernel of L is shifted away). Above it, grounds the last vertex
-    and inverts the remaining block by block elimination (see the module
-    docstring). Raises Disconnected when some L has nullity >= 2, which is
-    detected through the Penrose residual on a probe vector.
+    and inverts the remaining block of each matrix by block elimination (see
+    the module docstring). Raises Disconnected when some L has nullity >= 2,
+    which is detected through the Penrose residual on a probe vector.
     """
     lap = np.asarray(lap, dtype=float)
     n = lap.shape[-1]
@@ -197,33 +199,12 @@ def resistance_bundle(g: Graph) -> ResistanceBundle:
     return _bundle(resistance_matrix(g))
 
 
-def _resistance_bundles(graphs: list[Graph]) -> list[ResistanceBundle]:
-    """resistance_bundle of every graph, with one stacked computation for
-    all graphs of each order up to _BLOCK_N; each bundle holds views into
-    its order's stack. Raises Disconnected if any graph is disconnected.
-    """
-
-    def solve(n: int, idx: list[int]) -> list[ResistanceBundle]:
-        group = [graphs[i] for i in idx]
-        if n > _BLOCK_N:  # the grounded path works on one matrix at a time
-            return [resistance_bundle(g) for g in group]
-        s = _bundle(_resistance(laplacian_pseudoinverse(_laplacians(group, n))))
-        return [ResistanceBundle(*fields) for fields in zip(s.r, s.rtr, s.rl)]
-
-    return _by_order(graphs, solve)
-
-
-def _by_order(graphs: list[Graph], solve) -> list:
-    """Call solve(n, indices) once for the graphs of each order n and return
-    its per-graph results in input order."""
-    groups: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        groups.setdefault(g.n, []).append(i)
-    out: list = [None] * len(graphs)
-    for n, idx in groups.items():
-        for i, x in zip(idx, solve(n, idx)):
-            out[i] = x
-    return out
+def _stacked_bundle(graphs: list[Graph], n: int) -> ResistanceBundle:
+    """resistance_bundle of graphs that all have order n, as one bundle of
+    stacks: r and rl of shape (k, n, n), rtr of shape (k, n). Equal to the
+    per-graph bundles bit for bit. Raises Disconnected if any graph is
+    disconnected."""
+    return _bundle(_resistance(laplacian_pseudoinverse(_laplacians(graphs, n))))
 
 
 def is_transmission_regular(rtr: np.ndarray, tol: float = 1e-9) -> float | None:

@@ -8,13 +8,16 @@ is a skip. The family checks compare the closed forms against the numeric
 pipeline, computing each family instance once for all checks; the random
 checks exercise the order-independent properties (positive
 semidefiniteness, monotonicity under edge addition, metric axioms, energy
-identities and bounds) on seeded corpora, with the graphs of each order
-computed as one stack.
+identities and bounds) on seeded corpora. The graphs of each order run as
+one (k, n, n) stack: one stacked computation gives R, RTr, R^L and its
+spectra, and every measure (distances, energy fields and bounds included)
+is an array reduction over the stack, one value per graph in input order.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 import time
@@ -242,15 +245,6 @@ def _check_rq_quotient_vs_pm(families, max_pq) -> VerifyOutcome:
     return outcome
 
 
-@dataclass
-class _Prepared:
-    graph: Graph
-    bundle: resistance.ResistanceBundle
-    rl_values: np.ndarray  # descending
-    dist: np.ndarray
-    report: energy_mod.EnergyReport
-
-
 def _random_graphs(count, max_n, seed, min_n=2) -> list[Graph]:
     rng = random.Random(seed)
     out = []
@@ -261,68 +255,66 @@ def _random_graphs(count, max_n, seed, min_n=2) -> list[Graph]:
     return out
 
 
-def _per_order(graphs, matrices, solve) -> list:
-    """solve() on the matrices of each order as one stack, split per graph."""
-    return resistance._by_order(graphs, lambda n, idx: solve(np.stack([matrices[i] for i in idx])))
+def _by_order(graphs: list[Graph], solve) -> list:
+    """Call solve(n, indices) once for the graphs of each order n and return
+    its per-graph results in input order."""
+    groups: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        groups.setdefault(g.n, []).append(i)
+    out: list = [None] * len(graphs)
+    for n, idx in groups.items():
+        for i, x in zip(idx, solve(n, idx)):
+            out[i] = x
+    return out
 
 
-def _rl_values(graphs, bundles) -> list[np.ndarray]:
-    return _per_order(graphs, [b.rl for b in bundles], spectral._descending_eigenvalues)
+#: The corpus checks, in the column order of _corpus_measures, with their
+#: tolerance; None stands for the tol argument of run_verify.
+_CORPUS_CHECKS = (
+    ("rl_positive_semidefinite", None),
+    ("rl_zero_row_sums", None),
+    ("rl_spectral_radius_at_least_2", None),
+    ("resistance_below_distance", None),
+    ("resistance_triangle_inequality", None),
+    ("rl_trace_identity", None),
+    ("eta_sum_zero", ETA_SUM_TOL),
+    ("eta_square_sum_2F", ETA_SQUARE_RTOL),
+    ("energy_bounds", None),
+)
 
 
-def _prepare_all(graphs: list[Graph]) -> list[_Prepared]:
-    bundles = resistance._resistance_bundles(graphs)
-    rl_values = _rl_values(graphs, bundles)
-    e_r = _per_order(graphs, [b.r for b in bundles], energy_mod._perron_root)
-    return [
-        _Prepared(g, b, values, graph_mod.classical_distance_matrix(g),
-                  energy_mod._energy_report(b, values, 2.0 * gamma1, DEFAULT_TOL))
-        for g, b, values, gamma1 in zip(graphs, bundles, rl_values, e_r)
-    ]
-
-
-def _psd_measure(item: _Prepared) -> float:
-    values = item.rl_values
-    norm = max(float(np.abs(values).max()), 1e-300)
-    return float(-values.min()) / norm
-
-
-def _row_sum_measure(item: _Prepared) -> float:
-    values = item.rl_values
-    norm = max(float(np.abs(values).max()), 1e-300)
-    return float(np.abs(item.bundle.rl.sum(axis=1)).max()) / norm
-
-
-def _radius_measure(item: _Prepared) -> float:
-    return 2.0 - float(item.rl_values[0])
-
-
-def _resistance_distance_measure(item: _Prepared) -> float:
-    return float((item.bundle.r - item.dist).max())
-
-
-def _triangle_measure(item: _Prepared) -> float:
-    r = item.bundle.r
-    sums = r[:, :, None] + r[None, :, :]  # sums[i, k, j] = r[i,k] + r[k,j]
-    return float((r - sums.min(axis=1)).max())
-
-
-def _trace_measure(item: _Prepared) -> float:
-    total = float(item.bundle.rtr.sum())
-    return abs(float(np.trace(item.bundle.rl)) - total) / max(1.0, total)
-
-
-def _eta_sum_measure(item: _Prepared) -> float:
-    return abs(float(item.report.eta.sum())) / item.graph.n
-
-
-def _eta_square_measure(item: _Prepared) -> float:
-    two_f = 2.0 * item.report.F
-    return abs(float((item.report.eta**2).sum()) - two_f) / max(two_f, 1e-300)
-
-
-def _bounds_measure(item: _Prepared) -> float:
-    return max(-b.slack for b in item.report.bounds.values())
+def _corpus_measures(graphs: list[Graph], n: int) -> np.ndarray:
+    """The measures of the _CORPUS_CHECKS on connected graphs that all have
+    order n: one row per graph, one column per check, each the worst
+    violation of its property on that graph (<= 0 when it holds exactly).
+    PSD and zero row sums are relative to max |lambda(R^L)|, the trace
+    identity to max(1, sum RTr) and sum eta^2 = 2F to 2F."""
+    b = resistance._stacked_bundle(graphs, n)
+    r, rtr = b.r, b.rtr
+    values = spectral._descending_eigenvalues(b.rl)
+    norm = np.maximum(np.abs(values).max(axis=-1), 1e-300)
+    # shortest[g, i, j] = min over m of r[g, i, m] + r[g, m, j], one m at a
+    # time, so that memory stays at one stack and not n of them
+    shortest = np.full(r.shape, np.inf)
+    for m in range(n):
+        np.minimum(shortest, r[:, :, m, None] + r[:, None, m, :], out=shortest)
+    total = rtr.sum(axis=-1)
+    mean_u = rtr.mean(axis=-1)
+    eta = values - mean_u[:, None]
+    _, big_f = energy_mod.energy_moments(r, rtr)
+    le_r = np.abs(eta).sum(axis=-1)
+    lower, *uppers = energy_mod._bound_values(n, mean_u, big_f, eta[:, 0])
+    return np.column_stack([
+        -values.min(axis=-1) / norm,
+        np.abs(b.rl.sum(axis=-1)).max(axis=-1) / norm,
+        2.0 - values[:, 0],
+        (r - graph_mod._distances(graphs, n)).max(axis=(-2, -1)),
+        (r - shortest).max(axis=(-2, -1)),
+        np.abs(np.trace(b.rl, axis1=-2, axis2=-1) - total) / np.maximum(1.0, total),
+        np.abs(eta.sum(axis=-1)) / n,
+        np.abs((eta**2).sum(axis=-1) - 2.0 * big_f) / np.maximum(2.0 * big_f, 1e-300),
+        np.max([lower - le_r, *(le_r - u for u in uppers)], axis=0),
+    ])
 
 
 def _edge_addition_errors(pair_count, max_n, seed):
@@ -336,16 +328,16 @@ def _edge_addition_errors(pair_count, max_n, seed):
             u, v = missing[rng.randrange(len(missing))]
             smaller.append(g)
             bigger.append(graph_mod.add_edge(g, u, v))
-    graphs = smaller + bigger
-    bundles = resistance._resistance_bundles(graphs)
-    values = _rl_values(graphs, bundles)
-    for j, g in enumerate(smaller):
-        k = j + len(smaller)
-        err = max(
-            float((bundles[k].r - bundles[j].r).max()),
-            float((values[k] - values[j]).max()),
-        )
-        yield err, g, None
+
+    def solve(n, idx):
+        k = len(idx)
+        b = resistance._stacked_bundle([smaller[i] for i in idx] + [bigger[i] for i in idx], n)
+        values = spectral._descending_eigenvalues(b.rl)
+        return np.maximum(
+            (b.r[k:] - b.r[:k]).max(axis=(-2, -1)), (values[k:] - values[:k]).max(axis=-1)
+        ).tolist()
+
+    return zip(_by_order(smaller, solve), smaller, itertools.repeat(None))
 
 
 def _tree_distance_errors(tree_count, max_tree_n, seed):
@@ -354,10 +346,16 @@ def _tree_distance_errors(tree_count, max_tree_n, seed):
         graph_mod.random_tree(rng.randint(2, max_tree_n), rng.randrange(2**31))
         for _ in range(tree_count)
     ]
-    for tree, b in zip(trees, resistance._resistance_bundles(trees)):
-        d = graph_mod.classical_distance_matrix(tree)
-        dl = np.diag(d.sum(axis=0)) - d
-        yield max(float(np.abs(b.r - d).max()), float(np.abs(b.rl - dl).max())), tree, None
+
+    def solve(n, idx):
+        group = [trees[i] for i in idx]
+        b = resistance._stacked_bundle(group, n)
+        d = resistance._bundle(graph_mod._distances(group, n))  # D and Diag(DTr) - D
+        return np.maximum(
+            np.abs(b.r - d.r).max(axis=(-2, -1)), np.abs(b.rl - d.rl).max(axis=(-2, -1))
+        ).tolist()
+
+    return zip(_by_order(trees, solve), trees, itertools.repeat(None))
 
 
 def run_verify(
@@ -399,32 +397,25 @@ def run_verify(
         outcomes.append(_check_rq_quotient_vs_pm(families, max_pq))
     if scope in ("random", "all"):
         start = time.perf_counter()
-        prepared = _prepare_all(_random_graphs(count, max_n, seed))
+        graphs = _random_graphs(count, max_n, seed)
+        measures = _by_order(
+            graphs, lambda n, idx: _corpus_measures([graphs[i] for i in idx], n).tolist()
+        )
         outcomes.append(
             VerifyOutcome(
                 name="random_corpus",
-                status="pass" if prepared else "skip",
-                measured=float(len(prepared)),
+                status="pass" if graphs else "skip",
+                measured=float(len(graphs)),
                 tolerance=None,
                 elapsed_ms=(time.perf_counter() - start) * 1000.0,
-                detail=f"{len(prepared)} connected graphs, 2 <= n <= {max_n}, seed {seed}",
+                detail=f"{len(graphs)} connected graphs, 2 <= n <= {max_n}, seed {seed}",
             )
         )
-        for name, measure, check_tol in (
-            ("rl_positive_semidefinite", _psd_measure, tol),
-            ("rl_zero_row_sums", _row_sum_measure, tol),
-            ("rl_spectral_radius_at_least_2", _radius_measure, tol),
-            ("resistance_below_distance", _resistance_distance_measure, tol),
-            ("resistance_triangle_inequality", _triangle_measure, tol),
-            ("rl_trace_identity", _trace_measure, tol),
-            ("eta_sum_zero", _eta_sum_measure, ETA_SUM_TOL),
-            ("eta_square_sum_2F", _eta_square_measure, ETA_SQUARE_RTOL),
-            ("energy_bounds", _bounds_measure, tol),
-        ):
+        for j, (name, check_tol) in enumerate(_CORPUS_CHECKS):
             outcomes.append(
-                _check(name, check_tol, lambda: ((measure(p), p.graph, None) for p in prepared))
+                _check(name, tol if check_tol is None else check_tol,
+                       lambda: ((row[j], g, None) for row, g in zip(measures, graphs)))
             )
-        del prepared  # peak memory: the edge-addition check holds all its pairs at once
         outcomes.append(
             _check("edge_addition_monotonicity", tol,
                    lambda: _edge_addition_errors(pair_count, max_n, seed + 1))

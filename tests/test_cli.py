@@ -52,6 +52,22 @@ class TestGenerate:
     def test_missing_params_exit_2(self, capsys):
         assert main(["generate", "--family", "bipartite", "--p", "2"]) == 2
 
+    @pytest.mark.parametrize("family, n", [("cycle", "20001"), ("complete", "1000000000")])
+    def test_order_above_cap_exit_2(self, capsys, family, n):
+        start = time.perf_counter()
+        assert main(["generate", "--family", family, "--n", n]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: InvalidFamilyParams: order {n} exceeds 20000"
+        ]
+
+    def test_order_at_cap_written(self, tmp_path, capsys):
+        out = tmp_path / "p20000.el"
+        assert main(["generate", "--family", "path", "--n", "20000", "--out", str(out)]) == 0
+        assert parse_edge_list(out.read_text()).edge_count == 19999
+
 
 class TestCompute:
     def test_rl_csv_k2(self, tmp_path, capsys):

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resq.errors import Disconnected
-from resq.spectral import eigenvalues_symmetric
-from resq.verify import _random_graphs, _rl_values
+from resq.spectral import _descending_eigenvalues, eigenvalues_symmetric
+from resq.verify import _by_order, _random_graphs
 from resq.graph import (
     FamilySpec,
     Graph,
+    _distances,
     add_edge,
     classical_distance_matrix,
     generate,
@@ -212,24 +213,48 @@ class TestResistanceMatrix:
 class TestStackedBundles:
     """One stacked computation per order gives the per-graph results bit for bit."""
 
-    def test_bitwise_equal_to_per_graph(self):
-        graphs = _random_graphs(200, 12, 0) + [
+    @staticmethod
+    def by_order(graphs):
+        orders = {}
+        for g in graphs:
+            orders.setdefault(g.n, []).append(g)
+        return orders
+
+    def corpus(self):
+        return self.by_order(_random_graphs(200, 12, 0) + [
             Graph.from_edges(1, []),
             Graph.from_edges(2, [(0, 1)]),
             random_connected_graph(13, 0.4, seed=1),  # the only graph of its order
-            random_connected_graph(129, 0.08, seed=2),  # grounded path
-        ]
-        stacked = resistance._resistance_bundles(graphs)
-        stacked_values = _rl_values(graphs, stacked)
-        assert len({g.n for g in graphs}) == 14
-        for g, b, values in zip(graphs, stacked, stacked_values):
-            ref = resistance_bundle(g)
-            for field in ("r", "rtr", "rl", "rq"):
-                assert np.array_equal(getattr(b, field), getattr(ref, field)), (g.n, field)
-            assert np.array_equal(values, eigenvalues_symmetric(ref.rl).values), g.n
+            random_connected_graph(129, 0.08, seed=2),  # grounded path, a stack of two
+            random_connected_graph(129, 0.08, seed=3),
+        ])
+
+    def test_bitwise_equal_to_per_graph(self):
+        orders = self.corpus()
+        assert len(orders) == 14
+        for n, group in orders.items():
+            stacked = resistance._stacked_bundle(group, n)
+            stacked_values = _descending_eigenvalues(stacked.rl)
+            for k, g in enumerate(group):
+                ref = resistance_bundle(g)
+                for field in ("r", "rtr", "rl"):
+                    assert np.array_equal(getattr(stacked, field)[k], getattr(ref, field)), (n, field)
+                assert np.array_equal(stacked.rq[k], ref.rq), n
+                assert np.array_equal(stacked_values[k], eigenvalues_symmetric(ref.rl).values), n
+
+    def test_stacked_distances_equal_bfs(self):
+        trees = [random_tree(2 + seed % 14, seed) for seed in range(100)]
+        for orders in (self.corpus(), self.by_order(trees)):
+            for n, group in orders.items():
+                stacked = _distances(group, n)
+                for k, g in enumerate(group):
+                    assert np.array_equal(stacked[k], classical_distance_matrix(g)), n
 
     def test_empty(self):
-        assert resistance._resistance_bundles([]) == []
+        def solve(n, idx):
+            raise AssertionError("no order to solve")
+
+        assert _by_order([], solve) == []
 
     @pytest.mark.parametrize(
         "bad",
@@ -242,7 +267,7 @@ class TestStackedBundles:
     def test_disconnected_member_raises(self, bad):
         graphs = [random_connected_graph(bad.n, 0.6, seed=s) for s in range(5)]
         with pytest.raises(Disconnected):
-            resistance._resistance_bundles(graphs[:2] + [bad] + graphs[2:])
+            resistance._stacked_bundle(graphs[:2] + [bad] + graphs[2:], bad.n)
 
     def test_shuffled_disjoint_unions_raise_in_a_stack(self):
         rng = np.random.default_rng(7)
@@ -258,7 +283,7 @@ class TestStackedBundles:
             bad = Graph.from_edges(offset, [(perm[u], perm[v]) for u, v in edges])
             good = [random_connected_graph(offset, 0.5, seed=s) for s in range(3)]
             with pytest.raises(Disconnected):
-                resistance._resistance_bundles([good[0], bad, good[1], good[2]])
+                resistance._stacked_bundle([good[0], bad, good[1], good[2]], offset)
 
 
 class TestTransmissions:

@@ -4,8 +4,20 @@ import numpy as np
 import pytest
 
 import resq.resistance
-from resq.graph import format_edge_list, generate, parse_edge_list
-from resq.verify import VerifyOutcome, family_specs, rq_quotient_report, run_verify
+from resq.energy import resistance_laplacian_energy
+from resq.graph import classical_distance_matrix, format_edge_list, generate, parse_edge_list
+from resq.resistance import resistance_bundle
+from resq.spectral import eigenvalues_symmetric
+from resq.verify import (
+    _CORPUS_CHECKS,
+    VerifyOutcome,
+    _by_order,
+    _corpus_measures,
+    _random_graphs,
+    family_specs,
+    rq_quotient_report,
+    run_verify,
+)
 
 
 class TestRunVerify:
@@ -69,13 +81,56 @@ class TestRunVerify:
         stacked = run_verify(**args)
         monkeypatch.setattr(
             resq.resistance,
-            "_resistance_bundles",
-            lambda graphs: [resq.resistance.resistance_bundle(g) for g in graphs],
+            "_stacked_bundle",
+            lambda graphs, n: resq.resistance._bundle(
+                np.stack([resq.resistance.resistance_matrix(g) for g in graphs])
+            ),
         )
         per_graph = run_verify(**args)
         key = [(o.name, o.status, o.measured) for o in stacked]
         assert key == [(o.name, o.status, o.measured) for o in per_graph]
         assert all(o.passed for o in stacked)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_each_corpus_measure_matches_per_graph_functions(self, seed):
+        # Every graph's corpus measures, recomputed here from the public
+        # per-graph functions, equal the stacked engine's row for that graph,
+        # and each check's measured value is their worst. The stacked engine
+        # adds in the same order, so all of it agrees bit for bit.
+        graphs = _random_graphs(80, 12, seed)
+        names = [name for name, _ in _CORPUS_CHECKS]
+        expected = []
+        for g in graphs:
+            b = resistance_bundle(g)
+            values = eigenvalues_symmetric(b.rl).values
+            report = resistance_laplacian_energy(g)
+            norm = max(float(np.abs(values).max()), 1e-300)
+            sums = b.r[:, :, None] + b.r[None, :, :]  # sums[i, k, j] = r[i,k] + r[k,j]
+            total = float(b.rtr.sum())
+            two_f = 2.0 * report.F
+            expected.append({
+                "rl_positive_semidefinite": float(-values.min()) / norm,
+                "rl_zero_row_sums": float(np.abs(b.rl.sum(axis=1)).max()) / norm,
+                "rl_spectral_radius_at_least_2": 2.0 - float(values[0]),
+                "resistance_below_distance": float((b.r - classical_distance_matrix(g)).max()),
+                "resistance_triangle_inequality": float((b.r - sums.min(axis=1)).max()),
+                "rl_trace_identity": abs(float(np.trace(b.rl)) - total) / max(1.0, total),
+                "eta_sum_zero": abs(float(report.eta.sum())) / g.n,
+                "eta_square_sum_2F":
+                    abs(float((report.eta**2).sum()) - two_f) / max(two_f, 1e-300),
+                "energy_bounds": max(-c.slack for c in report.bounds.values()),
+            })
+        rows = _by_order(graphs, lambda n, idx: _corpus_measures([graphs[i] for i in idx], n))
+        assert [dict(zip(names, row)) for row in rows] == expected
+        worst = {name: max(e[name] for e in expected) for name in names}
+        outcomes = {o.name: o for o in run_verify(scope="random", seed=seed, max_n=12, count=80,
+                                                  tree_count=0, pair_count=0)}
+        assert {name: outcomes[name].measured for name in names} == worst
+        # Rounding leaves the other worst values off zero, so a measure that
+        # reads 0.0 on every graph cannot match by accident. The diagonal of
+        # R^L is RTr, and upper_meanU is tight at every K_n.
+        exact_zero = {"rl_trace_identity", "energy_bounds"}
+        assert all((value == 0.0) == (name in exact_zero) for name, value in worst.items())
 
     def test_every_check_kind_reports_failures(self):
         # At a tolerance below rounding, family, corpus, edge-addition and
