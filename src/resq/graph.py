@@ -11,6 +11,7 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -245,8 +246,10 @@ def laplacian(g: Graph) -> np.ndarray:
 def _laplacians(graphs: list[Graph], n: int) -> np.ndarray:
     """Stacked Laplacians, shape (k, n, n), of graphs that all have order n,
     built from edge index arrays."""
-    which = np.repeat(np.arange(len(graphs)), [len(g.edges) for g in graphs])
-    u, v = np.array([e for g in graphs for e in g.edges], dtype=np.intp).reshape(-1, 2).T
+    sizes = [len(g.edges) for g in graphs]
+    which = np.repeat(np.arange(len(graphs)), sizes)
+    ends = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
+    u, v = np.fromiter(ends, dtype=np.intp, count=2 * sum(sizes)).reshape(-1, 2).T
     laps = np.zeros((len(graphs), n, n))
     laps[which, u, v] = laps[which, v, u] = -1.0
     i = np.arange(n)

@@ -10,17 +10,19 @@ From the resistance matrix R and the transmissions RTr(v) = sum_u r(u, v)
 we form the resistance Laplacian  Diag(RTr) - R  and the resistance
 signless Laplacian  Diag(RTr) + R.
 
-Up to n = 128 the pseudoinverse is inv(L + J/n) - J/n. Above that, the last
-vertex is grounded: its row and column are deleted, which leaves a symmetric
-positive definite block L_g for a connected graph. X = inv(L_g), padded with
-a zero row and column, is a generalized inverse of L, and centring it gives
-the pseudoinverse, pinv(L)[i, j] = X[i, j] - c[i] - c[j] + mean(c), with c
-the column means of X. L_g is inverted by recursive 2x2 block elimination,
-so almost all the work is matrix products. Every Schur complement of a
-grounded Laplacian is again a grounded Laplacian (Kron reduction), hence
-positive definite, and block LU is stable on such matrices. Shifting by J/n
-instead would put dense blocks into the elimination whose contributions
-cancel in the Schur complements and cost accuracy.
+The pseudoinverse comes from grounding the last vertex: its row and column
+are deleted, which leaves a symmetric positive definite block L_g for a
+connected graph. X = inv(L_g), padded with a zero row and column, is a
+generalized inverse of L, and centring it gives the pseudoinverse,
+pinv(L)[i, j] = X[i, j] - c[i] - c[j] + mean(c), with c the column means of
+X. L_g is inverted by recursive 2x2 block elimination, so almost all the
+work is matrix products, and a stack of Laplacians of one order recurses as
+one. Every Schur complement of a grounded Laplacian is again a grounded
+Laplacian (Kron reduction), hence positive definite, and block LU is stable
+on such matrices. Shifting by J/n instead, as in inv(L + J/n) - J/n, would
+put dense blocks into the elimination whose contributions cancel in the
+Schur complements and cost accuracy. At n = 1, L_g is empty and pinv(L) is
+[[0]].
 
 The pseudoinverse is checked against the Penrose identity L X L = L applied
 to one fixed probe vector v, |L(X(Lv)) - Lv|, which costs three
@@ -40,10 +42,9 @@ from .graph import Graph, _laplacians, is_connected, laplacian
 # Residual ceiling for the Penrose identity L X L = L, relative to |L|.
 _PENROSE_RTOL = 1e-8
 
-# Largest order inverted by a single np.linalg.inv call: the leaf size of the
-# block elimination and the order up to which the shifted inverse is used.
-# On one core, at n = 129 both take about 0.9 ms; at n = 200 the block path
-# takes 2.1 ms against 3.0 ms.
+# Leaf size of the block elimination: blocks up to this order are inverted
+# by one np.linalg.inv call. On one core, at n = 200 the split takes 2.1 ms
+# against 3.0 ms for a single inv.
 _BLOCK_N = 128
 
 
@@ -76,7 +77,8 @@ def _set_diagonal(m: np.ndarray, d) -> np.ndarray:
 
 
 def _spd_inverse(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write inv(a) into out for a symmetric positive definite a.
+    """Write inv(a) into out for a symmetric positive definite a, or for each
+    matrix of a stack (..., n, n), which then recurses as one.
 
     Splits a = [[A11, B], [B^T, A22]] at k = n // 2 and inverts A11 and the
     Schur complement S = A22 - B^T inv(A11) B recursively, down to blocks of
@@ -84,63 +86,46 @@ def _spd_inverse(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     level allocates only S, inv(A11) B inv(S) and one product of the size of
     A11.
     """
-    n = a.shape[0]
+    n = a.shape[-1]
     if n <= _BLOCK_N:
         out[...] = np.linalg.inv(a)
         return out
     k = n // 2
-    b = a[:k, k:]
-    ai, aib = out[:k, :k], out[:k, k:]
-    _spd_inverse(a[:k, :k], ai)
+    b = a[..., :k, k:]
+    ai, aib = out[..., :k, :k], out[..., :k, k:]
+    _spd_inverse(a[..., :k, :k], ai)
     np.matmul(ai, b, out=aib)
-    s = b.T @ aib
-    np.subtract(a[k:, k:], s, out=s)
-    si = _spd_inverse(s, out[k:, k:])
+    s = b.swapaxes(-1, -2) @ aib
+    np.subtract(a[..., k:, k:], s, out=s)
+    si = _spd_inverse(s, out[..., k:, k:])
     del s
     t = aib @ si
-    ai += t @ aib.T  # inv(A11) + inv(A11) B inv(S) B^T inv(A11)
+    ai += t @ aib.swapaxes(-1, -2)  # inv(A11) + inv(A11) B inv(S) B^T inv(A11)
     np.negative(t, out=aib)  # -inv(A11) B inv(S)
-    out[k:, :k] = aib.T
+    out[..., k:, :k] = aib.swapaxes(-1, -2)
     return out
-
-
-def _grounded_pseudoinverse(lap: np.ndarray) -> np.ndarray:
-    """pinv(L), or of each L in a stack, from the inverse of L with its last
-    row and column deleted."""
-    n = lap.shape[-1]
-    pinv = np.zeros(lap.shape)
-    for lg, out in zip(lap.reshape(-1, n, n), pinv.reshape(-1, n, n)):
-        _spd_inverse(lg[:-1, :-1], out[:-1, :-1])
-    c = pinv.mean(axis=-2)
-    pinv -= c[..., None, :]
-    pinv -= c[..., :, None]
-    pinv += c.mean(axis=-1)[..., None, None]
-    return pinv
 
 
 def laplacian_pseudoinverse(lap: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a connected graph Laplacian, or of each
-    Laplacian in a stack of shape (k, n, n), for stacks of any order.
+    Laplacian in a stack of shape (k, n, n), for every order n >= 1.
 
-    Up to order _BLOCK_N uses the identity pinv(L) = inv(L + J/n) - J/n,
-    exact for connected graphs (L + J/n is then nonsingular, since the
-    all-ones kernel of L is shifted away). Above it, grounds the last vertex
-    and inverts the remaining block of each matrix by block elimination (see
-    the module docstring). Raises Disconnected when some L has nullity >= 2,
-    which is detected through the Penrose residual on a probe vector.
+    Grounds the last vertex, inverts the remaining block by block elimination
+    and centres the result (see the module docstring). Raises Disconnected
+    when some L has nullity >= 2, which is detected through the Penrose
+    residual on a probe vector.
     """
     lap = np.asarray(lap, dtype=float)
     n = lap.shape[-1]
-    if n == 1:
-        return np.zeros(lap.shape)
+    pinv = np.zeros(lap.shape)
     try:
-        if n <= _BLOCK_N:
-            shift = np.full((n, n), 1.0 / n)
-            pinv = np.linalg.inv(lap + shift) - shift
-        else:
-            pinv = _grounded_pseudoinverse(lap)
+        _spd_inverse(lap[..., :-1, :-1], pinv[..., :-1, :-1])
     except np.linalg.LinAlgError as exc:
         raise Disconnected("laplacian has nullity >= 2") from exc
+    c = pinv.mean(axis=-2)
+    pinv -= c[..., None, :]
+    pinv -= c[..., :, None]
+    pinv += c.mean(axis=-1)[..., None, None]
     scale = np.maximum(1.0, np.abs(lap).max(axis=(-2, -1)))
     # With nullity >= 2, inv() either raises or returns a huge component
     # along a kernel vector of L, which the residual exposes unless the probe

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,7 +64,7 @@ class TestPseudoinverse:
         assert np.abs(pinv @ np.ones(3)).max() < 1e-10
 
     def test_matches_svd_pseudoinverse(self):
-        # independent cross-check of the inverse-shift identity
+        # independent cross-check against the SVD pseudoinverse
         for g in random_corpus(12, 10, seed0=500):
             lap = laplacian(g)
             np.testing.assert_allclose(
@@ -78,11 +80,12 @@ class TestPseudoinverse:
             laplacian_pseudoinverse(lap)
 
     def test_probe_residual_flags_shuffled_disjoint_unions(self):
-        # Unions whose L + J/n is singular only up to rounding, so inv()
-        # returns instead of raising and the probe residual must catch them.
+        # Every union raises Disconnected. Where the grounded block is
+        # singular only up to rounding, inv() returns instead of raising and
+        # the probe residual must catch it.
         rng = np.random.default_rng(2024)
         flagged = 0
-        for _ in range(150):
+        for _ in range(400):
             sizes = rng.integers(1, 12, size=int(rng.integers(2, 4)))
             edges, offset = [], 0
             for size in sizes.tolist():
@@ -94,8 +97,10 @@ class TestPseudoinverse:
             perm = rng.permutation(offset).tolist()
             lap = laplacian(Graph.from_edges(offset, [(perm[u], perm[v]) for u, v in edges]))
             try:
-                np.linalg.inv(lap + 1.0 / offset)
+                np.linalg.inv(lap[:-1, :-1])
             except np.linalg.LinAlgError:
+                with pytest.raises(Disconnected):
+                    laplacian_pseudoinverse(lap)
                 continue
             with pytest.raises(Disconnected, match="Penrose residual"):
                 laplacian_pseudoinverse(lap)
@@ -109,17 +114,15 @@ def shifted_pseudoinverse(lap):
 
 
 class TestBlockPseudoinverse:
-    """Orders above 128: grounded block elimination."""
+    """Grounded block elimination at the leaf size and above it."""
 
     @pytest.mark.parametrize("n", [128, 129, 200, 257, 1000])
     def test_matches_svd_and_shifted_inverse(self, n):
-        # 128 takes the shifted inverse, 129 a single grounded leaf, 200 and
-        # 1000 split unevenly, 257 evenly into two leaves.
+        # The grounded block is a single leaf at 128 and 129; it splits
+        # unevenly at 200 and 1000, and evenly into two leaves at 257.
         lap = laplacian(random_connected_graph(n, 8.0 / n, seed=n))
         pinv = laplacian_pseudoinverse(lap)
         shifted = shifted_pseudoinverse(lap)
-        if n <= 128:
-            np.testing.assert_array_equal(pinv, (shifted + shifted.T) / 2.0)
         tol = 16 * n * EPS * np.abs(pinv).max()
         assert np.abs(pinv - pinv.T).max() == 0.0
         assert np.abs(pinv - shifted).max() <= tol
@@ -167,6 +170,62 @@ class TestBlockPseudoinverse:
             laplacian_pseudoinverse(lap)
 
 
+def exact_resistance(g):
+    """R in exact rationals: Gauss-Jordan inversion of the Laplacian with its
+    last row and column deleted, built from the edge set. That block is
+    positive definite, so every pivot is positive and no row swap is needed.
+    r(i, j) = X[i, i] + X[j, j] - 2 X[i, j], with X padded by zeros."""
+    m = g.n - 1
+    a = [[Fraction(int(i == j - m)) for j in range(2 * m)] for i in range(m)]
+    for u, v in g.edges:
+        for p, q in ((u, v), (v, u)):
+            if p < m:
+                a[p][p] += 1
+                if q < m:
+                    a[p][q] -= 1
+    for c in range(m):
+        a[c] = [x / a[c][c] for x in a[c]]
+        for i in range(m):
+            f = a[i][c]
+            if i != c and f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    x = [row[m:] + [Fraction(0)] for row in a] + [[Fraction(0)] * g.n]
+    return np.array([[float(x[i][i] + x[j][j] - 2 * x[i][j]) for j in range(g.n)]
+                     for i in range(g.n)])
+
+
+class TestExactOracle:
+    """R against exact rational arithmetic, an algorithm that shares no code
+    with the float pipeline: |R - R_exact| <= 4 n u max(r)."""
+
+    @staticmethod
+    def graphs():
+        families = (
+            [FamilySpec.complete(n) for n in range(2, 9)]
+            + [FamilySpec.path(n) for n in range(1, 11)]
+            + [FamilySpec.cycle(n) for n in range(3, 11)]
+        )
+        return [generate(spec) for spec in families] + [
+            g for seed in (0, 1) for g in _random_graphs(100, 12, seed)
+        ]
+
+    @staticmethod
+    def assert_close(r, exact):
+        n = exact.shape[0]
+        assert np.abs(r - exact).max() <= 4 * n * (EPS / 2) * exact.max(), n
+
+    def test_resistance_matrix(self):
+        for g in self.graphs():
+            self.assert_close(resistance_matrix(g), exact_resistance(g))
+
+    def test_stacked_bundle(self):
+        graphs = self.graphs()
+        rows = _by_order(graphs, lambda n, idx: resistance._stacked_bundle(
+            [graphs[i] for i in idx], n).r)
+        for g, r in zip(graphs, rows):
+            self.assert_close(r, exact_resistance(g))
+
+
 class TestResistanceMatrix:
     def test_complete_graphs(self):
         for n in range(2, 11):
@@ -205,7 +264,7 @@ class TestResistanceMatrix:
     @pytest.mark.parametrize("n", [12, 129, 1000])
     def test_exactly_symmetric(self, n):
         # R is assembled from the symmetrised pseudoinverse, so no further
-        # symmetrisation is needed on either side of the n = 128 dispatch.
+        # symmetrisation is needed, for a leaf or for a split block.
         r = resistance_matrix(random_connected_graph(n, min(0.5, 10.0 / n), seed=n))
         assert np.array_equal(r, r.T)
 
@@ -225,13 +284,15 @@ class TestStackedBundles:
             Graph.from_edges(1, []),
             Graph.from_edges(2, [(0, 1)]),
             random_connected_graph(13, 0.4, seed=1),  # the only graph of its order
-            random_connected_graph(129, 0.08, seed=2),  # grounded path, a stack of two
+            random_connected_graph(129, 0.08, seed=2),  # one leaf, a stack of two
             random_connected_graph(129, 0.08, seed=3),
+            random_connected_graph(140, 0.08, seed=4),  # a split stack of two
+            random_connected_graph(140, 0.08, seed=5),
         ])
 
     def test_bitwise_equal_to_per_graph(self):
         orders = self.corpus()
-        assert len(orders) == 14
+        assert len(orders) == 15
         for n, group in orders.items():
             stacked = resistance._stacked_bundle(group, n)
             stacked_values = _descending_eigenvalues(stacked.rl)

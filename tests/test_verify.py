@@ -126,11 +126,10 @@ class TestRunVerify:
         outcomes = {o.name: o for o in run_verify(scope="random", seed=seed, max_n=12, count=80,
                                                   tree_count=0, pair_count=0)}
         assert {name: outcomes[name].measured for name in names} == worst
-        # Rounding leaves the other worst values off zero, so a measure that
-        # reads 0.0 on every graph cannot match by accident. The diagonal of
-        # R^L is RTr, and upper_meanU is tight at every K_n.
-        exact_zero = {"rl_trace_identity", "energy_bounds"}
-        assert all((value == 0.0) == (name in exact_zero) for name, value in worst.items())
+        # A measure that reads 0.0 on every graph could match by accident.
+        # Only rl_trace_identity does, because the diagonal of R^L is RTr.
+        nonzero = {name for name in names if any(e[name] != 0.0 for e in expected)}
+        assert nonzero == set(names) - {"rl_trace_identity"}
 
     def test_every_check_kind_reports_failures(self):
         # At a tolerance below rounding, family, corpus, edge-addition and
