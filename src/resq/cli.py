@@ -31,6 +31,10 @@ EXIT_VERIFY = 4
 
 COMPUTE_TARGETS = ("resistance", "rl", "rq", "spectrum-rl", "spectrum-rq", "energy")
 
+# Largest --max-n of resq verify: family instances grow as max_n^2 and their
+# edges as max_n^4; the families scope takes about 27 s at 150 on one core.
+VERIFY_MAX_N = 150
+
 
 def _family_from_args(args) -> FamilySpec:
     if args.family == "bipartite":
@@ -146,11 +150,12 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
-def _int_at_least(low: int):
+def _int_in_range(low: int, high: float = math.inf):
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if not low <= value <= high:
+            bound = f">= {low}" if high == math.inf else f">= {low} and <= {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its error message
@@ -182,8 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the property verification suite")
     ver.add_argument("--scope", default="all", choices=("families", "random", "all"))
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--max-n", dest="max_n", type=_int_at_least(2), default=12)
-    ver.add_argument("--count", type=_int_at_least(0), default=200, help="random corpus size")
+    ver.add_argument("--max-n", dest="max_n", type=_int_in_range(2, VERIFY_MAX_N), default=12,
+                     help=f"largest graph order, 2 to {VERIFY_MAX_N} (default 12)")
+    ver.add_argument("--count", type=_int_in_range(0), default=200, help="random corpus size")
     ver.add_argument("--jsonl", action="store_true", help="one JSON object per check")
     ver.set_defaults(handler=cmd_verify)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NegativeRadicand
 from .graph import Graph
-from .resistance import ResistanceBundle, resistance_bundle, resistance_matrix
+from .resistance import resistance_bundle, resistance_matrix
 from .spectral import Spectrum, eigenvalues_symmetric
 
 #: Radicands above this (negative) floor are treated as rounding noise and
@@ -167,12 +167,11 @@ def _perron_root(r: np.ndarray):
     return np.linalg.eigvalsh(r)[-1]
 
 
-def _energy_report(
-    bundle: ResistanceBundle, rl_values: np.ndarray, e_r: float, tol: float
-) -> EnergyReport:
-    """The report of resistance_laplacian_energy from an already computed
-    bundle, R^L eigenvalues (descending) and E_R."""
-    eta = rl_values - bundle.rtr.mean()
+def resistance_laplacian_energy(g: Graph, tol: float = 1e-9) -> EnergyReport:
+    """Full energy report for a connected graph: eta, f, F, LE_R, E_R and
+    all four bounds with satisfaction flags and signed slack."""
+    bundle = resistance_bundle(g)
+    eta = eigenvalues_symmetric(bundle.rl).values - bundle.rtr.mean()
     f, big_f = energy_moments(bundle.r, bundle.rtr)
     report = EnergyReport(
         n=eta.size,
@@ -181,21 +180,13 @@ def _energy_report(
         f=float(f),
         F=float(big_f),
         le_r=float(np.abs(eta).sum()),
-        e_r=float(e_r),
+        e_r=float(2.0 * _perron_root(bundle.r)),
         bounds={},
     )
     # check_bounds reads the finished fields; filling the dict in place
     # spares building the report twice.
     report.bounds.update(check_bounds(report, tol))
     return report
-
-
-def resistance_laplacian_energy(g: Graph, tol: float = 1e-9) -> EnergyReport:
-    """Full energy report for a connected graph: eta, f, F, LE_R, E_R and
-    all four bounds with satisfaction flags and signed slack."""
-    bundle = resistance_bundle(g)
-    rl_values = eigenvalues_symmetric(bundle.rl).values
-    return _energy_report(bundle, rl_values, 2.0 * _perron_root(bundle.r), tol)
 
 
 def resistance_energy(g: Graph) -> float:

@@ -257,12 +257,13 @@ def _laplacians(graphs: list[Graph], n: int) -> np.ndarray:
     return laps
 
 
-def _distances(graphs: list[Graph], n: int) -> np.ndarray:
-    """Stacked shortest-path lengths, shape (k, n, n), of connected graphs
-    that all have order n: n Floyd-Warshall min-plus sweeps on the stacked
-    adjacency. Equal to classical_distance_matrix bit for bit (small integers
-    are exact in float64); O(n^3) per graph, so for small orders only."""
-    d = np.where(_laplacians(graphs, n) < 0.0, 1.0, np.inf)
+def _distances(laps: np.ndarray) -> np.ndarray:
+    """Shortest-path lengths of connected graphs from their stacked Laplacians
+    (k, n, n): n Floyd-Warshall min-plus sweeps on the adjacency. Equal to
+    classical_distance_matrix bit for bit (small integers are exact in
+    float64); O(n^3) per graph, so for small orders only."""
+    n = laps.shape[-1]
+    d = np.where(laps < 0.0, 1.0, np.inf)
     d[:, np.arange(n), np.arange(n)] = 0.0
     for m in range(n):
         np.minimum(d, d[:, :, m, None] + d[:, None, m, :], out=d)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Disconnected
-from .graph import Graph, _laplacians, is_connected, laplacian
+from .graph import Graph, is_connected, laplacian
 
 # Residual ceiling for the Penrose identity L X L = L, relative to |L|.
 _PENROSE_RTOL = 1e-8
@@ -184,12 +184,12 @@ def resistance_bundle(g: Graph) -> ResistanceBundle:
     return _bundle(resistance_matrix(g))
 
 
-def _stacked_bundle(graphs: list[Graph], n: int) -> ResistanceBundle:
-    """resistance_bundle of graphs that all have order n, as one bundle of
-    stacks: r and rl of shape (k, n, n), rtr of shape (k, n). Equal to the
-    per-graph bundles bit for bit. Raises Disconnected if any graph is
-    disconnected."""
-    return _bundle(_resistance(laplacian_pseudoinverse(_laplacians(graphs, n))))
+def _stacked_bundle(laps: np.ndarray) -> ResistanceBundle:
+    """resistance_bundle of the graphs of a stack of Laplacians of one order,
+    shape (k, n, n), as one bundle of stacks: r and rl of shape (k, n, n),
+    rtr of shape (k, n). Equal to the per-graph bundles bit for bit. Raises
+    Disconnected if any graph is disconnected."""
+    return _bundle(_resistance(laplacian_pseudoinverse(laps)))
 
 
 def is_transmission_regular(rtr: np.ndarray, tol: float = 1e-9) -> float | None:

@@ -2,22 +2,23 @@
 
 Every check returns a VerifyOutcome instead of raising. All but the corpus
 count go through one runner, _check, which judges the worst of the (value,
-graph, label) triples a check yields: a failure carries the violating graph
+instance) pairs a check yields: a failure carries the violating graph
 serialized inline so it can be replayed, and a check that examined nothing
-is a skip. The family checks compare the closed forms against the numeric
-pipeline, computing each family instance once for all checks; the random
-checks exercise the order-independent properties (positive
-semidefiniteness, monotonicity under edge addition, metric axioms, energy
-identities and bounds) on seeded corpora. The graphs of each order run as
-one (k, n, n) stack: one stacked computation gives R, RTr, R^L and its
-spectra, and every measure (distances, energy fields and bounds included)
-is an array reduction over the stack, one value per graph in input order.
+is a skip. The family checks compare the closed forms of K_n, C_n and
+K_{p,q} against the numeric pipeline; the random checks exercise the
+order-independent properties (positive semidefiniteness, monotonicity under
+edge addition, metric axioms, energy identities and bounds) on seeded
+corpora. Both run on one engine: the graphs of each order form one
+(k, n, n) stack, one stacked computation gives R, RTr, R^L (R^Q for the
+families) and their spectra, and every measure is an array reduction over
+the stack or is read from a member's slices while the stack is alive. The
+first family check builds and measures all family instances, so its
+elapsed time carries their cost.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 import time
@@ -61,22 +62,25 @@ class VerifyOutcome:
 
 
 def _check(name, tol, measured) -> VerifyOutcome:
-    """Time measured(), an iterable of (value, graph, label) triples, and
-    judge its worst value against tol. A failure names the worst graph and,
-    when it has a label, the instance; no triple at all is a skip."""
+    """Time measured(), an iterable of (value, instance) pairs, and judge its
+    worst value against tol. The instance is the graph examined, the
+    FamilySpec it was built from, or None. A failure serializes the worst
+    graph and names a family instance; no pair at all is a skip."""
     start = time.perf_counter()
-    worst, worst_graph, worst_label = -math.inf, None, None
-    for value, g, label in measured():
+    worst, worst_instance = -math.inf, None
+    for value, instance in measured():
         if value > worst:
-            worst, worst_graph, worst_label = value, g, label
+            worst, worst_instance = value, instance
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if worst == -math.inf:
         return VerifyOutcome(name, "skip", None, float(tol), elapsed_ms, "no instance examined")
-    ok = worst <= tol
-    detail = "" if ok or worst_label is None else f"worst instance {worst_label}"
-    failing = None if ok or worst_graph is None else format_edge_list(worst_graph)
-    status = "pass" if ok else "fail"
-    return VerifyOutcome(name, status, float(worst), float(tol), elapsed_ms, detail, failing)
+    if worst <= tol:
+        return VerifyOutcome(name, "pass", float(worst), float(tol), elapsed_ms)
+    detail, failing = "", worst_instance
+    if isinstance(failing, FamilySpec):
+        detail, failing = f"worst instance {failing.label()}", graph_mod.generate(failing)
+    failing = None if failing is None else format_edge_list(failing)
+    return VerifyOutcome(name, "fail", float(worst), float(tol), elapsed_ms, detail, failing)
 
 
 def family_specs(max_n: int) -> list[FamilySpec]:
@@ -94,68 +98,65 @@ def family_specs(max_n: int) -> list[FamilySpec]:
 
 @dataclass
 class _Family:
+    """A family instance as its checks read it: slices of its order's stacks."""
+
     spec: FamilySpec
-    graph: Graph
+    lap: np.ndarray
+    r: np.ndarray
     rl: np.ndarray
     rq: np.ndarray
     rl_values: np.ndarray  # descending
     rq_values: np.ndarray
+    le_r: float
 
     @functools.cached_property
-    def energy(self) -> energy_mod.EnergyReport:
-        # R^L = Diag(RTr) - R with a zero diagonal in R, so RTr and R are
-        # read back from R^L exactly.
-        rtr = np.diag(self.rl).copy()
-        r = np.diag(rtr) - self.rl
-        bundle = resistance.ResistanceBundle(r=r, rtr=rtr, rl=self.rl)
-        e_r = 2.0 * energy_mod._perron_root(r)
-        return energy_mod._energy_report(bundle, self.rl_values, e_r, DEFAULT_TOL)
+    def closed(self) -> cf.ClosedForm:
+        return cf.closed_form(self.spec)
 
 
-class _Families(dict):
-    """Each family spec's R^L, R^Q and their spectra, computed on first use
-    and shared by the family checks. R^L and R^Q come from the public
-    functions behind `resq compute --what rl|rq`, looked up at call time, so
-    the checks verify what that command prints."""
+def _family_measures(jobs) -> dict[FamilySpec, list]:
+    """Map every spec of the (specs, measure) jobs to its measure(family) per
+    job, None where a job lacks the spec. Per order: one stacked bundle, one
+    stacked eigensolve each of R^L and R^Q and LE_R as an array reduction;
+    each measure is taken while its order's stacks are alive, so no n x n
+    array (and no graph) outlives its order."""
+    wanted = list(dict.fromkeys(spec for specs, _ in jobs for spec in specs))
+    jobs = [(set(specs), measure) for specs, measure in jobs]
 
-    def __missing__(self, spec: FamilySpec) -> _Family:
-        g = graph_mod.generate(spec)
-        rl = resistance.resistance_laplacian(g)
-        rq = resistance.resistance_signless_laplacian(g)
-        values = spectral._descending_eigenvalues(np.stack([rl, rq]))
-        self[spec] = family = _Family(spec, g, rl, rq, *values)
-        return family
+    def solve(n, idx):
+        group = [wanted[i] for i in idx]
+        lap = graph_mod._laplacians([graph_mod.generate(spec) for spec in group], n)
+        b = resistance._stacked_bundle(lap)
+        rl_values = spectral._descending_eigenvalues(b.rl)
+        rq_values = spectral._descending_eigenvalues(b.rq)
+        le_r = np.abs(rl_values - b.rtr.mean(axis=-1)[:, None]).sum(axis=-1)
+        fams = (_Family(spec, lap[k], b.r[k], b.rl[k], b.rq[k], rl_values[k], rq_values[k],
+                        float(le_r[k])) for k, spec in enumerate(group))
+        return [[measure(f) if f.spec in specs else None for specs, measure in jobs] for f in fams]
 
-
-def _over_families(families, specs, measure):
-    # Every instance is computed before any is measured: interleaving the
-    # two made closed_form_matrices about 15% slower.
-    for fam in [families[spec] for spec in specs]:
-        yield measure(fam), fam.graph, fam.spec.label()
+    return dict(zip(wanted, _by_order(wanted, solve, order=lambda spec: spec.order)))
 
 
 def _closed_matrix_error(fam: _Family) -> float:
-    closed = cf.closed_form(fam.spec)
     return max(
-        float(np.abs(closed.rl_matrix - fam.rl).max()),
-        float(np.abs(closed.rq_matrix - fam.rq).max()),
+        float(np.abs(fam.closed.rl_matrix - fam.rl).max()),
+        float(np.abs(fam.closed.rq_matrix - fam.rq).max()),
     )
 
 
 def _closed_spectrum_error(fam: _Family) -> float:
-    closed = cf.closed_form(fam.spec)
     return max(
-        float(np.abs(closed.rl_spectrum.values - fam.rl_values).max()),
-        float(np.abs(closed.rq_spectrum.values - fam.rq_values).max()),
+        float(np.abs(fam.closed.rl_spectrum.values - fam.rl_values).max()),
+        float(np.abs(fam.closed.rq_spectrum.values - fam.rq_values).max()),
     )
 
 
 def _complete_energy_error(fam: _Family) -> float:
-    return abs(fam.energy.le_r - 4.0 * (1.0 - 1.0 / fam.graph.n))
+    return abs(fam.le_r - 4.0 * (1.0 - 1.0 / fam.spec.order))
 
 
 def _energy_equality_error(fam: _Family) -> float:
-    return abs(fam.energy.le_r - fam.energy.e_r)
+    return abs(fam.le_r - float(2.0 * energy_mod._perron_root(fam.r)))
 
 
 def _containment_error(parent: np.ndarray, candidates: np.ndarray) -> float:
@@ -166,10 +167,9 @@ def _quotient_containment_error(fam: _Family) -> float:
     """Worst containment of the (p, q) quotient spectrum in the spectra of
     L, R^L and R^Q of K_{p,q}; inf if a partition is not equitable."""
     partition = spectral.Partition.from_sizes(*fam.spec.params)
-    lap = graph_mod.laplacian(fam.graph)
     worst = -math.inf
     for m, parent in (
-        (lap, spectral.eigenvalues_symmetric(lap).values),
+        (fam.lap, spectral.eigenvalues_symmetric(fam.lap).values),
         (fam.rl, fam.rl_values),
         (fam.rq, fam.rq_values),
     ):
@@ -194,40 +194,36 @@ def rq_quotient_report(max_pq: int = 8) -> list[dict]:
     general (already at p = q = 2) and its disagreement is reported, not
     treated as a failure.
     """
-    return _rq_quotient_rows(_Families(), max_pq)
+    specs = _bipartite_specs(max_pq)
+    table = _family_measures([(specs, _rq_quotient_row)])
+    return [table[spec][0] for spec in specs]
 
 
-def _rq_quotient_rows(families, max_pq) -> list[dict]:
-    rows = []
-    for spec in _bipartite_specs(max_pq):
-        p, q = spec.params
-        numeric = families[spec].rq_values
-        quotient_pair = cf.bipartite_rq_quotient_eigenvalues(p, q)
-        quotient_err = _containment_error(numeric, np.array(quotient_pair))
-        pm_pair = cf.bipartite_rq_pm_formula(p, q)
-        if any(math.isnan(v) for v in pm_pair):
-            pm_err = math.inf
-        else:
-            pm_err = _containment_error(numeric, np.array(pm_pair))
-        rows.append(
-            {
-                "p": p,
-                "q": q,
-                "quotient": [float(v) for v in quotient_pair],
-                "quotient_err": float(quotient_err),
-                "pm": [float(v) for v in pm_pair],
-                "pm_err": float(pm_err),
-                "pm_matches": bool(pm_err <= SPECTRUM_TOL),
-            }
-        )
-    return rows
+def _rq_quotient_row(fam: _Family) -> dict:
+    p, q = fam.spec.params
+    quotient_pair = cf.bipartite_rq_quotient_eigenvalues(p, q)
+    quotient_err = _containment_error(fam.rq_values, np.array(quotient_pair))
+    pm_pair = cf.bipartite_rq_pm_formula(p, q)
+    if any(math.isnan(v) for v in pm_pair):
+        pm_err = math.inf
+    else:
+        pm_err = _containment_error(fam.rq_values, np.array(pm_pair))
+    return {
+        "p": p,
+        "q": q,
+        "quotient": [float(v) for v in quotient_pair],
+        "quotient_err": float(quotient_err),
+        "pm": [float(v) for v in pm_pair],
+        "pm_err": float(pm_err),
+        "pm_matches": bool(pm_err <= SPECTRUM_TOL),
+    }
 
 
-def _check_rq_quotient_vs_pm(families, max_pq) -> VerifyOutcome:
+def _check_rq_quotient_vs_pm(rows) -> VerifyOutcome:
     lines = []
 
     def measured():
-        for row in _rq_quotient_rows(families, max_pq):
+        for row in rows():
             pm_note = (
                 "matches"
                 if row["pm_matches"]
@@ -237,7 +233,7 @@ def _check_rq_quotient_vs_pm(families, max_pq) -> VerifyOutcome:
                 "K_{%d,%d}: quotient=(%.12g, %.12g) err=%.3g; pm=(%.12g, %.12g) %s"
                 % (row["p"], row["q"], *row["quotient"], row["quotient_err"], *row["pm"], pm_note)
             )
-            yield row["quotient_err"], None, None
+            yield row["quotient_err"], None
 
     outcome = _check("rq_bipartite_quotient_report", SPECTRUM_TOL, measured)
     if lines:
@@ -255,13 +251,13 @@ def _random_graphs(count, max_n, seed, min_n=2) -> list[Graph]:
     return out
 
 
-def _by_order(graphs: list[Graph], solve) -> list:
-    """Call solve(n, indices) once for the graphs of each order n and return
-    its per-graph results in input order."""
+def _by_order(items: list, solve, order=lambda g: g.n) -> list:
+    """Call solve(n, indices) once for the items (graphs, by default) of each
+    order n and return its per-item results in input order."""
     groups: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        groups.setdefault(g.n, []).append(i)
-    out: list = [None] * len(graphs)
+    for i, item in enumerate(items):
+        groups.setdefault(order(item), []).append(i)
+    out: list = [None] * len(items)
     for n, idx in groups.items():
         for i, x in zip(idx, solve(n, idx)):
             out[i] = x
@@ -289,7 +285,8 @@ def _corpus_measures(graphs: list[Graph], n: int) -> np.ndarray:
     violation of its property on that graph (<= 0 when it holds exactly).
     PSD and zero row sums are relative to max |lambda(R^L)|, the trace
     identity to max(1, sum RTr) and sum eta^2 = 2F to 2F."""
-    b = resistance._stacked_bundle(graphs, n)
+    lap = graph_mod._laplacians(graphs, n)
+    b = resistance._stacked_bundle(lap)
     r, rtr = b.r, b.rtr
     values = spectral._descending_eigenvalues(b.rl)
     norm = np.maximum(np.abs(values).max(axis=-1), 1e-300)
@@ -308,7 +305,7 @@ def _corpus_measures(graphs: list[Graph], n: int) -> np.ndarray:
         -values.min(axis=-1) / norm,
         np.abs(b.rl.sum(axis=-1)).max(axis=-1) / norm,
         2.0 - values[:, 0],
-        (r - graph_mod._distances(graphs, n)).max(axis=(-2, -1)),
+        (r - graph_mod._distances(lap)).max(axis=(-2, -1)),
         (r - shortest).max(axis=(-2, -1)),
         np.abs(np.trace(b.rl, axis1=-2, axis2=-1) - total) / np.maximum(1.0, total),
         np.abs(eta.sum(axis=-1)) / n,
@@ -331,13 +328,14 @@ def _edge_addition_errors(pair_count, max_n, seed):
 
     def solve(n, idx):
         k = len(idx)
-        b = resistance._stacked_bundle([smaller[i] for i in idx] + [bigger[i] for i in idx], n)
+        pairs = [smaller[i] for i in idx] + [bigger[i] for i in idx]
+        b = resistance._stacked_bundle(graph_mod._laplacians(pairs, n))
         values = spectral._descending_eigenvalues(b.rl)
         return np.maximum(
             (b.r[k:] - b.r[:k]).max(axis=(-2, -1)), (values[k:] - values[:k]).max(axis=-1)
         ).tolist()
 
-    return zip(_by_order(smaller, solve), smaller, itertools.repeat(None))
+    return zip(_by_order(smaller, solve), smaller)
 
 
 def _tree_distance_errors(tree_count, max_tree_n, seed):
@@ -348,14 +346,14 @@ def _tree_distance_errors(tree_count, max_tree_n, seed):
     ]
 
     def solve(n, idx):
-        group = [trees[i] for i in idx]
-        b = resistance._stacked_bundle(group, n)
-        d = resistance._bundle(graph_mod._distances(group, n))  # D and Diag(DTr) - D
+        lap = graph_mod._laplacians([trees[i] for i in idx], n)
+        b = resistance._stacked_bundle(lap)
+        d = resistance._bundle(graph_mod._distances(lap))  # D and Diag(DTr) - D
         return np.maximum(
             np.abs(b.r - d.r).max(axis=(-2, -1)), np.abs(b.rl - d.rl).max(axis=(-2, -1))
         ).tolist()
 
-    return zip(_by_order(trees, solve), trees, itertools.repeat(None))
+    return zip(_by_order(trees, solve), trees)
 
 
 def run_verify(
@@ -379,22 +377,25 @@ def run_verify(
         raise ValueError(f"scope must be families, random or all, got {scope!r}")
     outcomes: list[VerifyOutcome] = []
     if scope in ("families", "all"):
-        specs, families = family_specs(max_n), _Families()
+        specs, bipartite = family_specs(max_n), _bipartite_specs(max_pq)
         complete = [FamilySpec.complete(n) for n in range(2, max_n + 1)]
         regular = complete + [FamilySpec.cycle(n) for n in range(3, max_n + 1)]
         regular += [FamilySpec.bipartite(p, p) for p in range(1, max_n // 2 + 1)]
-        for name, subset, measure, check_tol in (
+        checks = (
             ("closed_form_matrices", specs, _closed_matrix_error, tol),
             ("closed_form_spectra", specs, _closed_spectrum_error, SPECTRUM_TOL),
             ("complete_energy_formula", complete, _complete_energy_error, tol),
             ("transmission_regular_energy", regular, _energy_equality_error, ENERGY_EQUALITY_TOL),
-            ("quotient_containment", _bipartite_specs(max_pq), _quotient_containment_error,
-             CONTAINMENT_TOL),
-        ):
+            ("quotient_containment", bipartite, _quotient_containment_error, CONTAINMENT_TOL),
+            ("rq_bipartite_quotient_report", bipartite, _rq_quotient_row, SPECTRUM_TOL),
+        )
+        # built by the first check that reads it, which is charged its time
+        table = functools.cache(lambda: _family_measures([(s, m) for _, s, m, _ in checks]))
+        for j, (name, subset, _, check_tol) in enumerate(checks[:-1]):  # the report: own runner
             outcomes.append(
-                _check(name, check_tol, lambda: _over_families(families, subset, measure))
+                _check(name, check_tol, lambda: ((table()[spec][j], spec) for spec in subset))
             )
-        outcomes.append(_check_rq_quotient_vs_pm(families, max_pq))
+        outcomes.append(_check_rq_quotient_vs_pm(lambda: [table()[spec][-1] for spec in bipartite]))
     if scope in ("random", "all"):
         start = time.perf_counter()
         graphs = _random_graphs(count, max_n, seed)
@@ -414,7 +415,7 @@ def run_verify(
         for j, (name, check_tol) in enumerate(_CORPUS_CHECKS):
             outcomes.append(
                 _check(name, tol if check_tol is None else check_tol,
-                       lambda: ((row[j], g, None) for row, g in zip(measures, graphs)))
+                       lambda: ((row[j], g) for row, g in zip(measures, graphs)))
             )
         outcomes.append(
             _check("edge_addition_monotonicity", tol,

@@ -171,7 +171,7 @@ class TestVerify:
         assert all(r["status"] == "pass" for r in records)
         assert any(r["name"] == "tree_distance_equality" for r in records)
 
-    @pytest.mark.parametrize("args", [["--max-n", "1"], ["--count", "-1"]])
+    @pytest.mark.parametrize("args", [["--max-n", "1"], ["--count", "-1"], ["--max-n", "30000"]])
     def test_out_of_range_arguments_exit_2(self, capsys, args):
         with pytest.raises(SystemExit) as exc:
             main(["verify", *args])
@@ -222,11 +222,10 @@ class TestVerify:
 
     def test_fault_injection_fails_with_named_check(self, capsys, monkeypatch):
         # simulate a build with a broken sign in the signless Laplacian
-        def broken(g):
-            r = resq.resistance.resistance_matrix(g)
-            return np.diag(r.sum(axis=0)) - r  # wrong sign
+        def broken(bundle):
+            return resq.resistance._set_diagonal(-bundle.r, bundle.rtr)  # wrong sign
 
-        monkeypatch.setattr(resq.resistance, "resistance_signless_laplacian", broken)
+        monkeypatch.setattr(resq.resistance.ResistanceBundle, "rq", property(broken))
         assert main(["verify", "--scope", "families", "--max-n", "5"]) == 4
         out = capsys.readouterr().out
         assert "FAIL closed_form_matrices" in out

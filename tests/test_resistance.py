@@ -12,6 +12,7 @@ from resq.graph import (
     FamilySpec,
     Graph,
     _distances,
+    _laplacians,
     add_edge,
     classical_distance_matrix,
     generate,
@@ -221,7 +222,7 @@ class TestExactOracle:
     def test_stacked_bundle(self):
         graphs = self.graphs()
         rows = _by_order(graphs, lambda n, idx: resistance._stacked_bundle(
-            [graphs[i] for i in idx], n).r)
+            _laplacians([graphs[i] for i in idx], n)).r)
         for g, r in zip(graphs, rows):
             self.assert_close(r, exact_resistance(g))
 
@@ -294,7 +295,7 @@ class TestStackedBundles:
         orders = self.corpus()
         assert len(orders) == 15
         for n, group in orders.items():
-            stacked = resistance._stacked_bundle(group, n)
+            stacked = resistance._stacked_bundle(_laplacians(group, n))
             stacked_values = _descending_eigenvalues(stacked.rl)
             for k, g in enumerate(group):
                 ref = resistance_bundle(g)
@@ -307,7 +308,7 @@ class TestStackedBundles:
         trees = [random_tree(2 + seed % 14, seed) for seed in range(100)]
         for orders in (self.corpus(), self.by_order(trees)):
             for n, group in orders.items():
-                stacked = _distances(group, n)
+                stacked = _distances(_laplacians(group, n))
                 for k, g in enumerate(group):
                     assert np.array_equal(stacked[k], classical_distance_matrix(g)), n
 
@@ -328,7 +329,7 @@ class TestStackedBundles:
     def test_disconnected_member_raises(self, bad):
         graphs = [random_connected_graph(bad.n, 0.6, seed=s) for s in range(5)]
         with pytest.raises(Disconnected):
-            resistance._stacked_bundle(graphs[:2] + [bad] + graphs[2:], bad.n)
+            resistance._stacked_bundle(_laplacians(graphs[:2] + [bad] + graphs[2:], bad.n))
 
     def test_shuffled_disjoint_unions_raise_in_a_stack(self):
         rng = np.random.default_rng(7)
@@ -344,7 +345,7 @@ class TestStackedBundles:
             bad = Graph.from_edges(offset, [(perm[u], perm[v]) for u, v in edges])
             good = [random_connected_graph(offset, 0.5, seed=s) for s in range(3)]
             with pytest.raises(Disconnected):
-                resistance._stacked_bundle([good[0], bad, good[1], good[2]], offset)
+                resistance._stacked_bundle(_laplacians([good[0], bad, good[1], good[2]], offset))
 
 
 class TestTransmissions:

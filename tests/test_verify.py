@@ -4,15 +4,33 @@ import numpy as np
 import pytest
 
 import resq.resistance
+from resq.closed_forms import closed_form
 from resq.energy import resistance_laplacian_energy
-from resq.graph import classical_distance_matrix, format_edge_list, generate, parse_edge_list
-from resq.resistance import resistance_bundle
-from resq.spectral import eigenvalues_symmetric
+from resq.graph import (
+    FamilySpec,
+    classical_distance_matrix,
+    format_edge_list,
+    generate,
+    laplacian,
+    parse_edge_list,
+)
+from resq.resistance import (
+    resistance_bundle,
+    resistance_laplacian,
+    resistance_signless_laplacian,
+)
+from resq.spectral import Partition, eigenvalues_symmetric, quotient_matrix
 from resq.verify import (
     _CORPUS_CHECKS,
     VerifyOutcome,
     _by_order,
+    _closed_matrix_error,
+    _closed_spectrum_error,
+    _complete_energy_error,
     _corpus_measures,
+    _energy_equality_error,
+    _family_measures,
+    _quotient_containment_error,
     _random_graphs,
     family_specs,
     rq_quotient_report,
@@ -79,11 +97,12 @@ class TestRunVerify:
     def test_stacked_engine_matches_per_graph(self, monkeypatch, seed):
         args = dict(scope="all", seed=seed, max_n=12, count=60, tree_count=30, pair_count=40)
         stacked = run_verify(**args)
+        res = resq.resistance
         monkeypatch.setattr(
-            resq.resistance,
+            res,
             "_stacked_bundle",
-            lambda graphs, n: resq.resistance._bundle(
-                np.stack([resq.resistance.resistance_matrix(g) for g in graphs])
+            lambda laps: res._bundle(
+                np.stack([res._resistance(res.laplacian_pseudoinverse(lap)) for lap in laps])
             ),
         )
         per_graph = run_verify(**args)
@@ -130,6 +149,60 @@ class TestRunVerify:
         # Only rl_trace_identity does, because the diagonal of R^L is RTr.
         nonzero = {name for name in names if any(e[name] != 0.0 for e in expected)}
         assert nonzero == set(names) - {"rl_trace_identity"}
+
+    def test_each_family_measure_matches_per_graph_functions(self):
+        # The five family measures, recomputed here per instance from the
+        # public functions behind `resq compute --what rl|rq|energy`, equal
+        # the stacked engine's value for that instance, and each family
+        # outcome's measured value is their worst, all bit for bit.
+        specs = family_specs(12)
+        bipartite = [FamilySpec.bipartite(p, q) for p in range(1, 9) for q in range(p, 9)]
+        measures = {
+            "closed_form_matrices": _closed_matrix_error,
+            "closed_form_spectra": _closed_spectrum_error,
+            "complete_energy_formula": _complete_energy_error,
+            "transmission_regular_energy": _energy_equality_error,
+            "quotient_containment": _quotient_containment_error,
+        }
+        expected = {name: {} for name in measures}
+        for spec in dict.fromkeys(specs + bipartite):
+            g = generate(spec)
+            rl, rq = resistance_laplacian(g), resistance_signless_laplacian(g)
+            rl_values = eigenvalues_symmetric(rl).values
+            rq_values = eigenvalues_symmetric(rq).values
+            if spec in specs:
+                closed = closed_form(spec)
+                expected["closed_form_matrices"][spec] = max(
+                    float(np.abs(closed.rl_matrix - rl).max()),
+                    float(np.abs(closed.rq_matrix - rq).max()))
+                expected["closed_form_spectra"][spec] = max(
+                    float(np.abs(closed.rl_spectrum.values - rl_values).max()),
+                    float(np.abs(closed.rq_spectrum.values - rq_values).max()))
+                report = resistance_laplacian_energy(g)
+                if spec.kind == "complete":
+                    expected["complete_energy_formula"][spec] = abs(
+                        report.le_r - 4.0 * (1.0 - 1.0 / g.n))
+                if spec.kind != "bipartite" or spec.params[0] == spec.params[1]:
+                    expected["transmission_regular_energy"][spec] = abs(report.le_r - report.e_r)
+            if spec in bipartite:
+                partition = Partition.from_sizes(*spec.params)
+                lap = laplacian(g)
+                errors = []
+                for m, parent in ((lap, eigenvalues_symmetric(lap).values),
+                                  (rl, rl_values), (rq, rq_values)):
+                    quotient, equitable = quotient_matrix(m, partition)
+                    values = np.linalg.eigvals(quotient).real
+                    err = max(float(np.abs(parent - v).min()) for v in values)
+                    errors.append(err if equitable else math.inf)
+                expected["quotient_containment"][spec] = max(errors)
+        table = _family_measures([(list(expected[name]), measures[name]) for name in measures])
+        for j, (name, values) in enumerate(expected.items()):
+            assert {spec: table[spec][j] for spec in values} == values, name
+        outcomes = {o.name: o for o in run_verify(scope="families", max_n=12, max_pq=8)}
+        worst = {name: max(values.values()) for name, values in expected.items()}
+        assert {name: outcomes[name].measured for name in measures} == worst
+        # A measure that reads 0.0 on every instance could match by accident.
+        assert all(value > 0.0 for value in worst.values()), worst
 
     def test_every_check_kind_reports_failures(self):
         # At a tolerance below rounding, family, corpus, edge-addition and
@@ -200,11 +273,10 @@ class TestQuotientDiscrepancyReport:
 
 class TestFailurePath:
     def test_broken_sign_is_caught_and_graph_serialized(self, monkeypatch):
-        def broken(g):
-            r = resq.resistance.resistance_matrix(g)
-            return np.diag(r.sum(axis=0)) - r
+        def broken(bundle):
+            return resq.resistance._set_diagonal(-bundle.r, bundle.rtr)
 
-        monkeypatch.setattr(resq.resistance, "resistance_signless_laplacian", broken)
+        monkeypatch.setattr(resq.resistance.ResistanceBundle, "rq", property(broken))
         outcomes = run_verify(scope="families", max_n=5, max_pq=3)
         failed = [o for o in outcomes if not o.passed]
         assert any(o.name == "closed_form_matrices" for o in failed)
