@@ -9,14 +9,11 @@ from .closed_forms import ClosedForm, closed_form
 from .energy import (
     BoundCheck,
     EnergyReport,
-    centered_eigenvalues,
     check_bounds,
     energy_moments,
-    resistance_energy,
     resistance_laplacian_energy,
 )
 from .errors import (
-    DimensionMismatch,
     Disconnected,
     DuplicateEdge,
     GraphInputError,
@@ -44,7 +41,6 @@ from .graph import (
 )
 from .resistance import (
     ResistanceBundle,
-    is_transmission_regular,
     laplacian_pseudoinverse,
     resistance_bundle,
     resistance_laplacian,
@@ -58,7 +54,6 @@ from .spectral import (
     circulant_eigenvalues,
     eigenvalues_symmetric,
     quotient_matrix,
-    transmission_regular_shift,
 )
 from .verify import VerifyOutcome, rq_quotient_report, run_verify
 
@@ -67,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundCheck",
     "ClosedForm",
-    "DimensionMismatch",
     "Disconnected",
     "DuplicateEdge",
     "EnergyReport",
@@ -87,7 +81,6 @@ __all__ = [
     "Spectrum",
     "VertexOutOfRange",
     "VerifyOutcome",
-    "centered_eigenvalues",
     "check_bounds",
     "circulant_eigenvalues",
     "classical_distance_matrix",
@@ -97,7 +90,6 @@ __all__ = [
     "format_edge_list",
     "generate",
     "is_connected",
-    "is_transmission_regular",
     "laplacian",
     "laplacian_pseudoinverse",
     "parse_edge_list",
@@ -105,7 +97,6 @@ __all__ = [
     "random_connected_graph",
     "random_tree",
     "resistance_bundle",
-    "resistance_energy",
     "resistance_laplacian",
     "resistance_laplacian_energy",
     "resistance_matrix",
@@ -113,5 +104,4 @@ __all__ = [
     "resistance_transmissions",
     "rq_quotient_report",
     "run_verify",
-    "transmission_regular_shift",
 ]

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeRadicand
+from .errors import NegativeRadicand
 from .graph import Graph
-from .resistance import resistance_bundle, resistance_matrix
-from .spectral import Spectrum, eigenvalues_symmetric
+from .resistance import _set_diagonal, resistance_laplacian, resistance_matrix
+from .resistance import resistance_transmissions
+from .spectral import _eigenvalues_in_place
 
 #: Radicands above this (negative) floor are treated as rounding noise and
 #: clamped to zero; anything lower raises NegativeRadicand. Equality cases
@@ -43,6 +44,9 @@ _PERRON_DENSE_MAX_N = 64
 # (|gamma_n| / gamma_1)^2 per step, so 100 suffice whenever that ratio is at
 # most 0.83 (0.83^200 < u); for n >= 500 they cost less than one eigvalsh.
 _PERRON_MAX_ITER = 100
+
+# Rows per block in energy_moments: 2 MB of workspace at n = 2000.
+_MOMENT_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -72,19 +76,6 @@ class EnergyReport:
     bounds: dict[str, BoundCheck]
 
 
-def centered_eigenvalues(rl_spectrum: Spectrum, transmissions: np.ndarray) -> np.ndarray:
-    """eta_i: the resistance Laplacian eigenvalues minus mean transmission.
-
-    Keeps the spectrum's descending order; the entries sum to zero.
-    """
-    rtr = np.asarray(transmissions, dtype=float)
-    if len(rl_spectrum) != rtr.size:
-        raise DimensionMismatch(
-            f"spectrum has {len(rl_spectrum)} values but {rtr.size} transmissions"
-        )
-    return rl_spectrum.values - rtr.mean()
-
-
 def energy_moments(r: np.ndarray, transmissions: np.ndarray) -> tuple[float, float]:
     """(f, F): squared resistances over unordered pairs, and the corrected
     second moment F = f + (1/2) sum (U_i - mean U)^2. For a stack of R of
@@ -92,16 +83,19 @@ def energy_moments(r: np.ndarray, transmissions: np.ndarray) -> tuple[float, flo
     (k,).
 
     f is summed over i < j so that trace((R^L)^2) = sum U_i^2 + 2f and
-    sum eta_i^2 = 2F hold exactly.
+    sum eta_i^2 = 2F hold exactly. Blocks of rows are squared into a
+    workspace, zeroed on and below the diagonal, and reduced row by row, in
+    the same order for one matrix as for each matrix of a stack.
     """
     r = np.asarray(r, dtype=float)
     rtr = np.asarray(transmissions, dtype=float)
-    i, j = np.triu_indices(r.shape[-1], k=1)
-    # C order: the indexed stack comes out column-major, and its row sums
-    # would then add in another order than the sum of one graph's entries.
-    # For one matrix it is contiguous already and is squared in place.
-    sq = np.ascontiguousarray(r[..., i, j])
-    f = np.square(sq, out=sq).sum(axis=-1)
+    n = r.shape[-1]
+    rows = np.empty(r.shape[:-1])
+    for i in range(0, n, _MOMENT_ROWS):
+        block = np.square(r[..., i:i + _MOMENT_ROWS, i:])
+        block[(..., *np.tril_indices(block.shape[-2]))] = 0.0
+        rows[..., i:i + _MOMENT_ROWS] = block.sum(axis=-1)
+    f = rows.sum(axis=-1)
     big_f = f + 0.5 * ((rtr - rtr.mean(axis=-1, keepdims=True)) ** 2).sum(axis=-1)
     return f, big_f
 
@@ -169,27 +163,29 @@ def _perron_root(r: np.ndarray):
 
 def resistance_laplacian_energy(g: Graph, tol: float = 1e-9) -> EnergyReport:
     """Full energy report for a connected graph: eta, f, F, LE_R, E_R and
-    all four bounds with satisfaction flags and signed slack."""
-    bundle = resistance_bundle(g)
-    eta = eigenvalues_symmetric(bundle.rl).values - bundle.rtr.mean()
-    f, big_f = energy_moments(bundle.r, bundle.rtr)
+    all four bounds with satisfaction flags and signed slack.
+
+    Works in the one n x n buffer of resistance_matrix: RTr, f, F and the
+    Perron root are read from R, which is then turned into R^L in place and
+    handed to the eigensolver to overwrite.
+    """
+    r = resistance_matrix(g)
+    rtr = resistance_transmissions(r)
+    f, big_f = energy_moments(r, rtr)
+    e_r = float(2.0 * _perron_root(r))
+    rl = _set_diagonal(np.negative(r, out=r), rtr)
+    eta = _eigenvalues_in_place(rl, lambda: resistance_laplacian(g)) - rtr.mean()
     report = EnergyReport(
         n=eta.size,
-        mean_transmission=float(bundle.rtr.mean()),
+        mean_transmission=float(rtr.mean()),
         eta=eta,
         f=float(f),
         F=float(big_f),
         le_r=float(np.abs(eta).sum()),
-        e_r=float(2.0 * _perron_root(bundle.r)),
+        e_r=e_r,
         bounds={},
     )
     # check_bounds reads the finished fields; filling the dict in place
     # spares building the report twice.
     report.bounds.update(check_bounds(report, tol))
     return report
-
-
-def resistance_energy(g: Graph) -> float:
-    """E_R: sum of absolute eigenvalues of the resistance matrix, computed
-    as twice its one positive eigenvalue."""
-    return float(2.0 * _perron_root(resistance_matrix(g)))

@@ -45,9 +45,5 @@ class NonRealSpectrum(ResqError):
     """Circulant eigenvalues carry imaginary residue above tolerance."""
 
 
-class DimensionMismatch(ResqError):
-    """Vector or matrix sizes are incompatible."""
-
-
 class NegativeRadicand(ResqError):
     """A bound radicand is negative beyond the rounding floor."""

@@ -30,8 +30,9 @@ Edge = tuple[int, int]
 FAMILY_KINDS = ("complete", "bipartite", "cycle", "path")
 
 #: Largest vertex count parse_edge_list accepts and generate builds: one
-#: n x n float64 matrix of this order takes 3.2 GB, and the pipeline holds a
-#: few of them.
+#: n x n float64 matrix of this order takes 3.2 GB. The energy report holds
+#: one of them plus about a quarter of one as workspace; a matrix output
+#: adds its text, which is larger still.
 MAX_ORDER = 20_000
 
 
@@ -315,10 +316,10 @@ def random_connected_graph(
     the last draw so the result is always connected.
     """
     rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges: list[Edge] = []
     for _ in range(max_resample):
-        edges = [e for e in pairs if rng.random() < edge_prob]
+        # one draw per vertex pair, in lexicographic order, with no pair list
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob]
         g = Graph.from_edges(n, edges)
         if is_connected(g):
             return g

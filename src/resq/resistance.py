@@ -24,6 +24,10 @@ put dense blocks into the elimination whose contributions cancel in the
 Schur complements and cost accuracy. At n = 1, L_g is empty and pinv(L) is
 [[0]].
 
+All of it runs in the memory of L (laplacian_pseudoinverse: of a copy): L_g
+is inverted in place, and the centring, the symmetrisation and R follow in
+that buffer, so the peak is one n x n array and n^2 / 4 entries of workspace.
+
 The pseudoinverse is checked against the Penrose identity L X L = L applied
 to one fixed probe vector v, |L(X(Lv)) - Lv|, which costs three
 matrix-vector products (O(n^2)) instead of a second O(n^3) matrix product.
@@ -42,6 +46,10 @@ from .graph import Graph, is_connected, laplacian
 # Residual ceiling for the Penrose identity L X L = L, relative to |L|.
 _PENROSE_RTOL = 1e-8
 
+# Order of the tiles (and of the blocks of rows) in which the pseudoinverse is
+# symmetrised and R is formed in place: each needs one tile of workspace.
+_TILE = 256
+
 # Leaf size of the block elimination: blocks up to this order are inverted
 # by one np.linalg.inv call. On one core, at n = 200 the split takes 2.1 ms
 # against 3.0 ms for a single inv.
@@ -52,8 +60,9 @@ _BLOCK_N = 128
 class ResistanceBundle:
     """Resistance matrix, transmissions, and both derived Laplacians.
 
-    R^Q is built on first access, so a caller that reads only R^L (such as
-    the energy report) never holds a fourth n x n array.
+    r and rl are two n x n arrays, and R^Q is built on first access as a
+    third. The energy report holds none of them: it works in the single
+    buffer of resistance_matrix.
     """
 
     r: np.ndarray
@@ -76,34 +85,70 @@ def _set_diagonal(m: np.ndarray, d) -> np.ndarray:
     return m
 
 
-def _spd_inverse(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write inv(a) into out for a symmetric positive definite a, or for each
-    matrix of a stack (..., n, n), which then recurses as one.
+def _grounded_inverse(a: np.ndarray) -> None:
+    """Overwrite a symmetric positive definite a, or each matrix of a stack
+    (..., n, n), with its inverse; a stack recurses as one.
 
     Splits a = [[A11, B], [B^T, A22]] at k = n // 2 and inverts A11 and the
-    Schur complement S = A22 - B^T inv(A11) B recursively, down to blocks of
-    order _BLOCK_N. The blocks of out hold the intermediate products, so each
-    level allocates only S, inv(A11) B inv(S) and one product of the size of
-    A11.
+    Schur complement S = A22 - B^T inv(A11) B in place, recursively, down to
+    blocks of order _BLOCK_N. B is read above the diagonal, at every level
+    (S is symmetric only up to rounding), and its transpose copied below it,
+    where the products are then kept. Each level allocates one product of
+    about n^2 / 4 entries at a time, and none while it recurses.
     """
     n = a.shape[-1]
     if n <= _BLOCK_N:
-        out[...] = np.linalg.inv(a)
-        return out
+        a[...] = np.linalg.inv(a)
+        return
     k = n // 2
-    b = a[..., :k, k:]
-    ai, aib = out[..., :k, :k], out[..., :k, k:]
-    _spd_inverse(a[..., :k, :k], ai)
-    np.matmul(ai, b, out=aib)
-    s = b.swapaxes(-1, -2) @ aib
-    np.subtract(a[..., k:, k:], s, out=s)
-    si = _spd_inverse(s, out[..., k:, k:])
-    del s
-    t = aib @ si
-    ai += t @ aib.swapaxes(-1, -2)  # inv(A11) + inv(A11) B inv(S) B^T inv(A11)
-    np.negative(t, out=aib)  # -inv(A11) B inv(S)
-    out[..., k:, :k] = aib.swapaxes(-1, -2)
-    return out
+    a11, b, bt, a22 = a[..., :k, :k], a[..., :k, k:], a[..., k:, :k], a[..., k:, k:]
+    bt[...] = b.swapaxes(-1, -2)
+    _grounded_inverse(a11)
+    np.matmul(a11, b, out=b)  # W = inv(A11) B
+    a22 -= bt @ b  # S = A22 - B^T W
+    _grounded_inverse(a22)
+    bt[...] = (b @ a22).swapaxes(-1, -2)  # (W inv(S))^T
+    a11 += bt.swapaxes(-1, -2) @ b.swapaxes(-1, -2)  # inv(A11) + W inv(S) W^T
+    np.negative(bt, out=bt)
+    b[...] = bt.swapaxes(-1, -2)  # -W inv(S)
+
+
+def _pseudoinverse_in_place(x: np.ndarray, lap_product) -> np.ndarray:
+    """Overwrite x, a connected graph Laplacian or a stack of them (k, n, n),
+    with its Moore-Penrose pseudoinverse; returns x.
+
+    lap_product(y) returns L y for y of shape (..., n, 1): the Penrose probe
+    needs L once more after x has been overwritten. Raises Disconnected when
+    some L has nullity >= 2.
+    """
+    n = x.shape[-1]
+    scale = np.maximum(1.0, np.maximum(x.max(axis=(-2, -1)), -x.min(axis=(-2, -1))))
+    lv = x @ np.sin(np.arange(1.0, n + 1.0))[:, None]
+    try:
+        _grounded_inverse(x[..., :-1, :-1])
+    except np.linalg.LinAlgError as exc:
+        raise Disconnected("laplacian has nullity >= 2") from exc
+    x[..., -1, :] = x[..., :, -1] = 0.0
+    c = x.mean(axis=-2)
+    x -= c[..., None, :]
+    x -= c[..., :, None]
+    x += c.mean(axis=-1)[..., None, None]
+    # With nullity >= 2, inv() either raises or returns a huge component
+    # along a kernel vector of L, which the residual exposes unless the probe
+    # is blind to it. The entries sin(1), ..., sin(n) bear no relation to how
+    # vertices are labelled, and |v| <= 1 keeps the threshold relative to |L|.
+    # The comparison is written so that a NaN residual, from a NaN or an inf
+    # entry of x, fails it too.
+    residual = np.abs(lap_product(x @ lv) - lv).max(axis=(-2, -1))
+    if not np.all(residual <= _PENROSE_RTOL * scale):
+        raise Disconnected(f"laplacian has nullity >= 2 (Penrose residual {residual.max():.3e})")
+    for i in range(0, n, _TILE):  # x = (x + x^T) / 2, one pair of tiles at a time
+        for j in range(i, n, _TILE):
+            tile, mirror = x[..., i:i + _TILE, j:j + _TILE], x[..., j:j + _TILE, i:i + _TILE]
+            mean = (tile + mirror.swapaxes(-1, -2)) / 2.0
+            tile[...] = mean
+            mirror[...] = mean.swapaxes(-1, -2)
+    return x
 
 
 def laplacian_pseudoinverse(lap: np.ndarray) -> np.ndarray:
@@ -111,40 +156,23 @@ def laplacian_pseudoinverse(lap: np.ndarray) -> np.ndarray:
     Laplacian in a stack of shape (k, n, n), for every order n >= 1.
 
     Grounds the last vertex, inverts the remaining block by block elimination
-    and centres the result (see the module docstring). Raises Disconnected
-    when some L has nullity >= 2, which is detected through the Penrose
-    residual on a probe vector.
+    and centres the result (see the module docstring), in a copy: lap is left
+    as it is. Raises Disconnected when some L has nullity >= 2, which is
+    detected through the Penrose residual on a probe vector.
     """
     lap = np.asarray(lap, dtype=float)
-    n = lap.shape[-1]
-    pinv = np.zeros(lap.shape)
-    try:
-        _spd_inverse(lap[..., :-1, :-1], pinv[..., :-1, :-1])
-    except np.linalg.LinAlgError as exc:
-        raise Disconnected("laplacian has nullity >= 2") from exc
-    c = pinv.mean(axis=-2)
-    pinv -= c[..., None, :]
-    pinv -= c[..., :, None]
-    pinv += c.mean(axis=-1)[..., None, None]
-    scale = np.maximum(1.0, np.abs(lap).max(axis=(-2, -1)))
-    # With nullity >= 2, inv() either raises or returns a huge component
-    # along a kernel vector of L, which the residual exposes unless the probe
-    # is blind to it. The entries sin(1), ..., sin(n) bear no relation to how
-    # vertices are labelled, and |v| <= 1 keeps the threshold relative to |L|.
-    # The comparison is written so that a NaN residual, from a NaN or an inf
-    # entry of pinv, fails it too.
-    lv = lap @ np.sin(np.arange(1.0, n + 1.0))[:, None]
-    residual = np.abs(lap @ (pinv @ lv) - lv).max(axis=(-2, -1))
-    if not np.all(residual <= _PENROSE_RTOL * scale):
-        raise Disconnected(f"laplacian has nullity >= 2 (Penrose residual {residual.max():.3e})")
-    return (pinv + pinv.swapaxes(-1, -2)) / 2.0
+    return _pseudoinverse_in_place(lap.copy(), lambda y: lap @ y)
 
 
 def _resistance(pinv: np.ndarray) -> np.ndarray:
-    """R from the Laplacian pseudoinverse of a connected graph, or from a
-    stack of them."""
-    d = np.diagonal(pinv, axis1=-2, axis2=-1)
-    return _set_diagonal(d[..., :, None] + d[..., None, :] - 2.0 * pinv, 0.0)
+    """R in the memory of the Laplacian pseudoinverse of a connected graph,
+    or of a stack of them, one block of rows at a time; returns it."""
+    d = np.diagonal(pinv, axis1=-2, axis2=-1).copy()
+    for i in range(0, pinv.shape[-1], _TILE):
+        rows = pinv[..., i:i + _TILE, :]
+        rows *= 2.0
+        np.subtract(d[..., i:i + _TILE, None] + d[..., None, :], rows, out=rows)
+    return _set_diagonal(pinv, 0.0)
 
 
 def _bundle(r: np.ndarray) -> ResistanceBundle:
@@ -154,10 +182,18 @@ def _bundle(r: np.ndarray) -> ResistanceBundle:
 
 
 def resistance_matrix(g: Graph) -> np.ndarray:
-    """Pairwise resistance distances; symmetric with zero diagonal."""
+    """Pairwise resistance distances; symmetric with zero diagonal. Built in
+    the memory of L, so the Penrose probe applies L from the edge list."""
     if not is_connected(g):
         raise Disconnected("graph is disconnected; resistance undefined")
-    return _resistance(laplacian_pseudoinverse(laplacian(g)))
+    u, v = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T
+    ends, far = np.concatenate([u, v]), np.concatenate([v, u])
+    deg = np.bincount(ends, minlength=g.n)[:, None]
+    # L y = deg * y - A y, from the edges in O(n + m)
+    x = _pseudoinverse_in_place(
+        laplacian(g), lambda y: deg * y - np.bincount(ends, y[far, 0], g.n)[:, None]
+    )
+    return _resistance(x)
 
 
 def resistance_transmissions(r: np.ndarray) -> np.ndarray:
@@ -190,18 +226,3 @@ def _stacked_bundle(laps: np.ndarray) -> ResistanceBundle:
     rtr of shape (k, n). Equal to the per-graph bundles bit for bit. Raises
     Disconnected if any graph is disconnected."""
     return _bundle(_resistance(laplacian_pseudoinverse(laps)))
-
-
-def is_transmission_regular(rtr: np.ndarray, tol: float = 1e-9) -> float | None:
-    """Return the common transmission k when all entries agree within tol.
-
-    Returns None for irregular graphs (e.g. a path: end vertices transmit
-    more than interior ones).
-    """
-    rtr = np.asarray(rtr, dtype=float)
-    if rtr.size == 0:
-        return None
-    k = float(rtr[0])
-    if float(np.abs(rtr - k).max()) <= tol:
-        return k
-    return None

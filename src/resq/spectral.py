@@ -5,11 +5,13 @@ every stack of matrices, np.linalg.eigvalsh (divide and conquer, dsyevd)
 computes them. Above it, a single matrix goes to the two-stage solver
 dsyevd_2stage, values only, through the LAPACKE interface of the OpenBLAS
 that numpy already loads. It reduces to band form with matrix products before
-the tridiagonal step, and it overwrites a symmetrised copy that this module
-owns, where eigvalsh would copy its input once more. If that library or
-symbol is missing (another numpy build) or the call reports an error, the
-matrix goes to eigvalsh. Both solvers are backward stable, and on the same
-matrix their values agree to a few units of roundoff relative to |M|.
+the tridiagonal step, and it overwrites the matrix it is given (the
+symmetrised copy eigenvalues_symmetric makes, or the energy report's own
+buffer), where eigvalsh would copy its input once more. If that library or
+symbol is missing (another numpy build) or the call reports an error,
+eigvalsh solves an intact copy of the matrix. Both solvers are backward
+stable, and on the same matrix their values agree to a few units of
+roundoff relative to |M|.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ _SYMMETRY_RTOL = 1e-12
 # 0.93 at 1100 and 0.82 at 1200; at n = 2000 it takes 0.54 s against 0.77 s.
 _TWO_STAGE_N = 1000
 
-# LAPACKE takes the layout as its first argument. The solver's copy, m itself
-# when m == m^T and (m + m^T) / 2 otherwise, is symmetric (floating-point
-# addition commutes), so its C-contiguous array reads the same in
-# column-major order; row-major would make LAPACKE transpose it into a hidden
-# n x n copy.
+# LAPACKE takes the layout as its first argument. The matrix given to the
+# solver is exactly symmetric (a copy of m when m == m^T, (m + m^T) / 2
+# otherwise, as floating-point addition commutes, or the energy report's R^L),
+# so its C-contiguous array reads the same in column-major order; row-major
+# would make LAPACKE transpose it into a hidden n x n copy.
 _LAPACK_COL_MAJOR = 102
 
 
@@ -125,14 +127,22 @@ def _descending_eigenvalues(m: np.ndarray) -> np.ndarray:
     else:
         np.add(m, mt, out=sym)
         sym /= 2.0
-    n = m.shape[-1]
-    solver = _dsyevd_2stage() if m.ndim == 2 and n > _TWO_STAGE_N else None
+    return _eigenvalues_in_place(sym, lambda: (m + mt) / 2.0)
+
+
+def _eigenvalues_in_place(sym: np.ndarray, intact) -> np.ndarray:
+    """Eigenvalues of sym, a C-contiguous and exactly symmetric matrix or a
+    stack of them, descending along the last axis; no checks. The two-stage
+    solver overwrites sym; if it fails, eigvalsh solves intact() instead.
+    """
+    n = sym.shape[-1]
+    solver = _dsyevd_2stage() if sym.ndim == 2 and n > _TWO_STAGE_N else None
     if solver is not None:
         w = np.empty(n)
         info = solver(_LAPACK_COL_MAJOR, b"N", b"L", n, sym.ctypes.data, n, w.ctypes.data)
         if info == 0:
             return w[::-1]
-        sym = (m + mt) / 2.0  # the failed call may have overwritten sym
+        sym = intact()
     return np.linalg.eigvalsh(sym)[..., ::-1]
 
 
@@ -216,19 +226,3 @@ def circulant_eigenvalues(
     if worst > imag_tol:
         raise NonRealSpectrum(f"imaginary residue {worst:.3e} exceeds {imag_tol:g}")
     return Spectrum.from_values(real, tol=tol)
-
-
-def transmission_regular_shift(k: float, r_spectrum: Spectrum, sign: str) -> Spectrum:
-    """Spectrum of Diag(k) -/+ R from the spectrum of R, for k-transmission-
-    regular graphs (where both Laplacians are k*I -/+ R).
-
-    sign "L" gives the resistance Laplacian values {k - gamma}, sign "Q"
-    gives the signless values {k + gamma}; both returned descending.
-    """
-    if sign == "L":
-        values = k - r_spectrum.values
-    elif sign == "Q":
-        values = k + r_spectrum.values
-    else:
-        raise ValueError(f"sign must be 'L' or 'Q', got {sign!r}")
-    return Spectrum.from_values(values, tol=r_spectrum.tol)

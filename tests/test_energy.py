@@ -1,21 +1,28 @@
+import ctypes
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resq.energy
+import resq.spectral
 from resq.energy import (
     EnergyReport,
-    centered_eigenvalues,
+    _perron_root,
     check_bounds,
     energy_moments,
-    resistance_energy,
     resistance_laplacian_energy,
 )
-from resq.errors import DimensionMismatch, NegativeRadicand
+from resq.errors import NegativeRadicand
 from resq.graph import FamilySpec, Graph, generate, random_connected_graph
-from resq.resistance import ResistanceBundle, resistance_bundle
-from resq.spectral import Spectrum, eigenvalues_symmetric
+from resq.resistance import (
+    ResistanceBundle,
+    resistance_bundle,
+    resistance_laplacian,
+    resistance_matrix,
+)
 
 
 def _report_with(n, mean_u, big_f, eta1, le_r):
@@ -32,27 +39,19 @@ def _report_with(n, mean_u, big_f, eta1, le_r):
 
 
 class TestCenteredEigenvalues:
+    """eta: the R^L eigenvalues minus the mean transmission, descending."""
+
     def test_k4(self):
-        g = generate(FamilySpec.complete(4))
-        bundle = resistance_bundle(g)
-        eta = centered_eigenvalues(eigenvalues_symmetric(bundle.rl), bundle.rtr)
+        eta = resistance_laplacian_energy(generate(FamilySpec.complete(4))).eta
         np.testing.assert_allclose(eta, [0.5, 0.5, 0.5, -1.5], atol=1e-9)
 
     def test_k2(self):
-        g = generate(FamilySpec.complete(2))
-        bundle = resistance_bundle(g)
-        eta = centered_eigenvalues(eigenvalues_symmetric(bundle.rl), bundle.rtr)
+        eta = resistance_laplacian_energy(generate(FamilySpec.complete(2))).eta
         np.testing.assert_allclose(eta, [1.0, -1.0], atol=1e-12)
 
     def test_cycle4(self):
-        g = generate(FamilySpec.cycle(4))
-        bundle = resistance_bundle(g)
-        eta = centered_eigenvalues(eigenvalues_symmetric(bundle.rl), bundle.rtr)
+        eta = resistance_laplacian_energy(generate(FamilySpec.cycle(4))).eta
         np.testing.assert_allclose(eta, [1.0, 1.0, 0.5, -2.5], atol=1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            centered_eigenvalues(Spectrum.from_values([1.0, 0.0]), np.array([1.0, 1.0, 1.0]))
 
 
 class TestEnergyMoments:
@@ -130,22 +129,22 @@ class TestLaplacianEnergy:
 
 
 class TestResistanceEnergy:
+    """E_R = sum |gamma_i| over the spectrum of R, as the report gives it."""
+
     def test_triangle(self):
         # R(K_3) spectrum {4/3, -2/3, -2/3} gives E_R = 8/3 = LE_R(K_3)
-        g = generate(FamilySpec.complete(3))
-        assert resistance_energy(g) == pytest.approx(8.0 / 3.0, abs=1e-9)
-        assert resistance_energy(g) == pytest.approx(
-            resistance_laplacian_energy(g).le_r, abs=1e-9
-        )
+        report = resistance_laplacian_energy(generate(FamilySpec.complete(3)))
+        assert report.e_r == pytest.approx(8.0 / 3.0, abs=1e-9)
+        assert report.e_r == pytest.approx(report.le_r, abs=1e-9)
 
     def test_k2(self):
-        assert resistance_energy(generate(FamilySpec.complete(2))) == pytest.approx(
+        assert resistance_laplacian_energy(generate(FamilySpec.complete(2))).e_r == pytest.approx(
             2.0, abs=1e-12
         )
 
     def test_cycle4_equality(self):
-        g = generate(FamilySpec.cycle(4))
-        assert resistance_energy(g) == pytest.approx(5.0, abs=1e-9)
+        report = resistance_laplacian_energy(generate(FamilySpec.cycle(4)))
+        assert report.e_r == pytest.approx(5.0, abs=1e-9)
 
     def test_transmission_regular_equality(self):
         specs = [FamilySpec.complete(n) for n in (2, 5, 9)]
@@ -186,11 +185,11 @@ class TestPerronRoot:
         u = np.finfo(float).eps / 2
         for g, gamma in perron_corpus:
             expected = float(np.abs(gamma).sum())
-            assert abs(resistance_energy(g) - expected) <= 4 * g.n * u * expected, g.n
+            assert abs(resistance_laplacian_energy(g).e_r - expected) <= 4 * g.n * u * expected, g.n
 
     def test_report_uses_the_same_value(self):
         g = _lollipop(30, 35)
-        assert resistance_laplacian_energy(g).e_r == resistance_energy(g)
+        assert resistance_laplacian_energy(g).e_r == 2.0 * _perron_root(resistance_matrix(g))
 
     def test_exactly_one_positive_eigenvalue(self, perron_corpus):
         for g, gamma in perron_corpus:
@@ -203,14 +202,55 @@ class TestPerronRoot:
         monkeypatch.setattr(
             np.linalg, "eigvalsh", lambda m: calls.append(m.shape[0]) or dense(m)
         )
-        small, large = generate(FamilySpec.path(64)), generate(FamilySpec.path(65))
-        resistance_energy(small)
-        iterated = resistance_energy(large)
+        small = resistance_matrix(generate(FamilySpec.path(64)))
+        large = resistance_matrix(generate(FamilySpec.path(65)))
+        _perron_root(small)
+        iterated = _perron_root(large)
         assert calls == [64]
         monkeypatch.setattr(resq.energy, "_PERRON_MAX_ITER", 1)
-        fallback = resistance_energy(large)
+        fallback = _perron_root(large)
         assert calls == [64, 65]
         assert fallback == pytest.approx(iterated, rel=1e-14)
+
+
+class TestOneBuffer:
+    """The report works in one n x n buffer that the eigensolver overwrites."""
+
+    N = 1200  # above the two-stage crossover
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return random_connected_graph(self.N, 10.0 / self.N, seed=5)
+
+    def test_peak_traced_memory(self, graph):
+        tracemalloc.start()
+        try:
+            resistance_laplacian_energy(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one buffer and the block elimination's workspace of n^2 / 4; the
+        # report built from three arrays peaked at about 3.5 n^2 8 bytes
+        assert peak <= 1.6 * self.N**2 * 8
+
+    def test_eta_matches_eigvalsh(self, graph):
+        rtr = resistance_bundle(graph).rtr
+        gamma = np.linalg.eigvalsh(resistance_laplacian(graph))[::-1]
+        eta = resistance_laplacian_energy(graph).eta
+        u = np.finfo(float).eps / 2
+        assert np.abs(eta - (gamma - rtr.mean())).max() <= self.N * u * np.abs(gamma).max()
+
+    def test_failed_two_stage_call_solves_an_intact_matrix(self, monkeypatch):
+        def scribbling(layout, jobz, uplo, n, a, lda, w):
+            ctypes.memset(a, 0x7F, n * n * 8)
+            return -1
+
+        monkeypatch.setattr(resq.spectral, "_TWO_STAGE_N", 8)
+        monkeypatch.setattr(resq.spectral, "_dsyevd_2stage", lambda: scribbling)
+        g = random_connected_graph(40, 0.2, seed=6)
+        rl = resistance_laplacian(g)
+        expected = np.linalg.eigvalsh(rl)[::-1] - np.diag(rl).mean()
+        assert np.array_equal(resistance_laplacian_energy(g).eta, expected)
 
 
 class TestIdentitiesOnRandomGraphs:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,32 @@ class TestRandomGraphs:
     def test_always_connected_even_when_sparse(self):
         for seed in range(25):
             assert is_connected(random_connected_graph(12, 0.05, seed))
+
+    def test_same_graphs_as_drawing_from_a_list_of_all_pairs(self):
+        # The pairs are walked lazily; the graphs equal those of the earlier
+        # code, which drew one rng.random() per entry of a list of all pairs.
+        def from_pair_list(n, edge_prob, seed, max_resample=100):
+            rng = random.Random(seed)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = []
+            for _ in range(max_resample):
+                edges = [e for e in pairs if rng.random() < edge_prob]
+                g = Graph.from_edges(n, edges)
+                if is_connected(g):
+                    return g
+            order = list(range(n))
+            rng.shuffle(order)
+            tree = set()
+            for i in range(1, n):
+                a, b = order[i], order[rng.randrange(i)]
+                tree.add((min(a, b), max(a, b)))
+            return Graph.from_edges(n, set(edges) | tree)
+
+        for seed in range(20):
+            for n in range(1, 41):
+                # p = 0.1 with three draws also reaches the spanning-tree overlay
+                for args in ((0.5, seed), (0.1, seed, 3)):
+                    assert random_connected_graph(n, *args) == from_pair_list(n, *args), (n, args)
 
     def test_trees_have_n_minus_1_edges(self):
         for seed in range(30):

@@ -23,7 +23,6 @@ from resq.graph import (
 )
 from resq import resistance
 from resq.resistance import (
-    is_transmission_regular,
     laplacian_pseudoinverse,
     resistance_bundle,
     resistance_laplacian,
@@ -107,6 +106,36 @@ class TestPseudoinverse:
                 laplacian_pseudoinverse(lap)
             flagged += 1
         assert flagged >= 100
+
+
+class TestInPlaceCore:
+    """The pseudoinverse is formed in the memory of the Laplacian it inverts."""
+
+    def test_argument_left_bit_unchanged(self):
+        graphs = [random_connected_graph(n, 0.3, seed=n) for n in (7, 7, 7)]
+        for lap in (laplacian(random_connected_graph(300, 0.03, seed=1)), _laplacians(graphs, 7)):
+            before = lap.copy()
+            laplacian_pseudoinverse(lap)
+            assert np.array_equal(lap.view(np.int64), before.view(np.int64))
+
+    def test_block_below_the_diagonal_is_not_read(self):
+        # at each split B comes from above the diagonal; below it is workspace
+        a = laplacian(random_connected_graph(300, 0.03, seed=2))[:-1, :-1]
+        scribbled = a.copy()
+        scribbled[149:, :149] = np.nan
+        expected = a.copy()
+        resistance._grounded_inverse(expected)
+        resistance._grounded_inverse(scribbled)
+        assert np.array_equal(scribbled, expected)
+
+    @pytest.mark.parametrize("sizes", [(3, 4), (150, 60)])
+    def test_two_components_raise_without_the_bfs(self, sizes):
+        p, q = sizes
+        edges = [(i, i + 1) for i in range(p - 1)] + [(p + i, p + i + 1) for i in range(q - 1)]
+        lap = laplacian(Graph.from_edges(p + q, edges))
+        x = lap.copy()
+        with pytest.raises(Disconnected):
+            resistance._pseudoinverse_in_place(x, lambda y: lap @ y)
 
 
 def shifted_pseudoinverse(lap):
@@ -406,21 +435,21 @@ class TestDerivedLaplacians:
 
 
 class TestTransmissionRegularity:
+    """Transmission-regular graphs have one transmission k at every vertex."""
+
+    @staticmethod
+    def transmissions(spec):
+        return resistance_transmissions(resistance_matrix(generate(spec)))
+
     def test_cycle5(self):
-        rtr = resistance_transmissions(resistance_matrix(generate(FamilySpec.cycle(5))))
-        assert is_transmission_regular(rtr) == pytest.approx(4.0, abs=1e-9)
+        np.testing.assert_allclose(self.transmissions(FamilySpec.cycle(5)), 4.0, atol=1e-9)
 
     def test_k4(self):
-        rtr = resistance_transmissions(resistance_matrix(generate(FamilySpec.complete(4))))
-        assert is_transmission_regular(rtr) == pytest.approx(1.5, abs=1e-9)
+        np.testing.assert_allclose(self.transmissions(FamilySpec.complete(4)), 1.5, atol=1e-9)
 
     def test_path3_irregular(self):
-        rtr = resistance_transmissions(resistance_matrix(generate(FamilySpec.path(3))))
-        assert is_transmission_regular(rtr) is None
-
-    def test_tolerance(self):
-        assert is_transmission_regular(np.array([1.0, 1.0 + 5e-10])) is not None
-        assert is_transmission_regular(np.array([1.0, 1.1])) is None
+        # end vertices transmit more than the interior one
+        assert np.ptp(self.transmissions(FamilySpec.path(3))) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestOrderRelations:

@@ -8,7 +8,15 @@ from resq import closed_forms as cf
 from resq import spectral
 from resq.energy import resistance_laplacian_energy
 from resq.errors import InvalidPartition, NonRealSpectrum, NotSymmetric
-from resq.graph import FamilySpec, add_edge, generate, laplacian, non_edges, random_connected_graph
+from resq.graph import (
+    FamilySpec,
+    Graph,
+    add_edge,
+    generate,
+    laplacian,
+    non_edges,
+    random_connected_graph,
+)
 from resq.resistance import (
     resistance_bundle,
     resistance_laplacian,
@@ -21,7 +29,6 @@ from resq.spectral import (
     circulant_eigenvalues,
     eigenvalues_symmetric,
     quotient_matrix,
-    transmission_regular_shift,
 )
 
 
@@ -266,31 +273,33 @@ class TestCirculantEigenvalues:
 
 
 class TestTransmissionRegularShift:
+    """On a k-transmission-regular graph R^L = kI - R and R^Q = kI + R, so
+    their spectra are k - gamma and k + gamma over the spectrum of R."""
+
     def test_triangle_both_signs(self):
         # R(K_3) spectrum is {4/3, -2/3, -2/3}; k = 4/3
-        r_spec = Spectrum.from_values([4 / 3, -2 / 3, -2 / 3])
-        shifted_l = transmission_regular_shift(4 / 3, r_spec, "L")
-        np.testing.assert_allclose(shifted_l.values, [2.0, 2.0, 0.0], atol=1e-12)
-        shifted_q = transmission_regular_shift(4 / 3, r_spec, "Q")
-        np.testing.assert_allclose(shifted_q.values, [8 / 3, 2 / 3, 2 / 3], atol=1e-12)
+        g = generate(FamilySpec.complete(3))
+        np.testing.assert_allclose(
+            eigenvalues_symmetric(resistance_laplacian(g)).values, [2.0, 2.0, 0.0], atol=1e-12
+        )
+        np.testing.assert_allclose(
+            eigenvalues_symmetric(resistance_signless_laplacian(g)).values,
+            [8 / 3, 2 / 3, 2 / 3],
+            atol=1e-12,
+        )
 
     def test_degenerate_single_vertex(self):
-        s = transmission_regular_shift(0.0, Spectrum.from_values([0.0]), "L")
-        np.testing.assert_array_equal(s.values, [0.0])
-
-    def test_bad_sign(self):
-        with pytest.raises(ValueError):
-            transmission_regular_shift(1.0, Spectrum.from_values([0.0]), "X")
+        g = Graph.from_edges(1, [])
+        np.testing.assert_array_equal(eigenvalues_symmetric(resistance_laplacian(g)).values, [0.0])
 
     def test_matches_direct_eigensolve_on_cycles(self):
         for n in (3, 5, 8, 12):
             bundle = resistance_bundle(generate(FamilySpec.cycle(n)))
             k = bundle.rtr[0]
-            r_spec = eigenvalues_symmetric(bundle.r)
-            for sign, matrix in (("L", bundle.rl), ("Q", bundle.rq)):
-                shifted = transmission_regular_shift(k, r_spec, sign)
+            gamma = eigenvalues_symmetric(bundle.r).values
+            for shifted, matrix in ((k - gamma, bundle.rl), (k + gamma, bundle.rq)):
                 direct = eigenvalues_symmetric(matrix)
-                assert np.abs(shifted.values - direct.values).max() <= 1e-9
+                assert np.abs(np.sort(shifted)[::-1] - direct.values).max() <= 1e-9
 
 
 class TestStructuralSpectralProperties:
