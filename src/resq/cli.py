@@ -21,7 +21,7 @@ from .resistance import (
     resistance_matrix,
     resistance_signless_laplacian,
 )
-from .spectral import eigenvalues_symmetric
+from .spectral import Spectrum, _eigenvalues_in_place
 from .verify import DEFAULT_TOL, run_verify
 
 EXIT_OK = 0
@@ -72,9 +72,10 @@ def _compute_text(g, what: str, fmt: str) -> str:
         "rl": resistance_laplacian,
         "rq": resistance_signless_laplacian,
     }
-    matrix = builders[what.removeprefix("spectrum-")](g)
+    build = builders[what.removeprefix("spectrum-")]
+    matrix = build(g)
     if what.startswith("spectrum-"):
-        spectrum = eigenvalues_symmetric(matrix)
+        spectrum = Spectrum.from_values(_eigenvalues_in_place(matrix, lambda: build(g)))
         if fmt == "csv":
             return serialize.spectrum_to_csv(spectrum)
         return serialize.dumps(serialize.spectrum_to_json(spectrum))

@@ -24,13 +24,15 @@ put dense blocks into the elimination whose contributions cancel in the
 Schur complements and cost accuracy. At n = 1, L_g is empty and pinv(L) is
 [[0]].
 
-All of it runs in the memory of L (laplacian_pseudoinverse: of a copy): L_g
-is inverted in place, and the centring, the symmetrisation and R follow in
-that buffer, so the peak is one n x n array and n^2 / 4 entries of workspace.
+All of it runs in the memory of L (laplacian_pseudoinverse, for Laplacians
+from outside and for the stacks of resq verify: of a copy): L_g is inverted
+in place, and the centring, the symmetrisation and R follow in that buffer,
+so the peak is one n x n array and n^2 / 4 entries of workspace.
 
 The pseudoinverse is checked against the Penrose identity L X L = L applied
-to one fixed probe vector v, |L(X(Lv)) - Lv|, which costs three
-matrix-vector products (O(n^2)) instead of a second O(n^3) matrix product.
+to one fixed probe vector v, |L(X(Lv)) - Lv|, which costs O(n^2) instead of
+a second O(n^3) matrix product. The nonzero entries of L (at most n + 2m for
+m edges) are saved before L is overwritten, and the probe applies L from them.
 """
 
 from __future__ import annotations
@@ -113,17 +115,19 @@ def _grounded_inverse(a: np.ndarray) -> None:
     b[...] = bt.swapaxes(-1, -2)  # -W inv(S)
 
 
-def _pseudoinverse_in_place(x: np.ndarray, lap_product) -> np.ndarray:
+def _pseudoinverse_in_place(x: np.ndarray) -> np.ndarray:
     """Overwrite x, a connected graph Laplacian or a stack of them (k, n, n),
     with its Moore-Penrose pseudoinverse; returns x.
 
-    lap_product(y) returns L y for y of shape (..., n, 1): the Penrose probe
-    needs L once more after x has been overwritten. Raises Disconnected when
-    some L has nullity >= 2.
+    The Penrose probe needs L once more after x has been overwritten, so the
+    nonzero entries of x are saved first. Raises Disconnected when some L has
+    nullity >= 2.
     """
     n = x.shape[-1]
     scale = np.maximum(1.0, np.maximum(x.max(axis=(-2, -1)), -x.min(axis=(-2, -1))))
     lv = x @ np.sin(np.arange(1.0, n + 1.0))[:, None]
+    nonzero = np.flatnonzero(x != 0.0)  # flat index (k n + i) n + j of each L[k, i, j] != 0
+    entries = x.ravel()[nonzero]
     try:
         _grounded_inverse(x[..., :-1, :-1])
     except np.linalg.LinAlgError as exc:
@@ -139,7 +143,14 @@ def _pseudoinverse_in_place(x: np.ndarray, lap_product) -> np.ndarray:
     # vertices are labelled, and |v| <= 1 keeps the threshold relative to |L|.
     # The comparison is written so that a NaN residual, from a NaN or an inf
     # entry of x, fails it too.
-    residual = np.abs(lap_product(x @ lv) - lv).max(axis=(-2, -1))
+    at = nonzero // (n * n)  # L[k, i, j] multiplies y[k, j], at k n + j
+    at *= n
+    at += nonzero % n
+    terms = (x @ lv).ravel()[at]
+    terms *= entries
+    np.floor_divide(nonzero, n, out=at)  # (L y)[k, i] sums the terms of row k n + i
+    lxlv = np.bincount(at, terms, lv.size).reshape(lv.shape)
+    residual = np.abs(lxlv - lv).max(axis=(-2, -1))
     if not np.all(residual <= _PENROSE_RTOL * scale):
         raise Disconnected(f"laplacian has nullity >= 2 (Penrose residual {residual.max():.3e})")
     for i in range(0, n, _TILE):  # x = (x + x^T) / 2, one pair of tiles at a time
@@ -160,8 +171,7 @@ def laplacian_pseudoinverse(lap: np.ndarray) -> np.ndarray:
     as it is. Raises Disconnected when some L has nullity >= 2, which is
     detected through the Penrose residual on a probe vector.
     """
-    lap = np.asarray(lap, dtype=float)
-    return _pseudoinverse_in_place(lap.copy(), lambda y: lap @ y)
+    return _pseudoinverse_in_place(np.array(lap, dtype=float, order="C"))
 
 
 def _resistance(pinv: np.ndarray) -> np.ndarray:
@@ -183,17 +193,10 @@ def _bundle(r: np.ndarray) -> ResistanceBundle:
 
 def resistance_matrix(g: Graph) -> np.ndarray:
     """Pairwise resistance distances; symmetric with zero diagonal. Built in
-    the memory of L, so the Penrose probe applies L from the edge list."""
+    the memory of L."""
     if not is_connected(g):
         raise Disconnected("graph is disconnected; resistance undefined")
-    u, v = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T
-    ends, far = np.concatenate([u, v]), np.concatenate([v, u])
-    deg = np.bincount(ends, minlength=g.n)[:, None]
-    # L y = deg * y - A y, from the edges in O(n + m)
-    x = _pseudoinverse_in_place(
-        laplacian(g), lambda y: deg * y - np.bincount(ends, y[far, 0], g.n)[:, None]
-    )
-    return _resistance(x)
+    return _resistance(_pseudoinverse_in_place(laplacian(g)))
 
 
 def resistance_transmissions(r: np.ndarray) -> np.ndarray:

@@ -5,13 +5,14 @@ every stack of matrices, np.linalg.eigvalsh (divide and conquer, dsyevd)
 computes them. Above it, a single matrix goes to the two-stage solver
 dsyevd_2stage, values only, through the LAPACKE interface of the OpenBLAS
 that numpy already loads. It reduces to band form with matrix products before
-the tridiagonal step, and it overwrites the matrix it is given (the
-symmetrised copy eigenvalues_symmetric makes, or the energy report's own
-buffer), where eigvalsh would copy its input once more. If that library or
-symbol is missing (another numpy build) or the call reports an error,
-eigvalsh solves an intact copy of the matrix. Both solvers are backward
-stable, and on the same matrix their values agree to a few units of
-roundoff relative to |M|.
+the tridiagonal step, and it overwrites the matrix it is given, where
+eigvalsh would copy its input once more. If that library or symbol is
+missing (another numpy build) or the call reports an error, eigvalsh solves
+an intact copy of the matrix. Both solvers are backward stable, and on the
+same matrix their values agree to a few units of roundoff relative to |M|.
+Only eigenvalues_symmetric, for matrices from outside, checks symmetry and
+solves a symmetrised copy; the matrices resq builds are exactly symmetric
+and go straight to _eigenvalues_in_place.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ _SYMMETRY_RTOL = 1e-12
 _TWO_STAGE_N = 1000
 
 # LAPACKE takes the layout as its first argument. The matrix given to the
-# solver is exactly symmetric (a copy of m when m == m^T, (m + m^T) / 2
-# otherwise, as floating-point addition commutes, or the energy report's R^L),
-# so its C-contiguous array reads the same in column-major order; row-major
-# would make LAPACKE transpose it into a hidden n x n copy.
+# solver is exactly symmetric (as resq builds it, or the (m + m^T) / 2 of
+# eigenvalues_symmetric, as floating-point addition commutes), so its
+# C-contiguous array reads the same in column-major order; row-major would
+# make LAPACKE transpose it into a hidden n x n copy.
 _LAPACK_COL_MAJOR = 102
 
 
@@ -91,33 +92,20 @@ class Spectrum:
 def eigenvalues_symmetric(m: np.ndarray, tol: float = DEFAULT_GROUP_TOL) -> Spectrum:
     """All eigenvalues of a symmetric matrix, descending.
 
-    Rejects matrices whose asymmetry exceeds 1e-12 relative to the largest
-    entry, and matrices with a NaN or infinite entry. Backed by a LAPACK
-    symmetric solver, which is backward stable (see the module docstring).
+    Rejects matrices whose asymmetry exceeds _SYMMETRY_RTOL relative to
+    max(1, max |m|), and matrices with a NaN or infinite entry (whose
+    asymmetry is NaN). Solves a symmetrised copy, leaving m as it is, by a
+    backward stable LAPACK solver (see the module docstring).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
-    return Spectrum.from_values(_descending_eigenvalues(m), tol=tol)
-
-
-def _descending_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, or of each matrix in a stack of
-    shape (k, n, n), descending along the last axis; no grouping.
-
-    Raises NotSymmetric when the asymmetry exceeds _SYMMETRY_RTOL relative to
-    max(1, max |m|), and when m holds a NaN or an infinity: both make the
-    measured asymmetry NaN, which fails the comparison.
-    """
-    m = np.asarray(m, dtype=float)
-    mt = m.swapaxes(-1, -2)
-    # max |m| without an n x n temporary
-    scale = np.maximum(1.0, np.maximum(m.max(axis=(-2, -1)), -m.min(axis=(-2, -1))))
+    scale = np.maximum(1.0, np.maximum(m.max(), -m.min()))  # max |m| without a temporary
     sym = np.empty(m.shape)  # C-contiguous, as the two-stage call requires
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is caught below
-        np.subtract(m, mt, out=sym)
+        np.subtract(m, m.T, out=sym)
     np.abs(sym, out=sym)
-    asym = np.max(sym.max(axis=(-2, -1)) / scale)
+    asym = sym.max() / scale
     if not asym <= _SYMMETRY_RTOL:
         if np.isnan(asym):
             raise NotSymmetric("matrix has a NaN or infinite entry")
@@ -125,15 +113,18 @@ def _descending_eigenvalues(m: np.ndarray) -> np.ndarray:
     if asym == 0.0:  # m == m^T, so (m + m^T) / 2 is m (up to the sign of a zero)
         np.copyto(sym, m)
     else:
-        np.add(m, mt, out=sym)
+        np.add(m, m.T, out=sym)
         sym /= 2.0
-    return _eigenvalues_in_place(sym, lambda: (m + mt) / 2.0)
+    return Spectrum.from_values(_eigenvalues_in_place(sym, lambda: (m + m.T) / 2.0), tol=tol)
 
 
 def _eigenvalues_in_place(sym: np.ndarray, intact) -> np.ndarray:
     """Eigenvalues of sym, a C-contiguous and exactly symmetric matrix or a
-    stack of them, descending along the last axis; no checks. The two-stage
-    solver overwrites sym; if it fails, eigvalsh solves intact() instead.
+    stack of them, descending along the last axis; no checks. A single
+    matrix above _TWO_STAGE_N goes to the two-stage solver, which overwrites
+    it; if that call fails, eigvalsh solves intact() instead. A stack, or a
+    matrix of order <= _TWO_STAGE_N, goes to eigvalsh and is left unchanged;
+    intact is then not called, and for a stack it may be None.
     """
     n = sym.shape[-1]
     solver = _dsyevd_2stage() if sym.ndim == 2 and n > _TWO_STAGE_N else None

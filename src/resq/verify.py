@@ -63,13 +63,14 @@ class VerifyOutcome:
 
 def _check(name, tol, measured) -> VerifyOutcome:
     """Time measured(), an iterable of (value, instance) pairs, and judge its
-    worst value against tol. The instance is the graph examined, the
-    FamilySpec it was built from, or None. A failure serializes the worst
-    graph and names a family instance; no pair at all is a skip."""
+    worst value against tol; the first NaN counts as worst, so it fails. The
+    instance is the graph examined, the FamilySpec it was built from, or
+    None. A failure serializes the worst graph and names a family instance;
+    no pair at all is a skip."""
     start = time.perf_counter()
     worst, worst_instance = -math.inf, None
     for value, instance in measured():
-        if value > worst:
+        if not (math.isnan(worst) or value <= worst):
             worst, worst_instance = value, instance
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     if worst == -math.inf:
@@ -127,8 +128,8 @@ def _family_measures(jobs) -> dict[FamilySpec, list]:
         group = [wanted[i] for i in idx]
         lap = graph_mod._laplacians([graph_mod.generate(spec) for spec in group], n)
         b = resistance._stacked_bundle(lap)
-        rl_values = spectral._descending_eigenvalues(b.rl)
-        rq_values = spectral._descending_eigenvalues(b.rq)
+        rl_values = spectral._eigenvalues_in_place(b.rl, None)
+        rq_values = spectral._eigenvalues_in_place(b.rq, None)
         le_r = np.abs(rl_values - b.rtr.mean(axis=-1)[:, None]).sum(axis=-1)
         fams = (_Family(spec, lap[k], b.r[k], b.rl[k], b.rq[k], rl_values[k], rq_values[k],
                         float(le_r[k])) for k, spec in enumerate(group))
@@ -288,7 +289,7 @@ def _corpus_measures(graphs: list[Graph], n: int) -> np.ndarray:
     lap = graph_mod._laplacians(graphs, n)
     b = resistance._stacked_bundle(lap)
     r, rtr = b.r, b.rtr
-    values = spectral._descending_eigenvalues(b.rl)
+    values = spectral._eigenvalues_in_place(b.rl, None)
     norm = np.maximum(np.abs(values).max(axis=-1), 1e-300)
     # shortest[g, i, j] = min over m of r[g, i, m] + r[g, m, j], one m at a
     # time, so that memory stays at one stack and not n of them
@@ -330,7 +331,7 @@ def _edge_addition_errors(pair_count, max_n, seed):
         k = len(idx)
         pairs = [smaller[i] for i in idx] + [bigger[i] for i in idx]
         b = resistance._stacked_bundle(graph_mod._laplacians(pairs, n))
-        values = spectral._descending_eigenvalues(b.rl)
+        values = spectral._eigenvalues_in_place(b.rl, None)
         return np.maximum(
             (b.r[k:] - b.r[:k]).max(axis=(-2, -1)), (values[k:] - values[:k]).max(axis=-1)
         ).tolist()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resq.errors import Disconnected
-from resq.spectral import _descending_eigenvalues, eigenvalues_symmetric
+from resq.spectral import _eigenvalues_in_place, eigenvalues_symmetric
 from resq.verify import _by_order, _random_graphs
 from resq.graph import (
     FamilySpec,
@@ -133,9 +133,8 @@ class TestInPlaceCore:
         p, q = sizes
         edges = [(i, i + 1) for i in range(p - 1)] + [(p + i, p + i + 1) for i in range(q - 1)]
         lap = laplacian(Graph.from_edges(p + q, edges))
-        x = lap.copy()
         with pytest.raises(Disconnected):
-            resistance._pseudoinverse_in_place(x, lambda y: lap @ y)
+            resistance._pseudoinverse_in_place(lap)
 
 
 def shifted_pseudoinverse(lap):
@@ -325,7 +324,7 @@ class TestStackedBundles:
         assert len(orders) == 15
         for n, group in orders.items():
             stacked = resistance._stacked_bundle(_laplacians(group, n))
-            stacked_values = _descending_eigenvalues(stacked.rl)
+            stacked_values = _eigenvalues_in_place(stacked.rl, None)
             for k, g in enumerate(group):
                 ref = resistance_bundle(g)
                 for field in ("r", "rtr", "rl"):
@@ -359,6 +358,43 @@ class TestStackedBundles:
         graphs = [random_connected_graph(bad.n, 0.6, seed=s) for s in range(5)]
         with pytest.raises(Disconnected):
             resistance._stacked_bundle(_laplacians(graphs[:2] + [bad] + graphs[2:], bad.n))
+
+    def test_core_overwrites_the_stack_and_the_bundle_does_not(self):
+        # resq verify reads its Laplacians after the bundle, so only the
+        # in-place core may overwrite a stack
+        graphs = [random_connected_graph(9, 0.4, seed=s) for s in range(4)]
+        laps = _laplacians(graphs, 9)
+        before = laps.copy()
+        b = resistance._stacked_bundle(laps)
+        assert np.array_equal(laps, before)
+        assert resistance._pseudoinverse_in_place(laps) is laps
+        assert np.array_equal(resistance._resistance(laps), b.r)
+
+    def test_disconnected_member_caught_by_the_probe(self):
+        # The stacked inv() returns without raising for some of these stacks;
+        # the probe, applying each L from its saved entries, must flag them.
+        rng = np.random.default_rng(11)
+        flagged = 0
+        for _ in range(200):
+            sizes = rng.integers(1, 8, size=int(rng.integers(2, 4))).tolist()
+            edges, offset = [], 0
+            for size in sizes:
+                if size > 1:
+                    part = random_connected_graph(size, 0.6, int(rng.integers(2**31)))
+                    edges += [(u + offset, v + offset) for u, v in part.edges]
+                offset += size
+            perm = rng.permutation(offset).tolist()
+            bad = Graph.from_edges(offset, [(perm[u], perm[v]) for u, v in edges])
+            good = [random_connected_graph(offset, 0.5, seed=s) for s in range(3)]
+            laps = _laplacians([good[0], good[1], bad, good[2]], offset)
+            try:
+                np.linalg.inv(laps[:, :-1, :-1])
+            except np.linalg.LinAlgError:
+                continue
+            with pytest.raises(Disconnected, match="Penrose residual"):
+                resistance._stacked_bundle(laps)
+            flagged += 1
+        assert flagged >= 20
 
     def test_shuffled_disjoint_unions_raise_in_a_stack(self):
         rng = np.random.default_rng(7)

@@ -6,12 +6,14 @@ import pytest
 
 from resq import closed_forms as cf
 from resq import spectral
+from resq.cli import main
 from resq.energy import resistance_laplacian_energy
 from resq.errors import InvalidPartition, NonRealSpectrum, NotSymmetric
 from resq.graph import (
     FamilySpec,
     Graph,
     add_edge,
+    format_edge_list,
     generate,
     laplacian,
     non_edges,
@@ -127,9 +129,36 @@ class TestSolverPaths:
         at = _random_symmetric(ABOVE - 1, 4)
         assert np.array_equal(eigenvalues_symmetric(at).values, np.linalg.eigvalsh(at)[::-1])
         stack = np.stack([_random_symmetric(ABOVE, 5)] * 2)
-        values = spectral._descending_eigenvalues(stack)
+        values = spectral._eigenvalues_in_place(stack, None)
         assert np.array_equal(values, np.linalg.eigvalsh(stack)[..., ::-1])
         assert two_stage_calls == []
+
+    def test_in_place_solver_leaves_stacks_and_small_matrices_unchanged(self, two_stage_calls):
+        # resq verify reads its R^L stacks after solving them
+        for m in (np.stack([_random_symmetric(ABOVE, 7)] * 2), _random_symmetric(ABOVE - 1, 8)):
+            before = m.copy()
+            values = spectral._eigenvalues_in_place(m, lambda: pytest.fail("intact called"))
+            assert np.array_equal(m.view(np.int64), before.view(np.int64))
+            assert np.array_equal(values, np.linalg.eigvalsh(before)[..., ::-1])
+        assert two_stage_calls == []
+
+    @pytest.mark.parametrize("what", ["spectrum-rl", "spectrum-rq"])
+    def test_cli_spectrum_after_a_failed_call_equals_eigvalsh(
+        self, monkeypatch, capsys, tmp_path, what
+    ):
+        # the CLI solves R^L (R^Q) in its own buffer, so the fallback rebuilds it
+        def failing(layout, jobz, uplo, n, a, lda, w):
+            ctypes.memset(a, 0xFF, n * n * 8)
+            return 1
+
+        path = tmp_path / "g.txt"
+        path.write_text(format_edge_list(random_connected_graph(ABOVE, 10 / ABOVE, seed=9)))
+        printed = []
+        for solver in (None, failing):
+            monkeypatch.setattr(spectral, "_dsyevd_2stage", lambda: solver)
+            assert main(["compute", str(path), "--what", what]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
     def test_failed_call_falls_back_to_eigvalsh(self, monkeypatch):
         def failing(layout, jobz, uplo, n, a, lda, w):

@@ -24,6 +24,7 @@ from resq.verify import (
     _CORPUS_CHECKS,
     VerifyOutcome,
     _by_order,
+    _check,
     _closed_matrix_error,
     _closed_spectrum_error,
     _complete_energy_error,
@@ -284,3 +285,25 @@ class TestFailurePath:
         assert worst.failing_graph is not None
         g = parse_edge_list(worst.failing_graph)
         assert g.n >= 2
+
+
+class TestCheckRunner:
+    @staticmethod
+    def graphs():
+        return generate(FamilySpec.path(3)), generate(FamilySpec.cycle(4))
+
+    @pytest.mark.parametrize("values", [(0.0, math.nan), (math.nan,), (math.nan, 5.0)])
+    def test_nan_counts_as_worst(self, values):
+        # NaN compares false with everything, so a plain maximum would skip it
+        clean, bad = self.graphs()
+        pairs = [(v, bad if math.isnan(v) else clean) for v in values]
+        outcome = _check("probe", 1e-9, lambda: iter(pairs))
+        assert outcome.status == "fail"
+        assert math.isnan(outcome.measured)
+        assert outcome.failing_graph == format_edge_list(bad)
+
+    def test_first_of_equal_worst_values_is_named(self):
+        first, second = self.graphs()
+        outcome = _check("probe", 1.0, lambda: iter([(0.5, first), (2.0, first), (2.0, second)]))
+        assert (outcome.status, outcome.measured) == ("fail", 2.0)
+        assert outcome.failing_graph == format_edge_list(first)
