@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 from . import serialize
 from .energy import resistance_laplacian_energy
@@ -60,13 +61,17 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _compute_text(g, what: str, fmt: str) -> str:
+def _compute_chunks(g, what: str, fmt: str):
+    """The output of resq compute in pieces, its final newline included: a
+    matrix comes a row block at a time (serialize.matrix_chunks)."""
     if what == "energy":
         report = resistance_laplacian_energy(g)
         tag = serialize.graph_hash(g)
         if fmt == "csv":
-            return serialize.energy_report_to_csv(report, tag)
-        return serialize.dumps(serialize.energy_report_to_json(report, tag))
+            yield serialize.energy_report_to_csv(report, tag) + "\n"
+        else:
+            yield serialize.dumps(serialize.energy_report_to_json(report, tag)) + "\n"
+        return
     builders = {
         "resistance": resistance_matrix,
         "rl": resistance_laplacian,
@@ -77,11 +82,11 @@ def _compute_text(g, what: str, fmt: str) -> str:
     if what.startswith("spectrum-"):
         spectrum = Spectrum.from_values(_eigenvalues_in_place(matrix, lambda: build(g)))
         if fmt == "csv":
-            return serialize.spectrum_to_csv(spectrum)
-        return serialize.dumps(serialize.spectrum_to_json(spectrum))
-    if fmt == "csv":
-        return serialize.matrix_to_csv(matrix)
-    return serialize.dumps(serialize.matrix_to_json(matrix, what))
+            yield serialize.spectrum_to_csv(spectrum) + "\n"
+        else:
+            yield serialize.dumps(serialize.spectrum_to_json(spectrum)) + "\n"
+    else:
+        yield from serialize.matrix_chunks(matrix, what, fmt)
 
 
 def cmd_compute(args) -> int:
@@ -91,15 +96,13 @@ def cmd_compute(args) -> int:
     except UnicodeDecodeError as err:
         raise GraphInputError(f"{args.graph}: not UTF-8 text (byte {err.start})") from err
     g = parse_edge_list(source)
-    text = _compute_text(g, args.what, args.format)
-    # Two writes, not text + "\n": a matrix's text runs to tens of megabytes.
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-            fh.write("\n")
-    else:
-        sys.stdout.write(text)
-        sys.stdout.write("\n")
+    chunks = _compute_chunks(g, args.what, args.format)
+    # Every input and domain error comes before the first piece, so --out is
+    # opened (and an existing file replaced) only for an output to write.
+    first = next(chunks)
+    with open(args.out, "w", encoding="ascii") if args.out else nullcontext(sys.stdout) as out:
+        out.write(first)
+        out.writelines(chunks)
     return EXIT_OK
 
 

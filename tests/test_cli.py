@@ -16,7 +16,8 @@ from resq.resistance import (
     resistance_matrix,
     resistance_signless_laplacian,
 )
-from resq.serialize import format_float
+from resq import serialize
+from resq.serialize import dumps, format_float, matrix_to_json
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -92,6 +93,32 @@ class TestCompute:
         assert out.read_text(encoding="ascii").split("\n") == expected
         assert main(["compute", path, "--what", what, "--format", "csv"]) == 0
         assert capsys.readouterr().out.split("\n") == expected
+
+    @pytest.mark.parametrize("what", ["resistance", "rl", "rq"])
+    def test_matrix_json_streamed_over_row_blocks_matches_reference(self, what, tmp_path, capsys):
+        g = random_connected_graph(300, 10 / 300, seed=4)
+        path = write_graph(tmp_path, "g300.el", format_edge_list(g))
+        matrix = {
+            "resistance": resistance_matrix,
+            "rl": resistance_laplacian,
+            "rq": resistance_signless_laplacian,
+        }[what](g)
+        assert len(list(serialize._row_blocks(matrix))) == 3
+        expected = dumps({"n": 300, "kind": what, "data": [float(x) for x in matrix.ravel()]}) + "\n"
+        assert expected == dumps(matrix_to_json(matrix, what)) + "\n"
+        out = tmp_path / f"{what}.json"
+        assert main(["compute", path, "--what", what, "--format", "json", "--out", str(out)]) == 0
+        # Compared item by item: pytest's diff of two megabyte strings takes minutes.
+        assert out.read_text(encoding="ascii").split(",") == expected.split(",")
+        assert main(["compute", path, "--what", what, "--format", "json"]) == 0
+        assert capsys.readouterr().out.split(",") == expected.split(",")
+
+    def test_error_leaves_existing_out_file(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "disc.el", "4\n0 1\n2 3\n")
+        out = tmp_path / "keep.csv"
+        out.write_text("old")
+        assert main(["compute", path, "--what", "rl", "--out", str(out)]) == 3
+        assert out.read_text() == "old"
 
     def test_energy_json_k4(self, tmp_path, capsys):
         path = write_graph(tmp_path, "k4.el", "4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
@@ -255,3 +282,21 @@ class TestSubprocessEntryPoint:
             cwd=str(REPO_ROOT),
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reader_closing_early_prints_no_traceback(self, tmp_path, fmt):
+        g = random_connected_graph(300, 10 / 300, seed=4)
+        path = write_graph(tmp_path, "g300.el", format_edge_list(g))
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "resq", "compute", path, "--what", "rl", "--format", fmt],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert len(proc.stdout.read(1000)) == 1000  # the output is megabytes long
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert err == "error: [Errno 32] Broken pipe\n"

@@ -1,8 +1,12 @@
 import json
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from resq import serialize
 from resq.energy import resistance_laplacian_energy
 from resq.graph import FamilySpec, generate, random_connected_graph
 from resq.resistance import resistance_laplacian
@@ -89,6 +93,77 @@ def test_matrix_csv_symmetric_rl_300():
     assert np.array_equal(rl, rl.T)
     # Compared line by line: pytest's diff of two megabyte strings takes minutes.
     assert matrix_to_csv(rl).split("\n") == csv_reference(rl).split("\n")
+
+
+def halfway_values(count, seed):
+    """Doubles I + j / 2**k whose exact decimal has 18 significant digits and
+    ends in 5: the 17th digit is a tie, which %.17g rounds half to even."""
+    rng = np.random.default_rng(seed)
+    values = []
+    while len(values) < count:
+        k = int(rng.integers(1, 19))
+        whole = int(rng.integers(10 ** (17 - k), 10 ** (18 - k))) if k < 18 else 0
+        x = whole + (2 * int(rng.integers(0, 2 ** (k - 1))) + 1) / 2**k
+        digits = Decimal(x).normalize().as_tuple().digits
+        if len(digits) == 18 and digits[-1] == 5:
+            values.append(x)
+    return values
+
+
+def kernel_edges():
+    """Powers of ten one ulp either side for 10**-8 to 10**17, and the ends
+    of the kernel's range 1e-5 <= |x| < 1e15."""
+    values = [10000000.0009765625]
+    for x in [10.0**k for k in range(-8, 18)] + [1e-5, 1e15]:
+        values += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+    return values + [-x for x in values]
+
+
+@pytest.mark.parametrize("values", [halfway_values(400, 0), kernel_edges()],
+                         ids=["halfway", "powers-of-ten"])
+def test_matrix_csv_exact_on_ties_and_range_edges(values):
+    m = np.array(values).reshape(1, -1)
+    assert matrix_to_csv(m) == csv_reference(m)
+    assert matrix_to_csv(m.T) == csv_reference(m.T)
+
+
+def test_halfway_values_round_half_to_even():
+    values = halfway_values(50, 1)
+    text = matrix_to_csv(np.array([values]))
+    ties = Context(prec=17, rounding=ROUND_HALF_EVEN)
+    assert [Decimal(t) for t in text.split(",")] == [ties.plus(Decimal(x)) for x in values]
+    assert matrix_to_csv(np.array([[10000000.0009765625]])) == "10000000.000976562"
+
+
+@st.composite
+def float_matrices(draw):
+    """Matrices of any doubles (NaN, infinities, signed zeros, subnormals)
+    mixed with doubles of the kernel's range, in 1 to 6 columns."""
+    values = draw(st.lists(st.floats() | st.floats(1e-5, 1e15, exclude_max=True)
+                           | st.floats(-1e15, -1e-5, exclude_min=True), min_size=1, max_size=60))
+    cols = draw(st.integers(1, min(6, len(values))))
+    return np.array(values[: len(values) // cols * cols]).reshape(-1, cols)
+
+
+@given(float_matrices())
+@settings(max_examples=300, deadline=None)
+def test_matrix_csv_matches_per_element_format_on_any_doubles(m):
+    assert matrix_to_csv(m) == csv_reference(m)
+
+
+@pytest.mark.parametrize("n", [1, 7, 23])
+def test_matrix_text_over_row_blocks_with_mixed_exponents(n, monkeypatch):
+    # Blocks of 5 rows for n = 23 (the last of 3 rows), 1 row for n = 7.
+    monkeypatch.setattr(serialize, "_BLOCK", 5 * n if n > 7 else 1)
+    rng = np.random.default_rng(n)
+    m = rng.choice([-1.0, 1.0], (n, n)) * 10.0 ** rng.uniform(-6, 16, (n, n))
+    m[rng.random((n, n)) < 0.1] = 0.0
+    m[::3] = np.round(m[::3])
+    assert matrix_to_csv(m).split("\n") == csv_reference(m).split("\n")
+    blocks = list(serialize._row_blocks(m))
+    assert [len(b) for b in blocks] == ([5] * 4 + [3] if n == 23 else [1] * n)
+    assert "".join(serialize.matrix_chunks(m, "rq", "csv")) == csv_reference(m) + "\n"
+    assert "".join(serialize.matrix_chunks(m, "rq", "json")) == dumps(matrix_to_json(m, "rq")) + "\n"
 
 
 def test_matrix_json_schema_and_roundtrip():
