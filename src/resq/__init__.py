@@ -21,7 +21,6 @@ from .errors import (
     InvalidPartition,
     MalformedLine,
     NegativeRadicand,
-    NonRealSpectrum,
     NotSymmetric,
     ResqError,
     SelfLoop,
@@ -51,7 +50,6 @@ from .resistance import (
 from .spectral import (
     Partition,
     Spectrum,
-    circulant_eigenvalues,
     eigenvalues_symmetric,
     quotient_matrix,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "InvalidPartition",
     "MalformedLine",
     "NegativeRadicand",
-    "NonRealSpectrum",
     "NotSymmetric",
     "Partition",
     "ResistanceBundle",
@@ -82,7 +79,6 @@ __all__ = [
     "VertexOutOfRange",
     "VerifyOutcome",
     "check_bounds",
-    "circulant_eigenvalues",
     "classical_distance_matrix",
     "closed_form",
     "eigenvalues_symmetric",

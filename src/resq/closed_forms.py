@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidFamilyParams
 from .graph import FamilySpec
-from .spectral import Spectrum, circulant_eigenvalues
+from .spectral import Spectrum
 
 
 @dataclass(frozen=True)
@@ -29,66 +29,57 @@ class ClosedForm:
     rq_spectrum: Spectrum
 
 
-def _require_positive(**params: int) -> None:
-    for name, value in params.items():
-        if not isinstance(value, int) or value < 1:
-            raise InvalidFamilyParams(f"{name} must be a positive integer, got {value!r}")
-
-
 def complete_rl(n: int) -> np.ndarray:
     """R^L(K_n) = 2I - (2/n)J."""
-    _require_positive(n=n)
+    FamilySpec.complete(n).validate()
     return 2.0 * np.eye(n) - (2.0 / n) * np.ones((n, n))
 
 
 def complete_rq(n: int) -> np.ndarray:
     """R^Q(K_n) = (2/n)J + (2 - 4/n)I."""
-    _require_positive(n=n)
+    FamilySpec.complete(n).validate()
     return (2.0 / n) * np.ones((n, n)) + (2.0 - 4.0 / n) * np.eye(n)
 
 
 def complete_rl_spectrum(n: int) -> Spectrum:
     """Eigenvalues 2 with multiplicity n-1, and 0."""
-    _require_positive(n=n)
-    if n == 1:
-        return Spectrum.from_values([0.0])
+    FamilySpec.complete(n).validate()
     return Spectrum.from_values([2.0] * (n - 1) + [0.0])
 
 
 def complete_rq_spectrum(n: int) -> Spectrum:
     """Eigenvalues 4 - 4/n once and 2 - 4/n with multiplicity n-1."""
-    _require_positive(n=n)
-    if n == 1:
-        return Spectrum.from_values([0.0])
+    FamilySpec.complete(n).validate()
     return Spectrum.from_values([4.0 - 4.0 / n] + [2.0 - 4.0 / n] * (n - 1))
 
 
 def _bipartite_blocks(p: int, q: int, sign: float) -> np.ndarray:
-    """Assemble Diag(RTr) + sign * R for K_{p,q} from its block structure.
+    """Fill Diag(RTr) + sign * R for K_{p,q} block by block into one matrix.
 
     Within the size-p part the resistance is 2/q, within the size-q part
-    2/p, and across parts (p+q-1)/(pq); transmissions follow by summation.
+    2/p, and across parts (p+q-1)/(pq); the diagonal is the transmission.
     """
-    cross = (p + q - 1.0) / (p * q)
-    rtr_p = 2.0 * (p - 1) / q + (p + q - 1.0) / p
-    rtr_q = 2.0 * (q - 1) / p + (p + q - 1.0) / q
-    top = (rtr_p - sign * 2.0 / q) * np.eye(p) + sign * (2.0 / q) * np.ones((p, p))
-    bottom = (rtr_q - sign * 2.0 / p) * np.eye(q) + sign * (2.0 / p) * np.ones((q, q))
-    off = sign * cross * np.ones((p, q))
-    return np.block([[top, off], [off.T, bottom]])
+    m = np.empty((p + q, p + q))
+    m[:p, :p] = sign * 2.0 / q
+    m[p:, p:] = sign * 2.0 / p
+    m[:p, p:] = m[p:, :p] = sign * (p + q - 1.0) / (p * q)
+    diagonal = m.reshape(-1)[:: p + q + 1]
+    diagonal[:p] = 2.0 * (p - 1) / q + (p + q - 1.0) / p
+    diagonal[p:] = 2.0 * (q - 1) / p + (p + q - 1.0) / q
+    return m
 
 
 def bipartite_rl(p: int, q: int) -> np.ndarray:
     """R^L(K_{p,q}) in block form: [2p/q + (p+q-1)/p]I - (2/q)J on the first
     part, the mirrored expression on the second, and -(p+q-1)/(pq) across."""
-    _require_positive(p=p, q=q)
+    FamilySpec.bipartite(p, q).validate()
     return _bipartite_blocks(p, q, sign=-1.0)
 
 
 def bipartite_rq(p: int, q: int) -> np.ndarray:
     """R^Q(K_{p,q}) in block form: [2(p-2)/q + (p+q-1)/p]I + (2/q)J on the
     first part, mirrored on the second, and +(p+q-1)/(pq) across."""
-    _require_positive(p=p, q=q)
+    FamilySpec.bipartite(p, q).validate()
     return _bipartite_blocks(p, q, sign=1.0)
 
 
@@ -98,7 +89,7 @@ def bipartite_rl_spectrum(p: int, q: int) -> Spectrum:
     0 and ((p+q)^2 - p - q)/(pq) once each, 2p/q + (p+q-1)/p with
     multiplicity p-1, and 2q/p + (p+q-1)/q with multiplicity q-1.
     """
-    _require_positive(p=p, q=q)
+    FamilySpec.bipartite(p, q).validate()
     s = p + q
     values = [0.0, (s * s - s) / (p * q)]
     values += [2.0 * p / q + (s - 1.0) / p] * (p - 1)
@@ -113,7 +104,7 @@ def bipartite_rq_quotient(p: int, q: int) -> np.ndarray:
     2(2q-2)/p + (p+q-1)/q; the off-diagonal row sums are (p+q-1)/p and
     (p+q-1)/q.
     """
-    _require_positive(p=p, q=q)
+    FamilySpec.bipartite(p, q).validate()
     s = p + q - 1.0
     return np.array(
         [
@@ -145,7 +136,7 @@ def bipartite_rq_spectrum(p: int, q: int) -> Spectrum:
     multiplicity q-1, and the two eigenvalues of the row-sum quotient of
     the block matrix.
     """
-    _require_positive(p=p, q=q)
+    FamilySpec.bipartite(p, q).validate()
     s = p + q - 1.0
     hi, lo = bipartite_rq_quotient_eigenvalues(p, q)
     values = [hi, lo]
@@ -165,7 +156,7 @@ def bipartite_rq_pm_formula(p: int, q: int) -> tuple[float, float]:
     is kept only so reports can show the discrepancy. Returns NaNs when
     the radicand is negative.
     """
-    _require_positive(p=p, q=q)
+    FamilySpec.bipartite(p, q).validate()
     radicand = 9.0 * p * p - 14.0 * p * q + 9.0 * q * q * (p + q - 1)
     if radicand < 0.0:
         return (math.nan, math.nan)
@@ -176,9 +167,7 @@ def bipartite_rq_pm_formula(p: int, q: int) -> tuple[float, float]:
 
 def cycle_resistance_row(n: int) -> np.ndarray:
     """First row of R(C_n): entry k is k(n-k)/n (two parallel arc paths)."""
-    _require_positive(n=n)
-    if n < 3:
-        raise InvalidFamilyParams(f"cycle needs n >= 3, got {n}")
+    FamilySpec.cycle(n).validate()
     k = np.arange(n, dtype=float)
     return k * (n - k) / n
 
@@ -204,15 +193,18 @@ def cycle_rq(n: int) -> np.ndarray:
 
 
 def cycle_spectra(n: int) -> tuple[Spectrum, Spectrum]:
-    """(R^L, R^Q) spectra of C_n via roots of unity.
+    """(R^L, R^Q) spectra of C_n, with h = (n^2-1)/6 the common transmission.
 
-    With g the first-row polynomial of R(C_n) and h = (n^2-1)/6 the common
-    transmission, the eigenvalues are h - g(w^k) and h + g(w^k). Since
-    g(1) = h, the R^L spectrum contains 0 exactly once.
+    R(C_n) = 2cJ - 2L^+, c the constant diagonal of L^+, shares its eigenvectors
+    with L(C_n), whose eigenvalues are 4 sin^2(pi j/n). So R^L has 0 and R^Q has
+    2h, and for j = 1..n-1 they have h + 1/(2 sin^2(pi j/n)) and h - 1/(2 sin^2(pi j/n)),
+    the sine taken at min(j, n-j) so that its argument is at most pi/2.
     """
-    g = circulant_eigenvalues(cycle_resistance_row(n)).values
-    h = (n * n - 1.0) / 6.0
-    return Spectrum.from_values(h - g), Spectrum.from_values(h + g)
+    FamilySpec.cycle(n).validate()
+    h, j = (n * n - 1.0) / 6.0, np.arange(1, n)
+    g = 0.5 / np.sin(np.pi * np.minimum(j, n - j) / n) ** 2
+    rl, rq = np.append(h + g, 0.0), np.append(h - g, 2.0 * h)
+    return Spectrum.from_values(rl), Spectrum.from_values(rq)
 
 
 def closed_form(family: FamilySpec) -> ClosedForm:
@@ -235,6 +227,5 @@ def closed_form(family: FamilySpec) -> ClosedForm:
         )
     if family.kind == "cycle":
         (n,) = family.params
-        rl_spec, rq_spec = cycle_spectra(n)
-        return ClosedForm(family, cycle_rl(n), cycle_rq(n), rl_spec, rq_spec)
+        return ClosedForm(family, cycle_rl(n), cycle_rq(n), *cycle_spectra(n))
     raise InvalidFamilyParams(f"no closed form for family {family.kind!r}")

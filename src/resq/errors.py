@@ -41,9 +41,5 @@ class InvalidPartition(ResqError):
     """Blocks do not form a partition of the vertex index set."""
 
 
-class NonRealSpectrum(ResqError):
-    """Circulant eigenvalues carry imaginary residue above tolerance."""
-
-
 class NegativeRadicand(ResqError):
     """A bound radicand is negative beyond the rounding floor."""

@@ -40,8 +40,8 @@ MAX_ORDER = 20_000
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Edges are stored as (u, v) pairs with u < v. Build instances through
-    :meth:`from_edges`, which validates and normalizes the edge set.
+    Edges are stored as (u, v) pairs with u < v. Edges from outside go
+    through :meth:`from_edges`, which validates and normalizes them.
     """
 
     n: int
@@ -54,8 +54,7 @@ class Graph:
         Raises SelfLoop, VertexOutOfRange or DuplicateEdge when the input
         violates the simple-graph invariants.
         """
-        if n < 1:
-            raise VertexOutOfRange(f"vertex count must be >= 1, got {n}")
+        _require_vertices(n)
         normalized: set[Edge] = set()
         for u, v in edges:
             if u == v:
@@ -190,6 +189,11 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n=n, edges=frozenset(seen))
 
 
+def _require_vertices(n: int) -> None:
+    if n < 1:
+        raise VertexOutOfRange(f"vertex count must be >= 1, got {n}")
+
+
 def format_edge_list(g: Graph) -> str:
     """Render a Graph in the edge-list text format accepted by parse_edge_list."""
     lines = [str(g.n)]
@@ -200,24 +204,22 @@ def format_edge_list(g: Graph) -> str:
 def generate(spec: FamilySpec) -> Graph:
     """Build the graph described by a FamilySpec.
 
-    Bipartite parts are {0..p-1} and {p..p+q-1}; cycles use edges
-    {i, (i+1) mod n}; paths use {i, i+1}.
+    Bipartite parts are {0..p-1} and {p..p+q-1}; paths use edges {i, i+1},
+    and cycles add {0, n-1}.
     """
     spec.validate()
     if spec.kind == "complete":
         (n,) = spec.params
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        return Graph.from_edges(n, edges)
-    if spec.kind == "bipartite":
+    elif spec.kind == "bipartite":
         p, q = spec.params
-        edges = [(u, p + v) for u in range(p) for v in range(q)]
-        return Graph.from_edges(p + q, edges)
-    if spec.kind == "cycle":
+        n, edges = p + q, [(u, p + v) for u in range(p) for v in range(q)]
+    else:
         (n,) = spec.params
-        edges = [(i, (i + 1) % n) for i in range(n)]
-        return Graph.from_edges(n, edges)
-    (n,) = spec.params
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        edges = [(i, i + 1) for i in range(n - 1)]
+        if spec.kind == "cycle":
+            edges.append((0, n - 1))
+    return Graph(n, frozenset(edges))
 
 
 def is_connected(g: Graph) -> bool:
@@ -315,12 +317,13 @@ def random_connected_graph(
     After max_resample failed draws, a random spanning tree is overlaid on
     the last draw so the result is always connected.
     """
+    _require_vertices(n)
     rng = random.Random(seed)
     edges: list[Edge] = []
     for _ in range(max_resample):
         # one draw per vertex pair, in lexicographic order, with no pair list
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob]
-        g = Graph.from_edges(n, edges)
+        g = Graph(n, frozenset(edges))
         if is_connected(g):
             return g
     order = list(range(n))
@@ -329,15 +332,14 @@ def random_connected_graph(
     for i in range(1, n):
         a, b = order[i], order[rng.randrange(i)]
         tree.add((min(a, b), max(a, b)))
-    return Graph.from_edges(n, set(edges) | tree)
+    return Graph(n, frozenset(edges) | tree)
 
 
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree on n vertices (Prufer decode)."""
+    _require_vertices(n)
     if n == 1:
-        return Graph.from_edges(1, [])
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)])
+        return Graph(1, frozenset())
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -352,7 +354,6 @@ def random_tree(n: int, seed: int) -> Graph:
         degree[s] -= 1
         if degree[s] == 1:
             heapq.heappush(leaves, s)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
-    return Graph.from_edges(n, edges)
+    # the heap pops the smaller of the last two leaves first, so u < v
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return Graph(n, frozenset(edges))

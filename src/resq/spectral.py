@@ -1,4 +1,4 @@
-"""Dense symmetric spectra, quotient matrices, and circulant eigenvalues.
+"""Dense symmetric spectra and quotient matrices.
 
 Symmetric eigenvalues come from LAPACK. Up to order _TWO_STAGE_N, and for
 every stack of matrices, np.linalg.eigvalsh (divide and conquer, dsyevd)
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPartition, NonRealSpectrum, NotSymmetric
+from .errors import InvalidPartition, NotSymmetric
 
 #: Default absolute tolerance when grouping eigenvalues into multiplicities.
 DEFAULT_GROUP_TOL = 1e-7
@@ -194,26 +194,3 @@ def quotient_matrix(
     per_block = [row_sums[block, :] for block in partition.blocks]
     q = np.array([rows.mean(axis=0) for rows in per_block])
     return q, all(np.ptp(rows, axis=0).max() <= tol for rows in per_block)
-
-
-def circulant_eigenvalues(
-    first_row, imag_tol: float = 1e-9, tol: float = DEFAULT_GROUP_TOL
-) -> Spectrum:
-    """Eigenvalues of the circulant matrix with the given first row.
-
-    Evaluates f(w^k) = sum_j c_j * w^(jk) at every n-th root of unity, with
-    each root taken as (cos, sin) at angle 2*pi*(jk mod n)/n so no phase
-    error accumulates. Imaginary residues above imag_tol raise
-    NonRealSpectrum; below, they are discarded (symmetric circulants have
-    exactly real spectra).
-    """
-    c = np.asarray(first_row, dtype=float)
-    n = c.size
-    k = np.arange(n)
-    angles = 2.0 * np.pi * (np.outer(k, k) % n) / n
-    real = (np.cos(angles) * c).sum(axis=1)
-    imag = (np.sin(angles) * c).sum(axis=1)
-    worst = float(np.abs(imag).max()) if n else 0.0
-    if worst > imag_tol:
-        raise NonRealSpectrum(f"imaginary residue {worst:.3e} exceeds {imag_tol:g}")
-    return Spectrum.from_values(real, tol=tol)

@@ -61,6 +61,10 @@ class TestCompleteForms:
         with pytest.raises(InvalidFamilyParams):
             complete_rl(0)
 
+    def test_n1_spectra(self):
+        assert complete_rl_spectrum(1).values.tolist() == [0.0]
+        assert complete_rq_spectrum(1).values.tolist() == [0.0]
+
 
 class TestBipartiteForms:
     def test_22_rl_entries(self):
@@ -93,6 +97,13 @@ class TestBipartiteForms:
             assert (
                 np.abs(bipartite_rq(p, q) - resistance_signless_laplacian(g)).max() <= 1e-9
             )
+
+    def test_diagonal_is_the_transmission(self):
+        for p, q in [(1, 1), (1, 7), (3, 5), (6, 2), (9, 9)]:
+            rtr = [2.0 * (p - 1) / q + (p + q - 1.0) / p] * p
+            rtr += [2.0 * (q - 1) / p + (p + q - 1.0) / q] * q
+            np.testing.assert_array_equal(np.diag(bipartite_rl(p, q)), rtr)
+            np.testing.assert_array_equal(np.diag(bipartite_rq(p, q)), rtr)
 
     def test_22_matches_cycle4_under_relabeling(self):
         # vertices of K_{2,2} in cycle order are 0, 2, 1, 3
@@ -197,7 +208,7 @@ class TestCycleSpectra:
         np.testing.assert_allclose(rl_spec.values, [2.0, 2.0, 0.0], atol=1e-9)
 
     def test_matches_eigensolver(self):
-        for n in (3, 4, 7, 16, 33):
+        for n in (3, 4, 7, 16, 33, 64, 150):
             rl_spec, rq_spec = cycle_spectra(n)
             rl_direct = eigenvalues_symmetric(cycle_rl(n)).values
             rq_direct = eigenvalues_symmetric(cycle_rq(n)).values

@@ -31,6 +31,12 @@ from resq.graph import (
 )
 
 
+def assert_normalized(g):
+    """g is what from_edges would build from its own edges, each with u < v."""
+    assert g == Graph.from_edges(g.n, g.edges)
+    assert all(u < v for u, v in g.edges)
+
+
 class TestParseEdgeList:
     def test_triangle(self):
         g = parse_edge_list("3\n0 1\n1 2\n0 2")
@@ -108,6 +114,13 @@ class TestGenerate:
     def test_path_edges(self):
         g = generate(FamilySpec.path(4))
         assert g.edges == frozenset({(0, 1), (1, 2), (2, 3)})
+
+    def test_edges_normalized_without_from_edges(self):
+        specs = [FamilySpec(kind, (n,)) for kind in ("complete", "path") for n in range(1, 13)]
+        specs += [FamilySpec.cycle(n) for n in range(3, 13)]
+        specs += [FamilySpec.bipartite(p, n - p) for n in range(2, 13) for p in range(1, n)]
+        for spec in specs:
+            assert_normalized(generate(spec))
 
     def test_cycle_too_small(self):
         with pytest.raises(InvalidFamilyParams):
@@ -245,6 +258,23 @@ class TestRandomGraphs:
 
     def test_tree_deterministic(self):
         assert random_tree(9, 3) == random_tree(9, 3)
+
+    def test_edges_normalized_without_from_edges(self):
+        for seed in range(40):
+            n = seed % 15 + 1
+            assert_normalized(random_connected_graph(n, 0.3, seed))
+            assert_normalized(random_connected_graph(n, 0.05, seed, 2))  # spanning-tree overlay
+            assert_normalized(random_tree(n, seed))
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_connected_graph_needs_a_vertex(self, n):
+        with pytest.raises(VertexOutOfRange):
+            random_connected_graph(n, 0.5, 1)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_tree_needs_a_vertex(self, n):
+        with pytest.raises(VertexOutOfRange):
+            random_tree(n, 1)
 
 
 class TestEdgeHelpers:

@@ -8,7 +8,7 @@ from resq import closed_forms as cf
 from resq import spectral
 from resq.cli import main
 from resq.energy import resistance_laplacian_energy
-from resq.errors import InvalidPartition, NonRealSpectrum, NotSymmetric
+from resq.errors import InvalidPartition, NotSymmetric
 from resq.graph import (
     FamilySpec,
     Graph,
@@ -28,7 +28,6 @@ from resq.resistance import (
 from resq.spectral import (
     Partition,
     Spectrum,
-    circulant_eigenvalues,
     eigenvalues_symmetric,
     quotient_matrix,
 )
@@ -267,38 +266,6 @@ class TestQuotientMatrix:
                 for ev in np.linalg.eigvals(quot):
                     assert abs(ev.imag) < 1e-9
                     assert np.abs(parent - ev.real).min() <= 1e-7
-
-
-class TestCirculantEigenvalues:
-    def test_rl_cycle4_first_row(self):
-        s = circulant_eigenvalues([2.5, -0.75, -1.0, -0.75])
-        np.testing.assert_allclose(s.values, [3.5, 3.5, 3.0, 0.0], atol=1e-9)
-
-    def test_constant_row(self):
-        c = 1.7
-        s = circulant_eigenvalues([c, c, c])
-        np.testing.assert_allclose(s.values, [3 * c, 0.0, 0.0], atol=1e-12)
-
-    def test_rq_cycle4_first_row(self):
-        s = circulant_eigenvalues([2.5, 0.75, 1.0, 0.75])
-        np.testing.assert_allclose(s.values, [5.0, 2.0, 1.5, 1.5], atol=1e-9)
-
-    def test_matches_dense_eigensolver(self):
-        rng = np.random.default_rng(5)
-        for n in (3, 8, 17, 32, 64):
-            half = rng.normal(size=n // 2 + 1)
-            row = np.zeros(n)
-            for k in range(n):
-                row[k] = half[min(k, n - k)]
-            idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-            dense = row[idx]
-            fast = circulant_eigenvalues(row).values
-            slow = eigenvalues_symmetric(dense).values
-            assert np.abs(fast - slow).max() <= 1e-8
-
-    def test_asymmetric_row_rejected(self):
-        with pytest.raises(NonRealSpectrum):
-            circulant_eigenvalues([0.0, 1.0, 0.0])
 
 
 class TestTransmissionRegularShift:
