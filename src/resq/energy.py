@@ -3,8 +3,9 @@
 The energy is built from the eigenvalues of the resistance Laplacian,
 re-centered at the mean transmission: with U_j = RTr(j) and
 eta_i = gamma_i - mean(U), the eta sum to zero, their squares sum to 2F,
-and LE_R = sum |eta_i|. E_R = sum |gamma_i| over the resistance matrix
-spectrum; for transmission-regular graphs the two energies coincide.
+and LE_R = sum |eta_i|; _eta alone forms them, for the report and for resq
+verify. E_R = sum |gamma_i| over the resistance matrix spectrum; for
+transmission-regular graphs the two energies coincide.
 
 E_R needs no eigensolve of R. R is a Euclidean distance matrix, so it has
 exactly one positive eigenvalue gamma_1 (Bapat, "Resistance matrix of a
@@ -31,6 +32,9 @@ from .spectral import _eigenvalues_in_place
 RADICAND_FLOOR = -1e-9
 
 BOUND_NAMES = ("lower_2sqrtF", "upper_sqrt2nF", "upper_meanU", "upper_eta1")
+
+# Margin by which LE_R may cross a bound and the bound still count as satisfied.
+_BOUND_TOL = 1e-9
 
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
 
@@ -100,6 +104,13 @@ def energy_moments(r: np.ndarray, transmissions: np.ndarray) -> tuple[float, flo
     return f, big_f
 
 
+def _eta(rl_values, rtr):
+    """(eta, mean U, LE_R) of one graph, or each of a stack, from descending R^L values and RTr."""
+    mean_u = rtr.mean(axis=-1)
+    eta = rl_values - mean_u[..., None]
+    return eta, mean_u, np.abs(eta).sum(axis=-1)
+
+
 def _safe_sqrt(radicand):
     low = np.min(radicand)
     if low < RADICAND_FLOOR:
@@ -119,7 +130,7 @@ def _bound_values(n: int, mean_u, big_f, eta1) -> tuple:
     )
 
 
-def check_bounds(report: EnergyReport, tol: float = 1e-9) -> dict[str, BoundCheck]:
+def check_bounds(report: EnergyReport) -> dict[str, BoundCheck]:
     """Evaluate all four energy bounds for an existing report.
 
     lower_2sqrtF and upper_sqrt2nF bracket LE_R by 2*sqrt(F) and
@@ -132,10 +143,9 @@ def check_bounds(report: EnergyReport, tol: float = 1e-9) -> dict[str, BoundChec
     lower, *uppers = (
         float(v) for v in _bound_values(report.n, report.mean_transmission, report.F, eta1)
     )
-    out: dict[str, BoundCheck] = {}
-    out["lower_2sqrtF"] = BoundCheck(lower, le_r >= lower - tol, le_r - lower)
+    out = {"lower_2sqrtF": BoundCheck(lower, le_r >= lower - _BOUND_TOL, le_r - lower)}
     for name, value in zip(BOUND_NAMES[1:], uppers):
-        out[name] = BoundCheck(value, le_r <= value + tol, value - le_r)
+        out[name] = BoundCheck(value, le_r <= value + _BOUND_TOL, value - le_r)
     return out
 
 
@@ -161,7 +171,7 @@ def _perron_root(r: np.ndarray):
     return np.linalg.eigvalsh(r)[-1]
 
 
-def resistance_laplacian_energy(g: Graph, tol: float = 1e-9) -> EnergyReport:
+def resistance_laplacian_energy(g: Graph) -> EnergyReport:
     """Full energy report for a connected graph: eta, f, F, LE_R, E_R and
     all four bounds with satisfaction flags and signed slack.
 
@@ -174,18 +184,18 @@ def resistance_laplacian_energy(g: Graph, tol: float = 1e-9) -> EnergyReport:
     f, big_f = energy_moments(r, rtr)
     e_r = float(2.0 * _perron_root(r))
     rl = _set_diagonal(np.negative(r, out=r), rtr)
-    eta = _eigenvalues_in_place(rl, lambda: resistance_laplacian(g)) - rtr.mean()
+    eta, mean_u, le_r = _eta(_eigenvalues_in_place(rl, lambda: resistance_laplacian(g)), rtr)
     report = EnergyReport(
         n=eta.size,
-        mean_transmission=float(rtr.mean()),
+        mean_transmission=float(mean_u),
         eta=eta,
         f=float(f),
         F=float(big_f),
-        le_r=float(np.abs(eta).sum()),
+        le_r=float(le_r),
         e_r=e_r,
         bounds={},
     )
     # check_bounds reads the finished fields; filling the dict in place
     # spares building the report twice.
-    report.bounds.update(check_bounds(report, tol))
+    report.bounds.update(check_bounds(report))
     return report

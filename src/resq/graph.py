@@ -2,12 +2,14 @@
 
 Vertices are 0-indexed integers. Graphs are immutable; every operation in
 this module is a pure function, so values can be shared freely across
-threads.
+threads. Edges from outside (parse_edge_list, Graph.from_edges, add_edge's
+new pair) pass one check, _edge; hop counts come from one BFS, _hops.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -40,8 +42,8 @@ MAX_ORDER = 20_000
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Edges are stored as (u, v) pairs with u < v. Edges from outside go
-    through :meth:`from_edges`, which validates and normalizes them.
+    Edges are stored as (u, v) pairs of ints with u < v. Edges from outside
+    go through :meth:`from_edges`, which validates and normalizes them.
     """
 
     n: int
@@ -51,17 +53,13 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         """Validate and normalize an iterable of vertex pairs into a Graph.
 
-        Raises SelfLoop, VertexOutOfRange or DuplicateEdge when the input
-        violates the simple-graph invariants.
+        Raises SelfLoop, VertexOutOfRange (also for a non-integer endpoint)
+        or DuplicateEdge when the input violates the simple-graph invariants.
         """
         _require_vertices(n)
         normalized: set[Edge] = set()
         for u, v in edges:
-            if u == v:
-                raise SelfLoop(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRange(f"edge ({u}, {v}) outside [0, {n})")
-            key = (u, v) if u < v else (v, u)
+            key = _edge(n, u, v)
             if key in normalized:
                 raise DuplicateEdge(f"edge ({key[0]}, {key[1]}) listed twice")
             normalized.add(key)
@@ -71,13 +69,10 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def sorted_edges(self) -> list[Edge]:
-        """Edges in lexicographic order, for deterministic output."""
-        return sorted(self.edges)
-
     def neighbor_lists(self) -> list[list[int]]:
+        """Neighbours of each vertex, in no particular order."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.sorted_edges():
+        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
         return adj
@@ -132,13 +127,9 @@ class FamilySpec:
         return sum(self.params)
 
     def label(self) -> str:
-        if self.kind == "complete":
-            return f"K{self.params[0]}"
         if self.kind == "bipartite":
             return "K_{%d,%d}" % self.params
-        if self.kind == "cycle":
-            return f"C{self.params[0]}"
-        return f"P{self.params[0]}"
+        return {"complete": "K", "cycle": "C", "path": "P"}[self.kind] + str(self.params[0])
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -159,9 +150,7 @@ def parse_edge_list(text: str) -> Graph:
             try:
                 n = int(line)
             except ValueError:
-                raise MalformedLine(
-                    f"line {lineno}: expected vertex count, got {raw!r}"
-                ) from None
+                raise MalformedLine(f"line {lineno}: expected vertex count, got {raw!r}") from None
             if n < 1:
                 raise MalformedLine(f"line {lineno}: vertex count must be >= 1, got {n}")
             if n > MAX_ORDER:
@@ -173,14 +162,8 @@ def parse_edge_list(text: str) -> Graph:
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise MalformedLine(
-                f"line {lineno}: endpoints must be integers, got {raw!r}"
-            ) from None
-        if u == v:
-            raise SelfLoop(f"line {lineno}: self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRange(f"line {lineno}: edge ({u}, {v}) outside [0, {n})")
-        key = (min(u, v), max(u, v))
+            raise MalformedLine(f"line {lineno}: endpoints must be integers, got {raw!r}") from None
+        key = _edge(n, u, v, f"line {lineno}: ")
         if key in seen:
             raise DuplicateEdge(f"line {lineno}: duplicate edge ({u}, {v})")
         seen.add(key)
@@ -194,10 +177,25 @@ def _require_vertices(n: int) -> None:
         raise VertexOutOfRange(f"vertex count must be >= 1, got {n}")
 
 
+def _edge(n: int, u, v, where: str = "") -> Edge:
+    """Key (min, max) of the edge {u, v} on n vertices, endpoints coerced by
+    operator.index. Raises VertexOutOfRange for an endpoint that is not an
+    integer in [0, n) and SelfLoop for u == v; where prefixes the message."""
+    try:
+        u, v = operator.index(u), operator.index(v)
+    except TypeError:
+        raise VertexOutOfRange(f"{where}edge ({u!r}, {v!r}) has a non-integer endpoint") from None
+    if u == v:
+        raise SelfLoop(f"{where}self-loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise VertexOutOfRange(f"{where}edge ({u}, {v}) outside [0, {n})")
+    return (u, v) if u < v else (v, u)
+
+
 def format_edge_list(g: Graph) -> str:
     """Render a Graph in the edge-list text format accepted by parse_edge_list."""
     lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
+    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
 
 
@@ -222,23 +220,24 @@ def generate(spec: FamilySpec) -> Graph:
     return Graph(n, frozenset(edges))
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff a BFS from vertex 0 reaches all n vertices (n=1 is connected)."""
-    if g.n == 1:
-        return True
-    adj = g.neighbor_lists()
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
+def _hops(adj: list[list[int]], source: int) -> list[int]:
+    """Hop counts from source by BFS over the neighbour lists adj; -1 where
+    a vertex is unreachable."""
+    hops = [-1] * len(adj)
+    hops[source] = 0
+    queue = deque([source])
     while queue:
         u = queue.popleft()
         for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
+            if hops[w] < 0:
+                hops[w] = hops[u] + 1
                 queue.append(w)
-    return count == g.n
+    return hops
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff a BFS from vertex 0 reaches all n vertices (n=1 is connected)."""
+    return -1 not in _hops(g.neighbor_lists(), 0)
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -279,24 +278,16 @@ def classical_distance_matrix(g: Graph) -> np.ndarray:
     Raises Disconnected when some pair is unreachable.
     """
     adj = g.neighbor_lists()
-    dist = np.full((g.n, g.n), -1.0)
-    for src in range(g.n):
-        dist[src, src] = 0.0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if dist[src, w] < 0:
-                    dist[src, w] = dist[src, u] + 1.0
-                    queue.append(w)
+    dist = np.array([_hops(adj, src) for src in range(g.n)], dtype=float)
     if (dist < 0).any():
         raise Disconnected("graph is disconnected; distances undefined")
     return dist
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
-    """Return a copy of g with the extra edge {u, v}."""
-    return Graph.from_edges(g.n, set(g.edges) | {(min(u, v), max(u, v))})
+    """Return a copy of g with the extra edge {u, v}. Only the new pair is
+    checked, as g's edges were when g was built; an existing edge is kept."""
+    return Graph(g.n, g.edges | {_edge(g.n, u, v)})
 
 
 def non_edges(g: Graph) -> list[Edge]:

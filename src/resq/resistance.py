@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Disconnected
+from .errors import Disconnected, NotSymmetric
 from .graph import Graph, is_connected, laplacian
 
 # Residual ceiling for the Penrose identity L X L = L, relative to |L|.
@@ -168,10 +168,14 @@ def laplacian_pseudoinverse(lap: np.ndarray) -> np.ndarray:
 
     Grounds the last vertex, inverts the remaining block by block elimination
     and centres the result (see the module docstring), in a copy: lap is left
-    as it is. Raises Disconnected when some L has nullity >= 2, which is
-    detected through the Penrose residual on a probe vector.
+    as it is. Raises NotSymmetric for an empty or non-square array, and
+    Disconnected when some L has nullity >= 2, which is detected through the
+    Penrose residual on a probe vector.
     """
-    return _pseudoinverse_in_place(np.array(lap, dtype=float, order="C"))
+    x = np.array(lap, dtype=float, order="C")
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2] or x.size == 0:
+        raise NotSymmetric(f"expected a non-empty square matrix or stack, got shape {x.shape}")
+    return _pseudoinverse_in_place(x)
 
 
 def _resistance(pinv: np.ndarray) -> np.ndarray:

@@ -10,9 +10,10 @@ eigvalsh would copy its input once more. If that library or symbol is
 missing (another numpy build) or the call reports an error, eigvalsh solves
 an intact copy of the matrix. Both solvers are backward stable, and on the
 same matrix their values agree to a few units of roundoff relative to |M|.
-Only eigenvalues_symmetric, for matrices from outside, checks symmetry and
-solves a symmetrised copy; the matrices resq builds are exactly symmetric
-and go straight to _eigenvalues_in_place.
+Only eigenvalues_symmetric, for matrices from outside, checks shape and
+symmetry and solves a symmetrised copy; the matrices resq builds are exactly
+symmetric and go straight to _eigenvalues_in_place. A Spectrum holds the
+sorted values and groups them into multiplicities when these are first read.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import ctypes
 import functools
 import pathlib
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,6 +33,9 @@ DEFAULT_GROUP_TOL = 1e-7
 
 # Relative asymmetry allowed before a matrix is rejected as non-symmetric.
 _SYMMETRY_RTOL = 1e-12
+
+# Spread of a block's row sums up to which quotient_matrix calls it equitable.
+_EQUITABLE_TOL = 1e-9
 
 # Largest order solved by eigvalsh; larger single matrices go to the two-stage
 # solver. On R^L of G(n, 10/n), one core and one BLAS thread, median of 9
@@ -66,40 +71,43 @@ def _dsyevd_2stage():
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Real eigenvalues sorted descending, with tolerance-grouped multiplicities."""
+    """Real eigenvalues sorted descending; multiplicities grouped within tol when read."""
 
     values: np.ndarray
     tol: float
-    multiplicities: tuple[tuple[float, int], ...]
 
     @classmethod
     def from_values(cls, values, tol: float = DEFAULT_GROUP_TOL) -> "Spectrum":
-        vals = np.sort(np.asarray(values, dtype=float))[::-1].copy()
+        return cls(values=np.sort(np.asarray(values, dtype=float))[::-1].copy(), tol=tol)
+
+    @functools.cached_property
+    def multiplicities(self) -> tuple[tuple[float, int], ...]:
         groups: list[list[float]] = []  # [representative, count, running sum]
-        for v in vals:
-            if groups and abs(v - groups[-1][0]) <= tol:
+        for v in self.values:
+            if groups and abs(v - groups[-1][0]) <= self.tol:
                 groups[-1][1] += 1
                 groups[-1][2] += v
             else:
                 groups.append([float(v), 1, float(v)])
-        mults = tuple((g[2] / g[1], int(g[1])) for g in groups)
-        return cls(values=vals, tol=tol, multiplicities=mults)
+        return tuple((g[2] / g[1], int(g[1])) for g in groups)
 
     def __len__(self) -> int:
         return int(self.values.size)
 
 
-def eigenvalues_symmetric(m: np.ndarray, tol: float = DEFAULT_GROUP_TOL) -> Spectrum:
-    """All eigenvalues of a symmetric matrix, descending.
+def eigenvalues_symmetric(m: np.ndarray) -> Spectrum:
+    """All eigenvalues of a symmetric matrix, descending, grouped within
+    DEFAULT_GROUP_TOL.
 
-    Rejects matrices whose asymmetry exceeds _SYMMETRY_RTOL relative to
-    max(1, max |m|), and matrices with a NaN or infinite entry (whose
-    asymmetry is NaN). Solves a symmetrised copy, leaving m as it is, by a
-    backward stable LAPACK solver (see the module docstring).
+    Rejects non-square and empty arrays, matrices whose asymmetry exceeds
+    _SYMMETRY_RTOL relative to max(1, max |m|), and matrices with a NaN or
+    infinite entry (whose asymmetry is NaN). Solves a symmetrised copy,
+    leaving m as it is, by a backward stable LAPACK solver (see the module
+    docstring).
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise NotSymmetric(f"expected a non-empty square matrix, got shape {m.shape}")
     scale = np.maximum(1.0, np.maximum(m.max(), -m.min()))  # max |m| without a temporary
     sym = np.empty(m.shape)  # C-contiguous, as the two-stage call requires
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is caught below
@@ -115,7 +123,7 @@ def eigenvalues_symmetric(m: np.ndarray, tol: float = DEFAULT_GROUP_TOL) -> Spec
     else:
         np.add(m, m.T, out=sym)
         sym /= 2.0
-    return Spectrum.from_values(_eigenvalues_in_place(sym, lambda: (m + m.T) / 2.0), tol=tol)
+    return Spectrum.from_values(_eigenvalues_in_place(sym, lambda: (m + m.T) / 2.0))
 
 
 def _eigenvalues_in_place(sym: np.ndarray, intact) -> np.ndarray:
@@ -150,12 +158,7 @@ class Partition:
     @classmethod
     def from_sizes(cls, *sizes: int) -> "Partition":
         """Consecutive index blocks of the given sizes, e.g. (p, q) parts."""
-        blocks = []
-        start = 0
-        for s in sizes:
-            blocks.append(tuple(range(start, start + s)))
-            start += s
-        return cls(tuple(blocks))
+        return cls(tuple(tuple(range(end - s, end)) for s, end in zip(sizes, accumulate(sizes))))
 
     def validate(self, n: int) -> None:
         seen: set[int] = set()
@@ -175,13 +178,11 @@ class Partition:
             raise InvalidPartition(f"indices not covered: {missing}")
 
 
-def quotient_matrix(
-    m: np.ndarray, partition: Partition, tol: float = 1e-9
-) -> tuple[np.ndarray, bool]:
+def quotient_matrix(m: np.ndarray, partition: Partition) -> tuple[np.ndarray, bool]:
     """Quotient of a partitioned matrix: average row sums of each block.
 
     Returns (Q, equitable) where equitable is True iff every block has
-    constant row sums within tol. When the partition is equitable, every
+    constant row sums within _EQUITABLE_TOL. When the partition is equitable, every
     eigenvalue of Q is an eigenvalue of m.
     """
     m = np.asarray(m, dtype=float)
@@ -193,4 +194,4 @@ def quotient_matrix(
     row_sums = m @ indicator  # row_sums[i, t]: sum of row i over block t
     per_block = [row_sums[block, :] for block in partition.blocks]
     q = np.array([rows.mean(axis=0) for rows in per_block])
-    return q, all(np.ptp(rows, axis=0).max() <= tol for rows in per_block)
+    return q, all(np.ptp(rows, axis=0).max() <= _EQUITABLE_TOL for rows in per_block)

@@ -130,7 +130,7 @@ def _family_measures(jobs) -> dict[FamilySpec, list]:
         b = resistance._stacked_bundle(lap)
         rl_values = spectral._eigenvalues_in_place(b.rl, None)
         rq_values = spectral._eigenvalues_in_place(b.rq, None)
-        le_r = np.abs(rl_values - b.rtr.mean(axis=-1)[:, None]).sum(axis=-1)
+        le_r = energy_mod._eta(rl_values, b.rtr)[2]
         fams = (_Family(spec, lap[k], b.r[k], b.rl[k], b.rq[k], rl_values[k], rq_values[k],
                         float(le_r[k])) for k, spec in enumerate(group))
         return [[measure(f) if f.spec in specs else None for specs, measure in jobs] for f in fams]
@@ -242,11 +242,11 @@ def _check_rq_quotient_vs_pm(rows) -> VerifyOutcome:
     return outcome
 
 
-def _random_graphs(count, max_n, seed, min_n=2) -> list[Graph]:
+def _random_graphs(count, max_n, seed) -> list[Graph]:
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        n = rng.randint(min_n, max_n)
+        n = rng.randint(2, max_n)
         p = rng.uniform(0.2, 0.9)
         out.append(graph_mod.random_connected_graph(n, p, rng.randrange(2**31)))
     return out
@@ -297,10 +297,8 @@ def _corpus_measures(graphs: list[Graph], n: int) -> np.ndarray:
     for m in range(n):
         np.minimum(shortest, r[:, :, m, None] + r[:, None, m, :], out=shortest)
     total = rtr.sum(axis=-1)
-    mean_u = rtr.mean(axis=-1)
-    eta = values - mean_u[:, None]
+    eta, mean_u, le_r = energy_mod._eta(values, rtr)
     _, big_f = energy_mod.energy_moments(r, rtr)
-    le_r = np.abs(eta).sum(axis=-1)
     lower, *uppers = energy_mod._bound_values(n, mean_u, big_f, eta[:, 0])
     return np.column_stack([
         -values.min(axis=-1) / norm,
@@ -372,10 +370,14 @@ def run_verify(
 
     scope "families" runs the closed-form and quotient checks, "random"
     runs the seeded-corpus property checks, "all" runs both. Results are
-    deterministic for a fixed seed.
+    deterministic for a fixed seed. The random scope needs max_n >= 2 and
+    max_tree_n >= 2.
     """
     if scope not in ("families", "random", "all"):
         raise ValueError(f"scope must be families, random or all, got {scope!r}")
+    for name, value in (("max_n", max_n), ("max_tree_n", max_tree_n)):
+        if scope != "families" and value < 2:
+            raise ValueError(f"{name} must be >= 2 for the random scope, got {value}")
     outcomes: list[VerifyOutcome] = []
     if scope in ("families", "all"):
         specs, bipartite = family_specs(max_n), _bipartite_specs(max_pq)

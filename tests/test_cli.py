@@ -1,15 +1,19 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resq.resistance
-from resq.cli import main
+from resq.cli import COMPUTE_TARGETS, main
 from resq.graph import format_edge_list, parse_edge_list, random_connected_graph
 from resq.resistance import (
     resistance_laplacian,
@@ -26,6 +30,43 @@ def write_graph(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A vertex count n <= 12 and at most 39 more lines: distinct edges, with
+    a path through all vertices in half the draws so that many graphs are
+    connected, and up to three junk lines put anywhere among them."""
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs), max_size=30)) if pairs else set()
+    if draw(st.booleans()):
+        edges |= {(i, i + 1) for i in range(n - 1)}
+    lines = [f"{u} {v}" if draw(st.booleans()) else f"{v} {u}" for u, v in sorted(edges)]
+    junk = st.one_of(
+        st.sampled_from(["", "# comment", "\r", "1 2 3", "0 x"]),
+        st.tuples(st.integers(-1, n), st.integers(-1, n)).map(lambda e: f"{e[0]} {e[1]}"),
+        st.text(alphabet=" \t#-+.0123456789eabc", max_size=8),
+    )
+    for line in draw(st.lists(junk, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join([str(n), *lines[:39]]).encode()
+
+
+@settings(deadline=None)  # max_examples is left to the profile
+@given(
+    data=st.one_of(st.binary(max_size=300), edge_list_texts()),
+    what=st.sampled_from(COMPUTE_TARGETS),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_compute_fuzz(data, what, fmt):
+    """Any input file ends in exit code 0, 2 or 3, never in an exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.el")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        out = os.path.join(tmp, "out")
+        assert main(["compute", path, "--what", what, "--format", fmt, "--out", out]) in (0, 2, 3)
 
 
 class TestGenerate:

@@ -283,6 +283,34 @@ class TestEdgeHelpers:
         g2 = add_edge(g, 2, 0)
         assert (0, 2) in g2.edges and g2.edge_count == 3
 
+    def test_add_existing_edge_returns_an_equal_graph(self):
+        g = generate(FamilySpec.path(3))
+        assert add_edge(g, 1, 0) == g
+
+    def test_add_edge_checks_the_new_pair(self):
+        g = generate(FamilySpec.path(3))
+        with pytest.raises(SelfLoop):
+            add_edge(g, 1, 1)
+        with pytest.raises(VertexOutOfRange):
+            add_edge(g, 0, 3)
+
+    @pytest.mark.parametrize("bad", [0.5, np.float64(1.0), "1", 2.0, None])
+    def test_non_integer_endpoints_rejected(self, bad):
+        with pytest.raises(VertexOutOfRange, match="non-integer"):
+            Graph.from_edges(3, [(0, bad)])
+        with pytest.raises(VertexOutOfRange, match="non-integer"):
+            Graph.from_edges(3, [(bad, 2)])
+        with pytest.raises(VertexOutOfRange, match="non-integer"):
+            add_edge(generate(FamilySpec.path(3)), bad, 2)
+
+    def test_numpy_integer_endpoints_stored_as_int(self):
+        g = Graph.from_edges(np.int64(3), [(np.int64(1), np.int64(0)), (np.int32(2), 1)])
+        assert g.edges == {(0, 1), (1, 2)}
+        assert all(type(x) is int for edge in g.edges for x in edge)
+        g2 = add_edge(g, np.int64(2), np.int64(0))
+        assert all(type(x) is int for edge in g2.edges for x in edge)
+        assert is_connected(g2) and format_edge_list(g2) == "3\n0 1\n0 2\n1 2\n"
+
     def test_non_edges(self):
         g = generate(FamilySpec.path(3))
         assert non_edges(g) == [(0, 2)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resq.errors import Disconnected
+from resq.errors import Disconnected, NotSymmetric
 from resq.spectral import _eigenvalues_in_place, eigenvalues_symmetric
 from resq.verify import _by_order, _random_graphs
 from resq.graph import (
@@ -78,6 +78,11 @@ class TestPseudoinverse:
         lap = laplacian(Graph.from_edges(4, [(0, 1), (2, 3)]))
         with pytest.raises(Disconnected):
             laplacian_pseudoinverse(lap)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 2), (3,), (2, 0, 0), (0, 3, 3), (2, 3, 2)])
+    def test_empty_or_non_square_rejected_naming_the_shape(self, shape):
+        with pytest.raises(NotSymmetric, match=rf"shape \({shape[0]},"):
+            laplacian_pseudoinverse(np.zeros(shape))
 
     def test_probe_residual_flags_shuffled_disjoint_unions(self):
         # Every union raises Disconnected. Where the grounded block is

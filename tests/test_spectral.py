@@ -56,6 +56,17 @@ class TestEigenvaluesSymmetric:
         with pytest.raises(NotSymmetric):
             eigenvalues_symmetric(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0,), (3,), (2, 3), (2, 2, 2)])
+    def test_rejects_empty_and_non_square_naming_the_shape(self, shape):
+        with pytest.raises(NotSymmetric, match=rf"shape \({shape[0]},"):
+            eigenvalues_symmetric(np.zeros(shape))
+
+    def test_multiplicities_grouped_when_read(self):
+        s = Spectrum.from_values([0.0, 2.0, 2.0 + 1e-9])
+        assert "multiplicities" not in vars(s)
+        assert [c for _, c in s.multiplicities] == [2, 1]
+        assert s.multiplicities is s.multiplicities
+
     def test_sum_matches_trace(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

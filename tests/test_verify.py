@@ -242,6 +242,16 @@ class TestRunVerify:
         with pytest.raises(ValueError):
             run_verify(scope="everything")
 
+    @pytest.mark.parametrize("scope", ["random", "all"])
+    @pytest.mark.parametrize("arg", ["max_n", "max_tree_n"])
+    def test_random_scope_needs_orders_of_two(self, scope, arg):
+        with pytest.raises(ValueError, match=f"{arg} must be >= 2"):
+            run_verify(scope=scope, count=3, **{arg: 1})
+
+    def test_families_scope_of_order_one_skips(self):
+        outcomes = run_verify(scope="families", max_n=1, max_pq=0)
+        assert outcomes and all(o.status == "skip" for o in outcomes)
+
 
 class TestFamilySpecs:
     def test_orders_capped(self):
