@@ -9,8 +9,6 @@ from .closed_forms import ClosedForm, closed_form
 from .energy import (
     BoundCheck,
     EnergyReport,
-    check_bounds,
-    energy_moments,
     resistance_laplacian_energy,
 )
 from .errors import (
@@ -39,13 +37,11 @@ from .graph import (
     random_tree,
 )
 from .resistance import (
-    ResistanceBundle,
     laplacian_pseudoinverse,
     resistance_bundle,
     resistance_laplacian,
     resistance_matrix,
     resistance_signless_laplacian,
-    resistance_transmissions,
 )
 from .spectral import (
     Partition,
@@ -72,17 +68,14 @@ __all__ = [
     "NegativeRadicand",
     "NotSymmetric",
     "Partition",
-    "ResistanceBundle",
     "ResqError",
     "SelfLoop",
     "Spectrum",
     "VertexOutOfRange",
     "VerifyOutcome",
-    "check_bounds",
     "classical_distance_matrix",
     "closed_form",
     "eigenvalues_symmetric",
-    "energy_moments",
     "format_edge_list",
     "generate",
     "is_connected",
@@ -97,7 +90,6 @@ __all__ = [
     "resistance_laplacian_energy",
     "resistance_matrix",
     "resistance_signless_laplacian",
-    "resistance_transmissions",
     "rq_quotient_report",
     "run_verify",
 ]

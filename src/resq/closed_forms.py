@@ -97,36 +97,20 @@ def bipartite_rl_spectrum(p: int, q: int) -> Spectrum:
     return Spectrum.from_values(values)
 
 
-def bipartite_rq_quotient(p: int, q: int) -> np.ndarray:
-    """2x2 row-sum quotient of R^Q(K_{p,q}) under the two-part partition.
+def _rq_quotient_eigenvalues(p: int, q: int) -> tuple[float, float]:
+    """The two eigenvalues of the 2x2 row-sum quotient of R^Q(K_{p,q}) under
+    the two-part partition, descending.
 
-    Row sums of the diagonal blocks are 2(2p-2)/q + (p+q-1)/p and
-    2(2q-2)/p + (p+q-1)/q; the off-diagonal row sums are (p+q-1)/p and
-    (p+q-1)/q.
+    Row sums of the diagonal blocks are a = 2(2p-2)/q + (p+q-1)/p and
+    d = 2(2q-2)/p + (p+q-1)/q; the off-diagonal row sums b = (p+q-1)/p and
+    c = (p+q-1)/q are positive, so the discriminant is nonnegative.
     """
-    FamilySpec.bipartite(p, q).validate()
     s = p + q - 1.0
-    return np.array(
-        [
-            [2.0 * (2 * p - 2) / q + s / p, s / p],
-            [s / q, 2.0 * (2 * q - 2) / p + s / q],
-        ]
-    )
-
-
-def _eig_2x2(m: np.ndarray) -> tuple[float, float]:
-    """Eigenvalues of a real 2x2 matrix with nonnegative off-diagonal
-    product, descending. The discriminant is then nonnegative."""
-    a, b = m[0]
-    c, d = m[1]
+    a, b = 2.0 * (2 * p - 2) / q + s / p, s / p
+    c, d = s / q, 2.0 * (2 * q - 2) / p + s / q
     half_trace = (a + d) / 2.0
     disc = math.sqrt(max((a - d) ** 2 + 4.0 * b * c, 0.0)) / 2.0
     return half_trace + disc, half_trace - disc
-
-
-def bipartite_rq_quotient_eigenvalues(p: int, q: int) -> tuple[float, float]:
-    """The two eigenvalues of the R^Q(K_{p,q}) row-sum quotient, descending."""
-    return _eig_2x2(bipartite_rq_quotient(p, q))
 
 
 def bipartite_rq_spectrum(p: int, q: int) -> Spectrum:
@@ -138,7 +122,7 @@ def bipartite_rq_spectrum(p: int, q: int) -> Spectrum:
     """
     FamilySpec.bipartite(p, q).validate()
     s = p + q - 1.0
-    hi, lo = bipartite_rq_quotient_eigenvalues(p, q)
+    hi, lo = _rq_quotient_eigenvalues(p, q)
     values = [hi, lo]
     values += [2.0 * (p - 2) / q + s / p] * (p - 1)
     values += [2.0 * (q - 2) / p + s / q] * (q - 1)
@@ -165,31 +149,25 @@ def bipartite_rq_pm_formula(p: int, q: int) -> tuple[float, float]:
     return ((base + root) / (2.0 * p * q), (base - root) / (2.0 * p * q))
 
 
-def cycle_resistance_row(n: int) -> np.ndarray:
-    """First row of R(C_n): entry k is k(n-k)/n (two parallel arc paths)."""
+def _cycle(n: int, sign: float) -> np.ndarray:
+    """Diag(RTr) + sign * R for C_n: the circulant whose first row has the
+    transmission (n^2-1)/6 at k = 0 and sign * k(n-k)/n (two parallel arc
+    paths) at k = 1..n-1."""
     FamilySpec.cycle(n).validate()
     k = np.arange(n, dtype=float)
-    return k * (n - k) / n
-
-
-def _circulant(row: np.ndarray) -> np.ndarray:
-    n = row.size
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return row[idx]
+    row = sign * (k * (n - k) / n)
+    row[0] = (n * n - 1.0) / 6.0
+    return row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
 
 
 def cycle_rl(n: int) -> np.ndarray:
     """R^L(C_n): circulant with diagonal (n^2-1)/6 and entries -k(n-k)/n."""
-    row = -cycle_resistance_row(n)
-    row[0] = (n * n - 1.0) / 6.0
-    return _circulant(row)
+    return _cycle(n, sign=-1.0)
 
 
 def cycle_rq(n: int) -> np.ndarray:
     """R^Q(C_n): circulant with diagonal (n^2-1)/6 and entries +k(n-k)/n."""
-    row = cycle_resistance_row(n)
-    row[0] = (n * n - 1.0) / 6.0
-    return _circulant(row)
+    return _cycle(n, sign=1.0)
 
 
 def cycle_spectra(n: int) -> tuple[Spectrum, Spectrum]:

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import NegativeRadicand
 from .graph import Graph
 from .resistance import _set_diagonal, resistance_laplacian, resistance_matrix
-from .resistance import resistance_transmissions
 from .spectral import _eigenvalues_in_place
 
 #: Radicands above this (negative) floor are treated as rounding noise and
@@ -49,7 +48,7 @@ _PERRON_DENSE_MAX_N = 64
 # most 0.83 (0.83^200 < u); for n >= 500 they cost less than one eigvalsh.
 _PERRON_MAX_ITER = 100
 
-# Rows per block in energy_moments: 2 MB of workspace at n = 2000.
+# Rows per block in _energy_moments: 2 MB of workspace at n = 2000.
 _MOMENT_ROWS = 128
 
 
@@ -80,7 +79,7 @@ class EnergyReport:
     bounds: dict[str, BoundCheck]
 
 
-def energy_moments(r: np.ndarray, transmissions: np.ndarray) -> tuple[float, float]:
+def _energy_moments(r: np.ndarray, rtr: np.ndarray) -> tuple[float, float]:
     """(f, F): squared resistances over unordered pairs, and the corrected
     second moment F = f + (1/2) sum (U_i - mean U)^2. For a stack of R of
     shape (k, n, n) and transmissions of shape (k, n), two arrays of shape
@@ -91,8 +90,6 @@ def energy_moments(r: np.ndarray, transmissions: np.ndarray) -> tuple[float, flo
     workspace, zeroed on and below the diagonal, and reduced row by row, in
     the same order for one matrix as for each matrix of a stack.
     """
-    r = np.asarray(r, dtype=float)
-    rtr = np.asarray(transmissions, dtype=float)
     n = r.shape[-1]
     rows = np.empty(r.shape[:-1])
     for i in range(0, n, _MOMENT_ROWS):
@@ -130,19 +127,16 @@ def _bound_values(n: int, mean_u, big_f, eta1) -> tuple:
     )
 
 
-def check_bounds(report: EnergyReport) -> dict[str, BoundCheck]:
-    """Evaluate all four energy bounds for an existing report.
+def _check_bounds(n: int, mean_u: float, big_f: float, eta1: float,
+                  le_r: float) -> dict[str, BoundCheck]:
+    """Evaluate all four energy bounds of one graph against its LE_R.
 
     lower_2sqrtF and upper_sqrt2nF bracket LE_R by 2*sqrt(F) and
     sqrt(2nF); upper_meanU and upper_eta1 are the mean-transmission and
     eta_1 refinements. Tiny negative radicands (rounding at equality
     cases) are clamped; genuinely negative ones raise NegativeRadicand.
     """
-    le_r = report.le_r
-    eta1 = float(report.eta[0]) if len(report.eta) else 0.0
-    lower, *uppers = (
-        float(v) for v in _bound_values(report.n, report.mean_transmission, report.F, eta1)
-    )
+    lower, *uppers = (float(v) for v in _bound_values(n, mean_u, big_f, eta1))
     out = {"lower_2sqrtF": BoundCheck(lower, le_r >= lower - _BOUND_TOL, le_r - lower)}
     for name, value in zip(BOUND_NAMES[1:], uppers):
         out[name] = BoundCheck(value, le_r <= value + _BOUND_TOL, value - le_r)
@@ -180,22 +174,19 @@ def resistance_laplacian_energy(g: Graph) -> EnergyReport:
     handed to the eigensolver to overwrite.
     """
     r = resistance_matrix(g)
-    rtr = resistance_transmissions(r)
-    f, big_f = energy_moments(r, rtr)
+    rtr = r.sum(axis=-2)
+    f, big_f = _energy_moments(r, rtr)
     e_r = float(2.0 * _perron_root(r))
     rl = _set_diagonal(np.negative(r, out=r), rtr)
     eta, mean_u, le_r = _eta(_eigenvalues_in_place(rl, lambda: resistance_laplacian(g)), rtr)
-    report = EnergyReport(
+    mean_u, big_f, le_r = float(mean_u), float(big_f), float(le_r)
+    return EnergyReport(
         n=eta.size,
-        mean_transmission=float(mean_u),
+        mean_transmission=mean_u,
         eta=eta,
         f=float(f),
-        F=float(big_f),
-        le_r=float(le_r),
+        F=big_f,
+        le_r=le_r,
         e_r=e_r,
-        bounds={},
+        bounds=_check_bounds(eta.size, mean_u, big_f, float(eta[0]), le_r),
     )
-    # check_bounds reads the finished fields; filling the dict in place
-    # spares building the report twice.
-    report.bounds.update(check_bounds(report))
-    return report

@@ -37,6 +37,9 @@ FAMILY_KINDS = ("complete", "bipartite", "cycle", "path")
 #: adds its text, which is larger still.
 MAX_ORDER = 20_000
 
+# Erdos-Renyi draws random_connected_graph makes before it overlays a tree.
+_MAX_RESAMPLE = 100
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -53,10 +56,11 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         """Validate and normalize an iterable of vertex pairs into a Graph.
 
-        Raises SelfLoop, VertexOutOfRange (also for a non-integer endpoint)
-        or DuplicateEdge when the input violates the simple-graph invariants.
+        Raises SelfLoop, VertexOutOfRange (also for a non-integer endpoint or
+        vertex count) or DuplicateEdge when the input violates the simple-graph
+        invariants.
         """
-        _require_vertices(n)
+        n = _require_vertices(n)
         normalized: set[Edge] = set()
         for u, v in edges:
             key = _edge(n, u, v)
@@ -172,9 +176,15 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n=n, edges=frozenset(seen))
 
 
-def _require_vertices(n: int) -> None:
-    if n < 1:
-        raise VertexOutOfRange(f"vertex count must be >= 1, got {n}")
+def _require_vertices(n) -> int:
+    """n as an int; raises VertexOutOfRange unless it is an integer in [1, MAX_ORDER]."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise VertexOutOfRange(f"non-integer vertex count {n!r}") from None
+    if not 1 <= n <= MAX_ORDER:
+        raise VertexOutOfRange(f"vertex count must be >= 1 and <= {MAX_ORDER}, got {n}")
+    return n
 
 
 def _edge(n: int, u, v, where: str = "") -> Edge:
@@ -300,18 +310,16 @@ def non_edges(g: Graph) -> list[Edge]:
     ]
 
 
-def random_connected_graph(
-    n: int, edge_prob: float, seed: int, max_resample: int = 100
-) -> Graph:
+def random_connected_graph(n: int, edge_prob: float, seed: int) -> Graph:
     """Erdos-Renyi draw, resampled until connected; deterministic per seed.
 
-    After max_resample failed draws, a random spanning tree is overlaid on
+    After _MAX_RESAMPLE failed draws, a random spanning tree is overlaid on
     the last draw so the result is always connected.
     """
-    _require_vertices(n)
+    n = _require_vertices(n)
     rng = random.Random(seed)
     edges: list[Edge] = []
-    for _ in range(max_resample):
+    for _ in range(_MAX_RESAMPLE):
         # one draw per vertex pair, in lexicographic order, with no pair list
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob]
         g = Graph(n, frozenset(edges))
@@ -328,7 +336,7 @@ def random_connected_graph(
 
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree on n vertices (Prufer decode)."""
-    _require_vertices(n)
+    n = _require_vertices(n)
     if n == 1:
         return Graph(1, frozenset())
     rng = random.Random(seed)

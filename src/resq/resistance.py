@@ -191,7 +191,7 @@ def _resistance(pinv: np.ndarray) -> np.ndarray:
 
 def _bundle(r: np.ndarray) -> ResistanceBundle:
     """Transmissions and R^L from R, or from a stack of R."""
-    rtr = resistance_transmissions(r)
+    rtr = r.sum(axis=-2)
     return ResistanceBundle(r=r, rtr=rtr, rl=_set_diagonal(-r, rtr))
 
 
@@ -203,23 +203,17 @@ def resistance_matrix(g: Graph) -> np.ndarray:
     return _resistance(_pseudoinverse_in_place(laplacian(g)))
 
 
-def resistance_transmissions(r: np.ndarray) -> np.ndarray:
-    """Column sums of a resistance matrix, or of each in a stack:
-    RTr(v) = sum_u r(u, v)."""
-    return np.asarray(r, dtype=float).sum(axis=-2)
-
-
 def resistance_laplacian(g: Graph) -> np.ndarray:
     """Diag(RTr) - R; rows sum to zero. Built in the memory of R."""
     r = resistance_matrix(g)
-    rtr = resistance_transmissions(r)
+    rtr = r.sum(axis=-2)
     return _set_diagonal(np.negative(r, out=r), rtr)
 
 
 def resistance_signless_laplacian(g: Graph) -> np.ndarray:
     """Diag(RTr) + R. Built in the memory of R."""
     r = resistance_matrix(g)
-    return _set_diagonal(r, resistance_transmissions(r))
+    return _set_diagonal(r, r.sum(axis=-2))
 
 
 def resistance_bundle(g: Graph) -> ResistanceBundle:

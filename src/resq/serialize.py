@@ -24,7 +24,7 @@ import numpy as np
 
 from .energy import EnergyReport
 from .graph import Graph, format_edge_list
-from .spectral import Spectrum
+from .spectral import DEFAULT_GROUP_TOL, Spectrum
 
 
 def format_float(x: float) -> str:
@@ -242,7 +242,8 @@ def matrix_to_csv(m: np.ndarray) -> str:
 
 def matrix_chunks(m: np.ndarray, kind: str, fmt: str):
     """The text of m in pieces made a row block at a time. Joined, they are
-    matrix_to_csv(m) or dumps(matrix_to_json(m, kind)), and a newline."""
+    matrix_to_csv(m) or dumps({"data": m.ravel().tolist(), "kind": kind,
+    "n": len(m)}), and a newline."""
     if fmt == "csv":
         for block in _row_blocks(m):
             yield matrix_to_csv(block) + "\n"
@@ -253,11 +254,6 @@ def matrix_chunks(m: np.ndarray, kind: str, fmt: str):
     yield f'],"kind":{dumps(kind)},"n":{len(m)}}}\n'
 
 
-def matrix_to_json(m: np.ndarray, kind: str) -> dict:
-    m = np.asarray(m, dtype=float)
-    return {"n": int(m.shape[0]), "kind": kind, "data": m.ravel().tolist()}
-
-
 def spectrum_to_csv(s: Spectrum) -> str:
     return ",".join(format_float(v) for v in s.values)
 
@@ -266,7 +262,7 @@ def spectrum_to_json(s: Spectrum) -> dict:
     return {
         "values": s.values.tolist(),
         "multiplicities": [[float(v), int(c)] for v, c in s.multiplicities],
-        "tol": float(s.tol),
+        "tol": DEFAULT_GROUP_TOL,
     }
 
 
@@ -297,8 +293,7 @@ def energy_report_to_csv(report: EnergyReport, graph_tag: str) -> str:
         f"le_r,{format_float(report.le_r)}",
         f"e_r,{format_float(report.e_r)}",
     ]
-    for name in report.bounds:
-        b = report.bounds[name]
+    for name, b in report.bounds.items():
         lines.append(
             f"bound,{name},{format_float(b.value)},"
             f"{'satisfied' if b.satisfied else 'violated'},{format_float(b.slack)}"

@@ -71,28 +71,24 @@ def _dsyevd_2stage():
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Real eigenvalues sorted descending; multiplicities grouped within tol when read."""
+    """Real eigenvalues, descending; multiplicities grouped within DEFAULT_GROUP_TOL when read."""
 
     values: np.ndarray
-    tol: float
 
     @classmethod
-    def from_values(cls, values, tol: float = DEFAULT_GROUP_TOL) -> "Spectrum":
-        return cls(values=np.sort(np.asarray(values, dtype=float))[::-1].copy(), tol=tol)
+    def from_values(cls, values) -> "Spectrum":
+        return cls(values=np.sort(np.asarray(values, dtype=float))[::-1].copy())
 
     @functools.cached_property
     def multiplicities(self) -> tuple[tuple[float, int], ...]:
         groups: list[list[float]] = []  # [representative, count, running sum]
         for v in self.values:
-            if groups and abs(v - groups[-1][0]) <= self.tol:
+            if groups and abs(v - groups[-1][0]) <= DEFAULT_GROUP_TOL:
                 groups[-1][1] += 1
                 groups[-1][2] += v
             else:
                 groups.append([float(v), 1, float(v)])
         return tuple((g[2] / g[1], int(g[1])) for g in groups)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 def eigenvalues_symmetric(m: np.ndarray) -> Spectrum:
@@ -183,9 +179,12 @@ def quotient_matrix(m: np.ndarray, partition: Partition) -> tuple[np.ndarray, bo
 
     Returns (Q, equitable) where equitable is True iff every block has
     constant row sums within _EQUITABLE_TOL. When the partition is equitable, every
-    eigenvalue of Q is an eigenvalue of m.
+    eigenvalue of Q is an eigenvalue of m. Raises NotSymmetric for an empty or
+    non-square array.
     """
     m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise NotSymmetric(f"expected a non-empty square matrix, got shape {m.shape}")
     n = m.shape[0]
     partition.validate(n)
     indicator = np.zeros((n, len(partition.blocks)))

@@ -202,7 +202,7 @@ def rq_quotient_report(max_pq: int = 8) -> list[dict]:
 
 def _rq_quotient_row(fam: _Family) -> dict:
     p, q = fam.spec.params
-    quotient_pair = cf.bipartite_rq_quotient_eigenvalues(p, q)
+    quotient_pair = cf._rq_quotient_eigenvalues(p, q)
     quotient_err = _containment_error(fam.rq_values, np.array(quotient_pair))
     pm_pair = cf.bipartite_rq_pm_formula(p, q)
     if any(math.isnan(v) for v in pm_pair):
@@ -298,7 +298,7 @@ def _corpus_measures(graphs: list[Graph], n: int) -> np.ndarray:
         np.minimum(shortest, r[:, :, m, None] + r[:, None, m, :], out=shortest)
     total = rtr.sum(axis=-1)
     eta, mean_u, le_r = energy_mod._eta(values, rtr)
-    _, big_f = energy_mod.energy_moments(r, rtr)
+    _, big_f = energy_mod._energy_moments(r, rtr)
     lower, *uppers = energy_mod._bound_values(n, mean_u, big_f, eta[:, 0])
     return np.column_stack([
         -values.min(axis=-1) / norm,

@@ -5,27 +5,25 @@ import pytest
 
 from resq.closed_forms import (
     ClosedForm,
+    _rq_quotient_eigenvalues,
     bipartite_rl,
     bipartite_rl_spectrum,
     bipartite_rq,
     bipartite_rq_pm_formula,
-    bipartite_rq_quotient,
-    bipartite_rq_quotient_eigenvalues,
     bipartite_rq_spectrum,
     closed_form,
     complete_rl,
     complete_rl_spectrum,
     complete_rq,
     complete_rq_spectrum,
-    cycle_resistance_row,
     cycle_rl,
     cycle_rq,
     cycle_spectra,
 )
 from resq.errors import InvalidFamilyParams
 from resq.graph import FamilySpec, generate
-from resq.resistance import resistance_laplacian, resistance_signless_laplacian
-from resq.spectral import eigenvalues_symmetric
+from resq.resistance import resistance_laplacian, resistance_matrix, resistance_signless_laplacian
+from resq.spectral import Partition, eigenvalues_symmetric, quotient_matrix
 
 
 class TestCompleteForms:
@@ -152,16 +150,15 @@ class TestBipartiteSpectra:
             assert np.abs(bipartite_rq_spectrum(p, q).values - rq_direct).max() <= 1e-8
 
     def test_quotient_row_sums_match_block_matrix(self):
-        for p, q in [(1, 1), (2, 2), (3, 5), (4, 1)]:
-            rq = bipartite_rq(p, q)
-            quot = bipartite_rq_quotient(p, q)
-            assert quot[0, 0] == pytest.approx(rq[:p, :p].sum(axis=1)[0], abs=1e-12)
-            assert quot[0, 1] == pytest.approx(rq[:p, p:].sum(axis=1)[0], abs=1e-12)
-            assert quot[1, 0] == pytest.approx(rq[p:, :p].sum(axis=1)[0], abs=1e-12)
-            assert quot[1, 1] == pytest.approx(rq[p:, p:].sum(axis=1)[0], abs=1e-12)
+        # the quotient pair is the spectrum of the row-sum quotient of R^Q(K_{p,q})
+        for p, q in [(1, 1), (2, 2), (3, 5), (4, 1), (7, 3), (8, 8)]:
+            quot, equitable = quotient_matrix(bipartite_rq(p, q), Partition.from_sizes(p, q))
+            assert equitable
+            expected = np.sort(np.linalg.eigvals(quot).real)[::-1]
+            np.testing.assert_allclose(_rq_quotient_eigenvalues(p, q), expected, atol=1e-12)
 
     def test_pm_formula_disagrees_at_22(self):
-        quotient_pair = bipartite_rq_quotient_eigenvalues(2, 2)
+        quotient_pair = _rq_quotient_eigenvalues(2, 2)
         np.testing.assert_allclose(quotient_pair, (5.0, 2.0), atol=1e-12)
         pm_pair = bipartite_rq_pm_formula(2, 2)
         assert abs(pm_pair[0] - 5.0) > 0.1
@@ -184,7 +181,12 @@ class TestCycleForms:
         assert cycle_rl(5)[0, 0] == pytest.approx(4.0, abs=1e-12)
 
     def test_resistance_row(self):
-        np.testing.assert_allclose(cycle_resistance_row(4), [0.0, 0.75, 1.0, 0.75], atol=1e-15)
+        # (R^Q - R^L) / 2 = R, and entry k of the first row of R(C_n) is k(n-k)/n
+        half = (cycle_rq(4) - cycle_rl(4)) / 2.0
+        np.testing.assert_allclose(half[0], [0.0, 0.75, 1.0, 0.75], atol=1e-15)
+        for n in (3, 4, 9, 25):
+            r = resistance_matrix(generate(FamilySpec.cycle(n)))
+            assert np.abs((cycle_rq(n) - cycle_rl(n)) / 2.0 - r).max() <= 1e-9
 
     def test_against_numeric_pipeline(self):
         for n in (3, 4, 9, 25, 50):
@@ -229,7 +231,7 @@ class TestClosedFormDispatcher:
             assert form.family == spec
             n = spec.order
             assert form.rl_matrix.shape == (n, n)
-            assert len(form.rl_spectrum) == n
+            assert form.rl_spectrum.values.size == n
             # spectrum sums must equal traces
             assert form.rl_spectrum.values.sum() == pytest.approx(
                 np.trace(form.rl_matrix), abs=1e-8

@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 import resq.energy
 import resq.spectral
-from resq.energy import (
-    EnergyReport,
-    _perron_root,
-    check_bounds,
-    energy_moments,
-    resistance_laplacian_energy,
-)
+from resq.energy import _check_bounds, _perron_root, resistance_laplacian_energy
 from resq.errors import NegativeRadicand
 from resq.graph import FamilySpec, Graph, generate, random_connected_graph
 from resq.resistance import (
@@ -23,19 +17,6 @@ from resq.resistance import (
     resistance_laplacian,
     resistance_matrix,
 )
-
-
-def _report_with(n, mean_u, big_f, eta1, le_r):
-    return EnergyReport(
-        n=n,
-        mean_transmission=mean_u,
-        eta=np.array([eta1, -mean_u]),
-        f=big_f,
-        F=big_f,
-        le_r=le_r,
-        e_r=le_r,
-        bounds={},
-    )
 
 
 class TestCenteredEigenvalues:
@@ -58,19 +39,19 @@ class TestEnergyMoments:
     def test_complete_graphs(self):
         # f = C(n,2) * (2/n)^2 = 2(n-1)/n and F = f for transmission-regular
         for n in range(2, 12):
-            bundle = resistance_bundle(generate(FamilySpec.complete(n)))
-            f, big_f = energy_moments(bundle.r, bundle.rtr)
+            report = resistance_laplacian_energy(generate(FamilySpec.complete(n)))
+            f, big_f = report.f, report.F
             assert f == pytest.approx(2.0 * (n - 1) / n, abs=1e-12)
             assert big_f == pytest.approx(f, abs=1e-12)
 
     def test_k2(self):
-        bundle = resistance_bundle(generate(FamilySpec.complete(2)))
-        assert energy_moments(bundle.r, bundle.rtr) == pytest.approx((1.0, 1.0), abs=1e-12)
+        report = resistance_laplacian_energy(generate(FamilySpec.complete(2)))
+        assert (report.f, report.F) == pytest.approx((1.0, 1.0), abs=1e-12)
 
     def test_path3_hand_computed(self):
         # r = {1, 1, 2}; f = 6; U = (3, 2, 3); F = 6 + 1/3
-        bundle = resistance_bundle(generate(FamilySpec.path(3)))
-        f, big_f = energy_moments(bundle.r, bundle.rtr)
+        report = resistance_laplacian_energy(generate(FamilySpec.path(3)))
+        f, big_f = report.f, report.F
         assert f == pytest.approx(6.0, abs=1e-10)
         assert big_f == pytest.approx(6.0 + 1.0 / 3.0, abs=1e-10)
 
@@ -79,7 +60,7 @@ class TestEnergyMoments:
         for seed in range(12):
             g = random_connected_graph(3 + seed % 8, 0.4, 4000 + seed)
             bundle = resistance_bundle(g)
-            f, _ = energy_moments(bundle.r, bundle.rtr)
+            f = resistance_laplacian_energy(g).f
             lhs = np.trace(bundle.rl @ bundle.rl)
             rhs = (bundle.rtr**2).sum() + 2.0 * f
             assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -277,18 +258,15 @@ class TestIdentitiesOnRandomGraphs:
 class TestCheckBounds:
     def test_recompute_matches_report(self):
         report = resistance_laplacian_energy(generate(FamilySpec.cycle(5)))
-        again = check_bounds(report)
-        for name, bound in report.bounds.items():
-            assert again[name].value == pytest.approx(bound.value, abs=1e-15)
-            assert again[name].satisfied == bound.satisfied
+        eta1 = float(report.eta[0])
+        again = _check_bounds(report.n, report.mean_transmission, report.F, eta1, report.le_r)
+        assert again == report.bounds
 
     def test_tiny_negative_radicand_clamped(self):
         # 2F - meanU^2 = -1e-12 is rounding noise; the sqrt clamps to zero
-        report = _report_with(n=3, mean_u=1.0, big_f=(1.0 - 1e-12) / 2, eta1=0.9, le_r=1.0)
-        bounds = check_bounds(report)
+        bounds = _check_bounds(n=3, mean_u=1.0, big_f=(1.0 - 1e-12) / 2, eta1=0.9, le_r=1.0)
         assert bounds["upper_meanU"].value == pytest.approx(1.0, abs=1e-6)
 
     def test_negative_radicand_raises(self):
-        report = _report_with(n=3, mean_u=1.0, big_f=(1.0 - 1e-3) / 2, eta1=0.9, le_r=1.0)
         with pytest.raises(NegativeRadicand):
-            check_bounds(report)
+            _check_bounds(n=3, mean_u=1.0, big_f=(1.0 - 1e-3) / 2, eta1=0.9, le_r=1.0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import resq.graph
 from resq.errors import (
     Disconnected,
     DuplicateEdge,
@@ -224,10 +225,10 @@ class TestRandomGraphs:
         for seed in range(25):
             assert is_connected(random_connected_graph(12, 0.05, seed))
 
-    def test_same_graphs_as_drawing_from_a_list_of_all_pairs(self):
+    def test_same_graphs_as_drawing_from_a_list_of_all_pairs(self, monkeypatch):
         # The pairs are walked lazily; the graphs equal those of the earlier
         # code, which drew one rng.random() per entry of a list of all pairs.
-        def from_pair_list(n, edge_prob, seed, max_resample=100):
+        def from_pair_list(n, edge_prob, seed, max_resample):
             rng = random.Random(seed)
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             edges = []
@@ -244,11 +245,14 @@ class TestRandomGraphs:
                 tree.add((min(a, b), max(a, b)))
             return Graph.from_edges(n, set(edges) | tree)
 
-        for seed in range(20):
-            for n in range(1, 41):
-                # p = 0.1 with three draws also reaches the spanning-tree overlay
-                for args in ((0.5, seed), (0.1, seed, 3)):
-                    assert random_connected_graph(n, *args) == from_pair_list(n, *args), (n, args)
+        for n in range(1, 41):
+            for seed in range(20):
+                assert random_connected_graph(n, 0.5, seed) == from_pair_list(n, 0.5, seed, 100)
+        # p = 0.1 with three draws also reaches the spanning-tree overlay
+        monkeypatch.setattr(resq.graph, "_MAX_RESAMPLE", 3)
+        for n in range(1, 41):
+            for seed in range(20):
+                assert random_connected_graph(n, 0.1, seed) == from_pair_list(n, 0.1, seed, 3)
 
     def test_trees_have_n_minus_1_edges(self):
         for seed in range(30):
@@ -263,15 +267,15 @@ class TestRandomGraphs:
         for seed in range(40):
             n = seed % 15 + 1
             assert_normalized(random_connected_graph(n, 0.3, seed))
-            assert_normalized(random_connected_graph(n, 0.05, seed, 2))  # spanning-tree overlay
+            assert_normalized(random_connected_graph(n, 0.05, seed))  # spanning-tree overlay
             assert_normalized(random_tree(n, seed))
 
-    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("n", [0, -3, MAX_ORDER + 1])
     def test_connected_graph_needs_a_vertex(self, n):
         with pytest.raises(VertexOutOfRange):
             random_connected_graph(n, 0.5, 1)
 
-    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("n", [0, -3, MAX_ORDER + 1])
     def test_tree_needs_a_vertex(self, n):
         with pytest.raises(VertexOutOfRange):
             random_tree(n, 1)
@@ -302,9 +306,16 @@ class TestEdgeHelpers:
             Graph.from_edges(3, [(bad, 2)])
         with pytest.raises(VertexOutOfRange, match="non-integer"):
             add_edge(generate(FamilySpec.path(3)), bad, 2)
+        with pytest.raises(VertexOutOfRange, match="non-integer vertex count"):
+            Graph.from_edges(bad, [])
+        with pytest.raises(VertexOutOfRange, match="non-integer vertex count"):
+            random_tree(bad, 1)
+        with pytest.raises(VertexOutOfRange, match="non-integer vertex count"):
+            random_connected_graph(bad, 0.5, 1)
 
     def test_numpy_integer_endpoints_stored_as_int(self):
         g = Graph.from_edges(np.int64(3), [(np.int64(1), np.int64(0)), (np.int32(2), 1)])
+        assert type(g.n) is int
         assert g.edges == {(0, 1), (1, 2)}
         assert all(type(x) is int for edge in g.edges for x in edge)
         g2 = add_edge(g, np.int64(2), np.int64(0))
@@ -325,3 +336,5 @@ class TestEdgeHelpers:
             Graph.from_edges(2, [(0, 3)])
         with pytest.raises(VertexOutOfRange):
             Graph.from_edges(0, [])
+        with pytest.raises(VertexOutOfRange):
+            Graph.from_edges(MAX_ORDER + 1, [])

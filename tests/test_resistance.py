@@ -28,7 +28,6 @@ from resq.resistance import (
     resistance_laplacian,
     resistance_matrix,
     resistance_signless_laplacian,
-    resistance_transmissions,
 )
 
 
@@ -420,21 +419,22 @@ class TestStackedBundles:
 
 class TestTransmissions:
     def test_complete(self):
-        r = resistance_matrix(generate(FamilySpec.complete(4)))
-        np.testing.assert_allclose(resistance_transmissions(r), 1.5, atol=1e-12)
+        rtr = resistance_bundle(generate(FamilySpec.complete(4))).rtr
+        np.testing.assert_allclose(rtr, 1.5, atol=1e-12)
 
     def test_cycle(self):
-        r = resistance_matrix(generate(FamilySpec.cycle(4)))
-        np.testing.assert_allclose(resistance_transmissions(r), 2.5, atol=1e-12)
+        rtr = resistance_bundle(generate(FamilySpec.cycle(4))).rtr
+        np.testing.assert_allclose(rtr, 2.5, atol=1e-12)
 
     def test_bipartite_22(self):
-        r = resistance_matrix(generate(FamilySpec.bipartite(2, 2)))
-        np.testing.assert_allclose(resistance_transmissions(r), 2.5, atol=1e-12)
+        rtr = resistance_bundle(generate(FamilySpec.bipartite(2, 2))).rtr
+        np.testing.assert_allclose(rtr, 2.5, atol=1e-12)
 
     def test_path3_from_bfs_distances(self):
         # oracle: in a tree, transmissions are the distance column sums
         g = generate(FamilySpec.path(3))
-        rtr = resistance_transmissions(resistance_matrix(g))
+        rtr = resistance_bundle(g).rtr
+        assert np.array_equal(rtr, resistance_matrix(g).sum(axis=0))  # column sums of R
         oracle = classical_distance_matrix(g).sum(axis=0)
         np.testing.assert_allclose(rtr, oracle, atol=1e-12)
         np.testing.assert_allclose(rtr, [3.0, 2.0, 3.0], atol=1e-12)
@@ -480,7 +480,7 @@ class TestTransmissionRegularity:
 
     @staticmethod
     def transmissions(spec):
-        return resistance_transmissions(resistance_matrix(generate(spec)))
+        return resistance_bundle(generate(spec)).rtr
 
     def test_cycle5(self):
         np.testing.assert_allclose(self.transmissions(FamilySpec.cycle(5)), 4.0, atol=1e-9)

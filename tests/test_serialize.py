@@ -17,11 +17,10 @@ from resq.serialize import (
     format_float,
     graph_hash,
     matrix_to_csv,
-    matrix_to_json,
     spectrum_to_csv,
     spectrum_to_json,
 )
-from resq.spectral import Spectrum
+from resq.spectral import DEFAULT_GROUP_TOL, Spectrum
 
 
 def test_format_float_full_precision():
@@ -163,23 +162,22 @@ def test_matrix_text_over_row_blocks_with_mixed_exponents(n, monkeypatch):
     blocks = list(serialize._row_blocks(m))
     assert [len(b) for b in blocks] == ([5] * 4 + [3] if n == 23 else [1] * n)
     assert "".join(serialize.matrix_chunks(m, "rq", "csv")) == csv_reference(m) + "\n"
-    assert "".join(serialize.matrix_chunks(m, "rq", "json")) == dumps(matrix_to_json(m, "rq")) + "\n"
+    expected = {"n": n, "kind": "rq", "data": m.ravel().tolist()}
+    assert "".join(serialize.matrix_chunks(m, "rq", "json")) == dumps(expected) + "\n"
 
 
 def test_matrix_json_schema_and_roundtrip():
     m = np.array([[0.0, 2.0 / 3.0], [2.0 / 3.0, 0.0]])
-    payload = matrix_to_json(m, "resistance")
+    payload = json.loads("".join(serialize.matrix_chunks(m, "resistance", "json")))
     assert payload["n"] == 2
     assert payload["kind"] == "resistance"
-    assert len(payload["data"]) == 4
-    decoded = json.loads(dumps(payload))
-    assert decoded["data"] == payload["data"]  # exact float round-trip
+    assert payload["data"] == m.ravel().tolist()  # exact float round-trip
 
 
 def test_json_lists_print_as_per_element_floats():
     m = np.array([[-0.0, 5e-324, 1e300], [0.1, -1.2345678901234567e-100, 2.0 / 3.0]])
     expected = {"n": 2, "kind": "rl", "data": [float(x) for x in m.ravel()]}
-    assert dumps(matrix_to_json(m, "rl")) == dumps(expected)
+    assert "".join(serialize.matrix_chunks(m, "rl", "json")) == dumps(expected) + "\n"
     s = Spectrum.from_values(m.ravel())
     assert dumps(spectrum_to_json(s)["values"]) == dumps([float(v) for v in s.values])
     g = generate(FamilySpec.cycle(5))
@@ -194,7 +192,7 @@ def test_spectrum_serialization():
     payload = spectrum_to_json(s)
     assert payload["values"] == [2.0, 2.0, 0.0]
     assert payload["multiplicities"] == [[2.0, 2], [0.0, 1]]
-    assert payload["tol"] == s.tol
+    assert payload["tol"] == DEFAULT_GROUP_TOL == 1e-7
 
 
 def test_energy_report_serialization():

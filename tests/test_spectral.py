@@ -77,10 +77,11 @@ class TestEigenvaluesSymmetric:
             assert abs(s.values.sum() - np.trace(m)) <= 1e-9 * max(1.0, abs(np.trace(m)))
 
     def test_grouping_tolerance(self):
-        s = Spectrum.from_values([1.0, 1.0 + 5e-8, 0.0], tol=1e-7)
+        # values within DEFAULT_GROUP_TOL = 1e-7 of a group's first value join it
+        s = Spectrum.from_values([1.0, 1.0 + 5e-8, 0.0])
         assert [c for _, c in s.multiplicities] == [2, 1]
-        tight = Spectrum.from_values([1.0, 1.0 + 5e-8, 0.0], tol=1e-9)
-        assert [c for _, c in tight.multiplicities] == [1, 1, 1]
+        apart = Spectrum.from_values([1.0, 1.0 + 5e-7, 0.0])
+        assert [c for _, c in apart.multiplicities] == [1, 1, 1]
 
     @pytest.mark.parametrize("n", [3, spectral._TWO_STAGE_N + 1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -261,6 +262,11 @@ class TestQuotientMatrix:
             quotient_matrix(m, Partition.of([(0, 1, 2), ()]))  # empty block
         with pytest.raises(InvalidPartition):
             quotient_matrix(m, Partition.of([(0, 1, 5)]))  # out of range
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 4), (2, 3, 3), (0, 0)])
+    def test_rejects_a_non_square_matrix(self, shape):
+        with pytest.raises(NotSymmetric, match="non-empty square matrix"):
+            quotient_matrix(np.zeros(shape), Partition.of([(0, 1, 2)]))
 
     def test_equitable_quotient_eigenvalues_contained(self):
         for p, q in [(1, 1), (2, 2), (2, 5), (3, 4), (8, 8), (1, 8)]:
