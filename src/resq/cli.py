@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from . import serialize
 from .energy import resistance_laplacian_energy
 from .errors import Disconnected, GraphInputError
-from .graph import FamilySpec, format_edge_list, generate, parse_edge_list
+from .graph import FAMILY_KINDS, FamilySpec, format_edge_list, generate, parse_edge_list
 from .resistance import (
     resistance_laplacian,
     resistance_matrix,
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a family graph as an edge list")
-    gen.add_argument("--family", required=True, choices=("complete", "bipartite", "cycle", "path"))
+    gen.add_argument("--family", required=True, choices=FAMILY_KINDS)
     gen.add_argument("--n", type=int, help="order for complete/cycle/path")
     gen.add_argument("--p", type=int, help="first part size for bipartite")
     gen.add_argument("--q", type=int, help="second part size for bipartite")

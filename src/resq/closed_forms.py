@@ -31,25 +31,25 @@ class ClosedForm:
 
 def complete_rl(n: int) -> np.ndarray:
     """R^L(K_n) = 2I - (2/n)J."""
-    FamilySpec.complete(n).validate()
+    (n,) = FamilySpec.complete(n).validate()
     return 2.0 * np.eye(n) - (2.0 / n) * np.ones((n, n))
 
 
 def complete_rq(n: int) -> np.ndarray:
     """R^Q(K_n) = (2/n)J + (2 - 4/n)I."""
-    FamilySpec.complete(n).validate()
+    (n,) = FamilySpec.complete(n).validate()
     return (2.0 / n) * np.ones((n, n)) + (2.0 - 4.0 / n) * np.eye(n)
 
 
 def complete_rl_spectrum(n: int) -> Spectrum:
     """Eigenvalues 2 with multiplicity n-1, and 0."""
-    FamilySpec.complete(n).validate()
+    (n,) = FamilySpec.complete(n).validate()
     return Spectrum.from_values([2.0] * (n - 1) + [0.0])
 
 
 def complete_rq_spectrum(n: int) -> Spectrum:
     """Eigenvalues 4 - 4/n once and 2 - 4/n with multiplicity n-1."""
-    FamilySpec.complete(n).validate()
+    (n,) = FamilySpec.complete(n).validate()
     return Spectrum.from_values([4.0 - 4.0 / n] + [2.0 - 4.0 / n] * (n - 1))
 
 
@@ -72,14 +72,14 @@ def _bipartite_blocks(p: int, q: int, sign: float) -> np.ndarray:
 def bipartite_rl(p: int, q: int) -> np.ndarray:
     """R^L(K_{p,q}) in block form: [2p/q + (p+q-1)/p]I - (2/q)J on the first
     part, the mirrored expression on the second, and -(p+q-1)/(pq) across."""
-    FamilySpec.bipartite(p, q).validate()
+    p, q = FamilySpec.bipartite(p, q).validate()
     return _bipartite_blocks(p, q, sign=-1.0)
 
 
 def bipartite_rq(p: int, q: int) -> np.ndarray:
     """R^Q(K_{p,q}) in block form: [2(p-2)/q + (p+q-1)/p]I + (2/q)J on the
     first part, mirrored on the second, and +(p+q-1)/(pq) across."""
-    FamilySpec.bipartite(p, q).validate()
+    p, q = FamilySpec.bipartite(p, q).validate()
     return _bipartite_blocks(p, q, sign=1.0)
 
 
@@ -89,7 +89,7 @@ def bipartite_rl_spectrum(p: int, q: int) -> Spectrum:
     0 and ((p+q)^2 - p - q)/(pq) once each, 2p/q + (p+q-1)/p with
     multiplicity p-1, and 2q/p + (p+q-1)/q with multiplicity q-1.
     """
-    FamilySpec.bipartite(p, q).validate()
+    p, q = FamilySpec.bipartite(p, q).validate()
     s = p + q
     values = [0.0, (s * s - s) / (p * q)]
     values += [2.0 * p / q + (s - 1.0) / p] * (p - 1)
@@ -120,7 +120,7 @@ def bipartite_rq_spectrum(p: int, q: int) -> Spectrum:
     multiplicity q-1, and the two eigenvalues of the row-sum quotient of
     the block matrix.
     """
-    FamilySpec.bipartite(p, q).validate()
+    p, q = FamilySpec.bipartite(p, q).validate()
     s = p + q - 1.0
     hi, lo = _rq_quotient_eigenvalues(p, q)
     values = [hi, lo]
@@ -140,7 +140,7 @@ def bipartite_rq_pm_formula(p: int, q: int) -> tuple[float, float]:
     is kept only so reports can show the discrepancy. Returns NaNs when
     the radicand is negative.
     """
-    FamilySpec.bipartite(p, q).validate()
+    p, q = FamilySpec.bipartite(p, q).validate()
     radicand = 9.0 * p * p - 14.0 * p * q + 9.0 * q * q * (p + q - 1)
     if radicand < 0.0:
         return (math.nan, math.nan)
@@ -153,7 +153,7 @@ def _cycle(n: int, sign: float) -> np.ndarray:
     """Diag(RTr) + sign * R for C_n: the circulant whose first row has the
     transmission (n^2-1)/6 at k = 0 and sign * k(n-k)/n (two parallel arc
     paths) at k = 1..n-1."""
-    FamilySpec.cycle(n).validate()
+    (n,) = FamilySpec.cycle(n).validate()
     k = np.arange(n, dtype=float)
     row = sign * (k * (n - k) / n)
     row[0] = (n * n - 1.0) / 6.0
@@ -178,7 +178,7 @@ def cycle_spectra(n: int) -> tuple[Spectrum, Spectrum]:
     2h, and for j = 1..n-1 they have h + 1/(2 sin^2(pi j/n)) and h - 1/(2 sin^2(pi j/n)),
     the sine taken at min(j, n-j) so that its argument is at most pi/2.
     """
-    FamilySpec.cycle(n).validate()
+    (n,) = FamilySpec.cycle(n).validate()
     h, j = (n * n - 1.0) / 6.0, np.arange(1, n)
     g = 0.5 / np.sin(np.pi * np.minimum(j, n - j) / n) ** 2
     rl, rq = np.append(h + g, 0.0), np.append(h - g, 2.0 * h)
@@ -190,20 +190,13 @@ def closed_form(family: FamilySpec) -> ClosedForm:
 
     Paths have no closed form here and are rejected.
     """
-    family.validate()
+    params = family.validate()
     if family.kind == "complete":
-        (n,) = family.params
-        return ClosedForm(
-            family, complete_rl(n), complete_rq(n),
-            complete_rl_spectrum(n), complete_rq_spectrum(n),
-        )
-    if family.kind == "bipartite":
-        p, q = family.params
-        return ClosedForm(
-            family, bipartite_rl(p, q), bipartite_rq(p, q),
-            bipartite_rl_spectrum(p, q), bipartite_rq_spectrum(p, q),
-        )
-    if family.kind == "cycle":
-        (n,) = family.params
-        return ClosedForm(family, cycle_rl(n), cycle_rq(n), *cycle_spectra(n))
-    raise InvalidFamilyParams(f"no closed form for family {family.kind!r}")
+        forms = complete_rl, complete_rq, complete_rl_spectrum, complete_rq_spectrum
+    elif family.kind == "bipartite":
+        forms = bipartite_rl, bipartite_rq, bipartite_rl_spectrum, bipartite_rq_spectrum
+    elif family.kind == "cycle":
+        return ClosedForm(family, cycle_rl(*params), cycle_rq(*params), *cycle_spectra(*params))
+    else:
+        raise InvalidFamilyParams(f"no closed form for family {family.kind!r}")
+    return ClosedForm(family, *(form(*params) for form in forms))

@@ -3,7 +3,8 @@
 Vertices are 0-indexed integers. Graphs are immutable; every operation in
 this module is a pure function, so values can be shared freely across
 threads. Edges from outside (parse_edge_list, Graph.from_edges, add_edge's
-new pair) pass one check, _edge; hop counts come from one BFS, _hops.
+new pair) pass one check, _edge, and every integer from outside one rule,
+_as_int; hop counts come from one BFS, _hops.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ class Graph:
 class FamilySpec:
     """Tagged description of a graph family instance.
 
-    kind is one of "complete", "bipartite", "cycle", "path"; params holds
-    (n,) for the single-parameter families and (p, q) for bipartite.
+    kind is one of FAMILY_KINDS; params holds (n,) for the single-parameter
+    families and (p, q) for bipartite, integers that validate returns as ints.
     """
 
     kind: str
@@ -109,22 +110,25 @@ class FamilySpec:
     def path(cls, n: int) -> "FamilySpec":
         return cls("path", (n,))
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[int, ...]:
+        """The params as ints; InvalidFamilyParams unless they fit the kind."""
         if self.kind not in FAMILY_KINDS:
             raise InvalidFamilyParams(f"unknown family kind {self.kind!r}")
-        if not all(isinstance(p, int) and p >= 1 for p in self.params):
+        params = tuple(_as_int(p) for p in self.params)
+        if not all(p is not None and p >= 1 for p in params):
             raise InvalidFamilyParams(
                 f"{self.kind} parameters must be positive integers, got {self.params}"
             )
         if self.kind == "bipartite":
-            if len(self.params) != 2:
+            if len(params) != 2:
                 raise InvalidFamilyParams("bipartite takes exactly two parameters p, q")
-        elif len(self.params) != 1:
+        elif len(params) != 1:
             raise InvalidFamilyParams(f"{self.kind} takes exactly one parameter n")
-        if self.kind == "cycle" and self.params[0] < 3:
-            raise InvalidFamilyParams(f"cycle needs n >= 3, got {self.params[0]}")
+        if self.kind == "cycle" and params[0] < 3:
+            raise InvalidFamilyParams(f"cycle needs n >= 3, got {params[0]}")
         if self.order > MAX_ORDER:
             raise InvalidFamilyParams(f"order {self.order} exceeds {MAX_ORDER}")
+        return params
 
     @property
     def order(self) -> int:
@@ -176,30 +180,36 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n=n, edges=frozenset(seen))
 
 
+def _as_int(x) -> int | None:
+    """x by operator.index (int, bool, numpy integer), or None: the caller raises its error."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        return None
+
+
 def _require_vertices(n) -> int:
     """n as an int; raises VertexOutOfRange unless it is an integer in [1, MAX_ORDER]."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise VertexOutOfRange(f"non-integer vertex count {n!r}") from None
-    if not 1 <= n <= MAX_ORDER:
-        raise VertexOutOfRange(f"vertex count must be >= 1 and <= {MAX_ORDER}, got {n}")
-    return n
+    count = _as_int(n)
+    if count is None:
+        raise VertexOutOfRange(f"non-integer vertex count {n!r}")
+    if not 1 <= count <= MAX_ORDER:
+        raise VertexOutOfRange(f"vertex count must be >= 1 and <= {MAX_ORDER}, got {count}")
+    return count
 
 
 def _edge(n: int, u, v, where: str = "") -> Edge:
-    """Key (min, max) of the edge {u, v} on n vertices, endpoints coerced by
-    operator.index. Raises VertexOutOfRange for an endpoint that is not an
-    integer in [0, n) and SelfLoop for u == v; where prefixes the message."""
-    try:
-        u, v = operator.index(u), operator.index(v)
-    except TypeError:
-        raise VertexOutOfRange(f"{where}edge ({u!r}, {v!r}) has a non-integer endpoint") from None
-    if u == v:
-        raise SelfLoop(f"{where}self-loop at vertex {u}")
-    if not (0 <= u < n and 0 <= v < n):
-        raise VertexOutOfRange(f"{where}edge ({u}, {v}) outside [0, {n})")
-    return (u, v) if u < v else (v, u)
+    """Key (min, max) of the edge {u, v} on n vertices, endpoints read by
+    _as_int. Raises VertexOutOfRange for an endpoint that is not an integer
+    in [0, n) and SelfLoop for u == v; where prefixes the message."""
+    a, b = _as_int(u), _as_int(v)
+    if a is None or b is None:
+        raise VertexOutOfRange(f"{where}edge ({u!r}, {v!r}) has a non-integer endpoint")
+    if a == b:
+        raise SelfLoop(f"{where}self-loop at vertex {a}")
+    if not (0 <= a < n and 0 <= b < n):
+        raise VertexOutOfRange(f"{where}edge ({a}, {b}) outside [0, {n})")
+    return (a, b) if a < b else (b, a)
 
 
 def format_edge_list(g: Graph) -> str:
@@ -215,15 +225,14 @@ def generate(spec: FamilySpec) -> Graph:
     Bipartite parts are {0..p-1} and {p..p+q-1}; paths use edges {i, i+1},
     and cycles add {0, n-1}.
     """
-    spec.validate()
+    params = spec.validate()
+    n = sum(params)
     if spec.kind == "complete":
-        (n,) = spec.params
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     elif spec.kind == "bipartite":
-        p, q = spec.params
-        n, edges = p + q, [(u, p + v) for u in range(p) for v in range(q)]
+        p, q = params
+        edges = [(u, p + v) for u in range(p) for v in range(q)]
     else:
-        (n,) = spec.params
         edges = [(i, i + 1) for i in range(n - 1)]
         if spec.kind == "cycle":
             edges.append((0, n - 1))

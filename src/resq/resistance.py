@@ -25,9 +25,10 @@ Schur complements and cost accuracy. At n = 1, L_g is empty and pinv(L) is
 [[0]].
 
 All of it runs in the memory of L (laplacian_pseudoinverse, for Laplacians
-from outside and for the stacks of resq verify: of a copy): L_g is inverted
-in place, and the centring, the symmetrisation and R follow in that buffer,
-so the peak is one n x n array and n^2 / 4 entries of workspace.
+from outside and for the stacks of resq verify: of the copy returned by the
+matrix check of eigenvalues_symmetric, which it shares): L_g is inverted in
+place, and the centring, the symmetrisation and R follow in that buffer, so
+the peak is one n x n array and n^2 / 4 entries of workspace.
 
 The pseudoinverse is checked against the Penrose identity L X L = L applied
 to one fixed probe vector v, |L(X(Lv)) - Lv|, which costs O(n^2) instead of
@@ -42,8 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Disconnected, NotSymmetric
+from .errors import Disconnected
 from .graph import Graph, is_connected, laplacian
+from .spectral import _symmetric
 
 # Residual ceiling for the Penrose identity L X L = L, relative to |L|.
 _PENROSE_RTOL = 1e-8
@@ -168,14 +170,11 @@ def laplacian_pseudoinverse(lap: np.ndarray) -> np.ndarray:
 
     Grounds the last vertex, inverts the remaining block by block elimination
     and centres the result (see the module docstring), in a copy: lap is left
-    as it is. Raises NotSymmetric for an empty or non-square array, and
-    Disconnected when some L has nullity >= 2, which is detected through the
-    Penrose residual on a probe vector.
+    as it is. Raises NotSymmetric as eigenvalues_symmetric does, for each L,
+    and Disconnected when some L has nullity >= 2, which is detected through
+    the Penrose residual on a probe vector.
     """
-    x = np.array(lap, dtype=float, order="C")
-    if x.ndim < 2 or x.shape[-1] != x.shape[-2] or x.size == 0:
-        raise NotSymmetric(f"expected a non-empty square matrix or stack, got shape {x.shape}")
-    return _pseudoinverse_in_place(x)
+    return _pseudoinverse_in_place(_symmetric(lap, stacks=True))
 
 
 def _resistance(pinv: np.ndarray) -> np.ndarray:

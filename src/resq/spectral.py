@@ -10,10 +10,10 @@ eigvalsh would copy its input once more. If that library or symbol is
 missing (another numpy build) or the call reports an error, eigvalsh solves
 an intact copy of the matrix. Both solvers are backward stable, and on the
 same matrix their values agree to a few units of roundoff relative to |M|.
-Only eigenvalues_symmetric, for matrices from outside, checks shape and
-symmetry and solves a symmetrised copy; the matrices resq builds are exactly
-symmetric and go straight to _eigenvalues_in_place. A Spectrum holds the
-sorted values and groups them into multiplicities when these are first read.
+A matrix from outside passes one check, _symmetric, in eigenvalues_symmetric
+and laplacian_pseudoinverse (quotient_matrix: its shape part, _square); the
+matrices resq builds are exactly symmetric and go straight to the solver. A
+Spectrum groups the sorted values into multiplicities when these are read.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import InvalidPartition, NotSymmetric
+from .graph import _as_int
 
 #: Default absolute tolerance when grouping eigenvalues into multiplicities.
 DEFAULT_GROUP_TOL = 1e-7
@@ -45,7 +46,7 @@ _TWO_STAGE_N = 1000
 
 # LAPACKE takes the layout as its first argument. The matrix given to the
 # solver is exactly symmetric (as resq builds it, or the (m + m^T) / 2 of
-# eigenvalues_symmetric, as floating-point addition commutes), so its
+# _symmetric, as floating-point addition commutes), so its
 # C-contiguous array reads the same in column-major order; row-major would
 # make LAPACKE transpose it into a hidden n x n copy.
 _LAPACK_COL_MAJOR = 102
@@ -91,25 +92,27 @@ class Spectrum:
         return tuple((g[2] / g[1], int(g[1])) for g in groups)
 
 
-def eigenvalues_symmetric(m: np.ndarray) -> Spectrum:
-    """All eigenvalues of a symmetric matrix, descending, grouped within
-    DEFAULT_GROUP_TOL.
-
-    Rejects non-square and empty arrays, matrices whose asymmetry exceeds
-    _SYMMETRY_RTOL relative to max(1, max |m|), and matrices with a NaN or
-    infinite entry (whose asymmetry is NaN). Solves a symmetrised copy,
-    leaving m as it is, by a backward stable LAPACK solver (see the module
-    docstring).
-    """
+def _square(m, stacks: bool = False) -> np.ndarray:
+    """m as floats; NotSymmetric unless a non-empty square matrix (or, with stacks, a stack)."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+    if not (m.ndim == 2 or stacks and m.ndim > 2) or m.shape[-1] != m.shape[-2] or m.size == 0:
         raise NotSymmetric(f"expected a non-empty square matrix, got shape {m.shape}")
-    scale = np.maximum(1.0, np.maximum(m.max(), -m.min()))  # max |m| without a temporary
+    return m
+
+
+def _symmetric(m, stacks: bool = False) -> np.ndarray:
+    """The copy of m a solver may overwrite, C-contiguous: m where m == m^T,
+    else (m + m^T) / 2. Raises NotSymmetric where _square does, for a NaN or
+    infinite entry (whose asymmetry is NaN) and for an asymmetry above
+    _SYMMETRY_RTOL relative to max(1, max |m|), of each matrix of a stack."""
+    m = _square(m, stacks)
+    mt, axes = m.swapaxes(-1, -2), (-2, -1)
+    scale = np.maximum(1.0, np.maximum(m.max(axis=axes), -m.min(axis=axes)))  # max |m|, no copy
     sym = np.empty(m.shape)  # C-contiguous, as the two-stage call requires
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is caught below
-        np.subtract(m, m.T, out=sym)
-    np.abs(sym, out=sym)
-    asym = sym.max() / scale
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf are NaN, which is caught below
+        np.subtract(m, mt, out=sym)
+        np.abs(sym, out=sym)
+        asym = (sym.max(axis=axes) / scale).max()
     if not asym <= _SYMMETRY_RTOL:
         if np.isnan(asym):
             raise NotSymmetric("matrix has a NaN or infinite entry")
@@ -117,9 +120,20 @@ def eigenvalues_symmetric(m: np.ndarray) -> Spectrum:
     if asym == 0.0:  # m == m^T, so (m + m^T) / 2 is m (up to the sign of a zero)
         np.copyto(sym, m)
     else:
-        np.add(m, m.T, out=sym)
+        np.add(m, mt, out=sym)
         sym /= 2.0
-    return Spectrum.from_values(_eigenvalues_in_place(sym, lambda: (m + m.T) / 2.0))
+    return sym
+
+
+def eigenvalues_symmetric(m: np.ndarray) -> Spectrum:
+    """All eigenvalues of a symmetric matrix, descending, grouped within
+    DEFAULT_GROUP_TOL, by a backward stable LAPACK solver (module docstring).
+
+    Raises NotSymmetric for an empty or non-square array, a NaN or infinite
+    entry, or an asymmetry above _SYMMETRY_RTOL relative to max(1, max |m|);
+    solves a symmetrised copy (_symmetric), leaving m as it is.
+    """
+    return Spectrum.from_values(_eigenvalues_in_place(_symmetric(m), lambda: _symmetric(m)))
 
 
 def _eigenvalues_in_place(sym: np.ndarray, intact) -> np.ndarray:
@@ -148,21 +162,21 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def of(cls, blocks) -> "Partition":
-        return cls(tuple(tuple(int(i) for i in block) for block in blocks))
-
-    @classmethod
     def from_sizes(cls, *sizes: int) -> "Partition":
         """Consecutive index blocks of the given sizes, e.g. (p, q) parts."""
         return cls(tuple(tuple(range(end - s, end)) for s, end in zip(sizes, accumulate(sizes))))
 
-    def validate(self, n: int) -> None:
-        seen: set[int] = set()
+    def validate(self, n: int) -> list[list[int]]:
+        """The blocks as lists of ints; InvalidPartition unless they partition [0, n)."""
         if not self.blocks:
             raise InvalidPartition("partition has no blocks")
-        for block in self.blocks:
+        blocks = [[_as_int(i) for i in block] for block in self.blocks]
+        seen: set[int] = set()
+        for block, given in zip(blocks, self.blocks):
             if not block:
                 raise InvalidPartition("partition contains an empty block")
+            if None in block:
+                raise InvalidPartition(f"block {given!r} holds a non-integer index")
             for i in block:
                 if not 0 <= i < n:
                     raise InvalidPartition(f"index {i} outside [0, {n})")
@@ -172,6 +186,7 @@ class Partition:
         if len(seen) != n:
             missing = sorted(set(range(n)) - seen)
             raise InvalidPartition(f"indices not covered: {missing}")
+        return blocks
 
 
 def quotient_matrix(m: np.ndarray, partition: Partition) -> tuple[np.ndarray, bool]:
@@ -182,15 +197,13 @@ def quotient_matrix(m: np.ndarray, partition: Partition) -> tuple[np.ndarray, bo
     eigenvalue of Q is an eigenvalue of m. Raises NotSymmetric for an empty or
     non-square array.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-        raise NotSymmetric(f"expected a non-empty square matrix, got shape {m.shape}")
+    m = _square(m)
     n = m.shape[0]
-    partition.validate(n)
-    indicator = np.zeros((n, len(partition.blocks)))
-    for t, block in enumerate(partition.blocks):
+    blocks = partition.validate(n)
+    indicator = np.zeros((n, len(blocks)))
+    for t, block in enumerate(blocks):
         indicator[block, t] = 1.0
     row_sums = m @ indicator  # row_sums[i, t]: sum of row i over block t
-    per_block = [row_sums[block, :] for block in partition.blocks]
+    per_block = [row_sums[block, :] for block in blocks]
     q = np.array([rows.mean(axis=0) for rows in per_block])
     return q, all(np.ptp(rows, axis=0).max() <= _EQUITABLE_TOL for rows in per_block)

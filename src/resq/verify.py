@@ -58,7 +58,11 @@ class VerifyOutcome:
         return self.status != "fail"
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """The fields, a non-finite measure as "inf", "-inf" or "nan" (JSON has no such number)."""
+        out = asdict(self)
+        if self.measured is not None and not math.isfinite(self.measured):
+            out["measured"] = str(self.measured)
+        return out
 
 
 def _check(name, tol, measured) -> VerifyOutcome:
@@ -381,9 +385,9 @@ def run_verify(
     outcomes: list[VerifyOutcome] = []
     if scope in ("families", "all"):
         specs, bipartite = family_specs(max_n), _bipartite_specs(max_pq)
-        complete = [FamilySpec.complete(n) for n in range(2, max_n + 1)]
-        regular = complete + [FamilySpec.cycle(n) for n in range(3, max_n + 1)]
-        regular += [FamilySpec.bipartite(p, p) for p in range(1, max_n // 2 + 1)]
+        complete = [s for s in specs if s.kind == "complete"]
+        # transmission-regular: K_n, C_n and K_{p,p}
+        regular = [s for s in specs if s.kind != "bipartite" or s.params[0] == s.params[1]]
         checks = (
             ("closed_form_matrices", specs, _closed_matrix_error, tol),
             ("closed_form_spectra", specs, _closed_spectrum_error, SPECTRUM_TOL),

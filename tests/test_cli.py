@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resq.resistance
+import resq.spectral
+import resq.verify
 from resq.cli import COMPUTE_TARGETS, main
 from resq.graph import format_edge_list, parse_edge_list, random_connected_graph
 from resq.resistance import (
@@ -286,6 +289,26 @@ class TestVerify:
         assert main(["verify", "--scope", "families", "--max-n", "3", "--jsonl"]) == 4
         records = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
         assert records[0]["name"] == "closed_form_matrices" and records[0]["tolerance"] == 0.0
+
+    @pytest.mark.parametrize("fault", ["not equitable", "nan"])
+    def test_jsonl_is_strict_json_when_a_measure_is_not_finite(self, capsys, monkeypatch, fault):
+        if fault == "not equitable":  # quotient_containment then measures inf
+            quotient = resq.spectral.quotient_matrix
+            monkeypatch.setattr(resq.spectral, "quotient_matrix",
+                                lambda m, partition: (quotient(m, partition)[0], False))
+            name, token = "quotient_containment", "inf"
+        else:
+            monkeypatch.setattr(resq.verify, "_closed_matrix_error", lambda fam: math.nan)
+            name, token = "closed_form_matrices", "nan"
+        assert main(["verify", "--scope", "families", "--max-n", "4", "--jsonl"]) == 4
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        lines = capsys.readouterr().out.splitlines()
+        records = {r["name"]: r for r in (json.loads(ln, parse_constant=reject) for ln in lines)}
+        assert len(records) == len(lines) == 6
+        assert records[name]["status"] == "fail" and records[name]["measured"] == token
 
     def test_fault_injection_fails_with_named_check(self, capsys, monkeypatch):
         # simulate a build with a broken sign in the signless Laplacian

@@ -240,6 +240,20 @@ class TestClosedFormDispatcher:
                 np.trace(form.rq_matrix), abs=1e-8
             )
 
+    def test_numpy_integer_params_give_the_same_bits(self):
+        for spec in (FamilySpec.complete(4), FamilySpec.bipartite(2, 3), FamilySpec.cycle(6)):
+            numpy_spec = FamilySpec(spec.kind, tuple(np.int64(p) for p in spec.params))
+            ints, numpy_ints = closed_form(spec), closed_form(numpy_spec)
+            assert np.array_equal(ints.rl_matrix, numpy_ints.rl_matrix)
+            assert np.array_equal(ints.rq_matrix, numpy_ints.rq_matrix)
+            assert np.array_equal(ints.rl_spectrum.values, numpy_ints.rl_spectrum.values)
+            assert np.array_equal(ints.rq_spectrum.values, numpy_ints.rq_spectrum.values)
+        # a numpy integer n would make [2.0] * (n - 1) an array, not a list
+        k4 = complete_rl_spectrum(np.int64(4)).values
+        assert np.array_equal(k4, complete_rl_spectrum(4).values)
+        k23 = bipartite_rq_spectrum(np.int64(2), np.int32(3)).values
+        assert np.array_equal(k23, bipartite_rq_spectrum(2, 3).values)
+
     def test_path_has_no_closed_form(self):
         with pytest.raises(InvalidFamilyParams):
             closed_form(FamilySpec.path(4))

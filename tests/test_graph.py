@@ -135,6 +135,22 @@ class TestGenerate:
         with pytest.raises(InvalidFamilyParams):
             generate(FamilySpec("hypercube", (3,)))
 
+    def test_numpy_integer_params_read_as_ints(self):
+        for kind, params in (("complete", (4,)), ("cycle", (5,)), ("path", (3,)),
+                             ("bipartite", (2, 3))):
+            spec = FamilySpec(kind, tuple(np.int64(p) for p in params))
+            g = generate(spec)
+            assert g == generate(FamilySpec(kind, params)) and type(g.n) is int
+            assert spec.validate() == params and all(type(p) is int for p in spec.validate())
+
+    @pytest.mark.parametrize("bad", [4.0, 0.5, np.float64(4.0), "4", None])
+    def test_non_integer_params_rejected(self, bad):
+        for spec in (FamilySpec.complete(bad), FamilySpec.bipartite(2, bad)):
+            with pytest.raises(InvalidFamilyParams) as exc:
+                generate(spec)
+            message = f"{spec.kind} parameters must be positive integers, got {spec.params}"
+            assert str(exc.value) == message
+
     def test_labels(self):
         assert FamilySpec.complete(5).label() == "K5"
         assert FamilySpec.bipartite(2, 3).label() == "K_{2,3}"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resq.errors import Disconnected, NotSymmetric
-from resq.spectral import _eigenvalues_in_place, eigenvalues_symmetric
+from resq.spectral import _SYMMETRY_RTOL, _eigenvalues_in_place, eigenvalues_symmetric
 from resq.verify import _by_order, _random_graphs
 from resq.graph import (
     FamilySpec,
@@ -112,6 +112,68 @@ class TestPseudoinverse:
         assert flagged >= 100
 
 
+def _refusal(solve, m):
+    """The message of the NotSymmetric that solve(m) raises, or None."""
+    try:
+        solve(m)
+    except NotSymmetric as exc:
+        return str(exc)
+    return None
+
+
+class TestMatrixRule:
+    """laplacian_pseudoinverse applies the matrix check of eigenvalues_symmetric."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 9),
+        seed=st.integers(0, 2**31 - 1),
+        fault=st.sampled_from(["empty", "non-square", "nan", "inf", "-inf", "above", "below"]),
+        data=st.data(),
+    )
+    def test_both_entry_points_refuse_the_same_matrices(self, n, seed, fault, data):
+        lap = laplacian(random_connected_graph(n, 0.5, seed))
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2))
+        if fault == "empty":
+            k = data.draw(st.integers(0, n))
+            m = lap[:k, :0] if data.draw(st.booleans()) else lap[:0, :k]
+        elif fault == "non-square":
+            k = data.draw(st.integers(1, n - 1))
+            m = lap[:, :k] if data.draw(st.booleans()) else lap[:k, :]
+        elif fault in ("nan", "inf", "-inf"):
+            m = lap.copy()
+            m[i, j] = float(fault)
+        else:
+            # Off the diagonal |L| <= 1 <= max degree = max |L|, so the scale
+            # of the tolerance stays max |L| and the asymmetry is the added
+            # delta, up to a rounding of 1e-4 of it.
+            m, j = lap.copy(), j if j != i else (i + 1) % n
+            m[i, j] += (1.01 if fault == "above" else 0.99) * _SYMMETRY_RTOL * np.abs(lap).max()
+        messages = {_refusal(f, m) for f in (eigenvalues_symmetric, laplacian_pseudoinverse)}
+        if fault == "below":
+            assert messages == {None}
+        else:
+            assert len(messages) == 1 and None not in messages, messages
+
+    @pytest.mark.parametrize("member", [0, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "asymmetric"])
+    def test_one_bad_member_refuses_the_stack(self, member, bad):
+        laps = _laplacians([random_connected_graph(6, 0.5, seed) for seed in range(3)], 6)
+        if bad == "asymmetric":
+            laps[member, 0, 1] += 1e-6
+        else:
+            laps[member, 0, 1] = bad
+        alone = _refusal(laplacian_pseudoinverse, laps[member])
+        assert alone is not None and _refusal(laplacian_pseudoinverse, laps) == alone
+
+    def test_directed_cycle_refused(self):
+        # no graph Laplacian: pinv of (L + L^T) / 2 would be up to 0.33 off pinv(L)
+        directed = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])
+        message = _refusal(laplacian_pseudoinverse, directed)
+        assert message == _refusal(eigenvalues_symmetric, directed)
+        assert message == "asymmetry 1.000e+00 exceeds 1e-12 relative to max |m|"
+
+
 class TestInPlaceCore:
     """The pseudoinverse is formed in the memory of the Laplacian it inverts."""
 
@@ -196,10 +258,11 @@ class TestBlockPseudoinverse:
 
     @pytest.mark.parametrize("n", [5, 200])
     def test_nan_entry_is_rejected(self, n):
-        # inv() returns NaN here instead of raising; the probe must not pass it.
+        # refused by the matrix check of eigenvalues_symmetric before any
+        # inversion, with its error and message
         lap = laplacian(generate(FamilySpec.cycle(n)))
         lap[0, 1] = lap[1, 0] = np.nan
-        with pytest.raises(Disconnected, match="Penrose residual nan"):
+        with pytest.raises(NotSymmetric, match="NaN or infinite entry"):
             laplacian_pseudoinverse(lap)
 
 

@@ -92,6 +92,14 @@ class TestEigenvaluesSymmetric:
         with pytest.raises(NotSymmetric):
             eigenvalues_symmetric(m)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_a_lone_infinite_entry_without_a_warning(self, bad):
+        # inf - 0 = inf over a scale of inf: the NaN must not warn on its way
+        m = np.eye(3)
+        m[0, 1] = bad
+        with pytest.raises(NotSymmetric, match="NaN or infinite entry"):
+            eigenvalues_symmetric(m)
+
 
 _U = float(np.finfo(float).eps) / 2.0
 ABOVE = spectral._TWO_STAGE_N + 1  # the smallest order solved by the two-stage path
@@ -226,20 +234,20 @@ class TestQuotientMatrix:
     def test_trivial_partition(self):
         g = generate(FamilySpec.cycle(4))
         rl = resistance_laplacian(g)
-        quot, equitable = quotient_matrix(rl, Partition.of([range(4)]))
+        quot, equitable = quotient_matrix(rl, Partition(((0, 1, 2, 3),)))
         assert equitable  # constant row sums (zero)
         np.testing.assert_allclose(quot, [[0.0]], atol=1e-12)
 
     def test_not_equitable(self):
         lap = laplacian(generate(FamilySpec.path(3)))
-        _, equitable = quotient_matrix(lap, Partition.of([(0, 1), (2,)]))
+        _, equitable = quotient_matrix(lap, Partition(((0, 1), (2,))))
         assert not equitable
 
     def test_matches_block_row_sums(self):
         rng = np.random.default_rng(2)
         m = rng.normal(size=(9, 9))
-        blocks = [(4, 0, 7), (2,), (8, 1, 3, 5, 6)]
-        quot, equitable = quotient_matrix(m, Partition.of(blocks))
+        blocks = ((4, 0, 7), (2,), (8, 1, 3, 5, 6))
+        quot, equitable = quotient_matrix(m, Partition(blocks))
         expected = [[m[np.ix_(bs, bt)].sum(axis=1).mean() for bt in blocks] for bs in blocks]
         np.testing.assert_allclose(quot, expected, rtol=0, atol=16 * _U * np.abs(m).sum(axis=1).max())
         assert not equitable
@@ -248,25 +256,37 @@ class TestQuotientMatrix:
         # K_{2,3} with its vertices relabelled, so that both parts interleave
         perm = [3, 0, 4, 1, 2]
         lap = laplacian(generate(FamilySpec.bipartite(2, 3)))[np.ix_(perm, perm)]
-        quot, equitable = quotient_matrix(lap, Partition.of([(1, 3), (0, 2, 4)]))
+        quot, equitable = quotient_matrix(lap, Partition(((1, 3), (0, 2, 4))))
         assert equitable
         np.testing.assert_allclose(quot, [[3, -3], [-2, 2]], atol=1e-12)
 
     def test_invalid_partitions(self):
         m = np.zeros((3, 3))
         with pytest.raises(InvalidPartition):
-            quotient_matrix(m, Partition.of([(0, 1)]))  # misses 2
+            quotient_matrix(m, Partition(((0, 1),)))  # misses 2
         with pytest.raises(InvalidPartition):
-            quotient_matrix(m, Partition.of([(0, 1), (1, 2)]))  # overlap
+            quotient_matrix(m, Partition(((0, 1), (1, 2))))  # overlap
         with pytest.raises(InvalidPartition):
-            quotient_matrix(m, Partition.of([(0, 1, 2), ()]))  # empty block
+            quotient_matrix(m, Partition(((0, 1, 2), ())))  # empty block
         with pytest.raises(InvalidPartition):
-            quotient_matrix(m, Partition.of([(0, 1, 5)]))  # out of range
+            quotient_matrix(m, Partition(((0, 1, 5),)))  # out of range
+
+    @pytest.mark.parametrize("block", [(0.5, 1), (np.float64(0.0), 1), ("0", 1), (None, 1)])
+    def test_non_integer_index_rejected(self, block):
+        with pytest.raises(InvalidPartition, match="non-integer index"):
+            quotient_matrix(np.eye(3), Partition((block, (2,))))
+
+    def test_numpy_integer_and_bool_indices_read_as_ints(self):
+        lap = laplacian(generate(FamilySpec.path(3)))
+        expected = quotient_matrix(lap, Partition(((0, 1), (2,))))
+        for blocks in (((np.int64(0), np.int32(1)), (np.int64(2),)), ((False, True), (2,))):
+            quot, equitable = quotient_matrix(lap, Partition(blocks))
+            assert np.array_equal(quot, expected[0]) and equitable == expected[1]
 
     @pytest.mark.parametrize("shape", [(3,), (3, 4), (2, 3, 3), (0, 0)])
     def test_rejects_a_non_square_matrix(self, shape):
         with pytest.raises(NotSymmetric, match="non-empty square matrix"):
-            quotient_matrix(np.zeros(shape), Partition.of([(0, 1, 2)]))
+            quotient_matrix(np.zeros(shape), Partition(((0, 1, 2),)))
 
     def test_equitable_quotient_eigenvalues_contained(self):
         for p, q in [(1, 1), (2, 2), (2, 5), (3, 4), (8, 8), (1, 8)]:
