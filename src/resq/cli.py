@@ -23,7 +23,7 @@ from .resistance import (
     resistance_signless_laplacian,
 )
 from .spectral import Spectrum, _eigenvalues_in_place
-from .verify import DEFAULT_TOL, run_verify
+from .verify import DEFAULT_TOL, SCOPES, run_verify
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.set_defaults(handler=cmd_compute)
 
     ver = sub.add_parser("verify", help="run the property verification suite")
-    ver.add_argument("--scope", default="all", choices=("families", "random", "all"))
+    ver.add_argument("--scope", default="all", choices=SCOPES)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--max-n", dest="max_n", type=_int_in_range(2, VERIFY_MAX_N), default=12,
                      help=f"largest graph order, 2 to {VERIFY_MAX_N} (default 12)")

@@ -107,12 +107,14 @@ def _symmetric(m, stacks: bool = False) -> np.ndarray:
     _SYMMETRY_RTOL relative to max(1, max |m|), of each matrix of a stack."""
     m = _square(m, stacks)
     mt, axes = m.swapaxes(-1, -2), (-2, -1)
-    scale = np.maximum(1.0, np.maximum(m.max(axis=axes), -m.min(axis=axes)))  # max |m|, no copy
     sym = np.empty(m.shape)  # C-contiguous, as the two-stage call requires
     with np.errstate(invalid="ignore"):  # inf - inf and inf / inf are NaN, which is caught below
         np.subtract(m, mt, out=sym)
         np.abs(sym, out=sym)
-        asym = (sym.max(axis=axes) / scale).max()
+        asym = sym.max()  # 0 iff every matrix is exactly symmetric, so no scale is needed
+        if asym != 0.0:
+            scale = np.maximum(1.0, np.maximum(m.max(axis=axes), -m.min(axis=axes)))  # max |m|
+            asym = (sym.max(axis=axes) / scale).max()
     if not asym <= _SYMMETRY_RTOL:
         if np.isnan(asym):
             raise NotSymmetric("matrix has a NaN or infinite entry")
@@ -189,21 +191,26 @@ class Partition:
         return blocks
 
 
-def quotient_matrix(m: np.ndarray, partition: Partition) -> tuple[np.ndarray, bool]:
-    """Quotient of a partitioned matrix: average row sums of each block.
+def quotient_matrix(m: np.ndarray, partition: Partition) -> tuple[np.ndarray, bool | np.ndarray]:
+    """Quotient of a partitioned matrix, or of each matrix of a stack
+    (..., n, n) that shares one partition: average row sums of each block.
 
-    Returns (Q, equitable) where equitable is True iff every block has
-    constant row sums within _EQUITABLE_TOL. When the partition is equitable, every
-    eigenvalue of Q is an eigenvalue of m. Raises NotSymmetric for an empty or
-    non-square array.
+    Returns (Q, equitable) where equitable is True iff every block has constant
+    row sums within _EQUITABLE_TOL; then every eigenvalue of Q is one of m. For
+    a stack, Q has shape (..., b, b) for b blocks and equitable is a bool
+    array (...), each matrix's bit for bit as its own call would give; the
+    partition is validated once. Raises NotSymmetric for an empty or non-square
+    array or stack.
     """
-    m = _square(m)
-    n = m.shape[0]
+    m = _square(m, stacks=True)
+    n = m.shape[-1]
     blocks = partition.validate(n)
     indicator = np.zeros((n, len(blocks)))
     for t, block in enumerate(blocks):
         indicator[block, t] = 1.0
-    row_sums = m @ indicator  # row_sums[i, t]: sum of row i over block t
-    per_block = [row_sums[block, :] for block in blocks]
-    q = np.array([rows.mean(axis=0) for rows in per_block])
-    return q, all(np.ptp(rows, axis=0).max() <= _EQUITABLE_TOL for rows in per_block)
+    row_sums = m @ indicator  # row_sums[..., i, t]: sum of row i over block t
+    per_block = [row_sums[..., block, :] for block in blocks]
+    q = np.stack([rows.mean(axis=-2) for rows in per_block], axis=-2)
+    equitable = np.all([np.ptp(rows, axis=-2).max(axis=-1) <= _EQUITABLE_TOL for rows in per_block],
+                       axis=0)
+    return q, equitable if m.ndim > 2 else bool(equitable)

@@ -8,12 +8,18 @@ is a skip. The family checks compare the closed forms of K_n, C_n and
 K_{p,q} against the numeric pipeline; the random checks exercise the
 order-independent properties (positive semidefiniteness, monotonicity under
 edge addition, metric axioms, energy identities and bounds) on seeded
-corpora. Both run on one engine: the graphs of each order form one
-(k, n, n) stack, one stacked computation gives R, RTr, R^L (R^Q for the
-families) and their spectra, and every measure is an array reduction over
-the stack or is read from a member's slices while the stack is alive. The
-first family check builds and measures all family instances, so its
-elapsed time carries their cost.
+corpora. All of them read one pass of one engine, _measures. It groups
+every graph the run examines (family instances, the random corpus, both
+graphs of each edge-addition pair, the trees) by order n, and each order is
+one (k, n, n) stack of Laplacians: one stacked computation gives R, RTr,
+R^L and the R^L spectra of all of them, and R^Q with its spectra for the
+family slice. Every measure is an array reduction over its source's slice
+of the stack, or is read from a member's slices, while the stack is alive.
+The random graphs are drawn first, under the random_corpus timer. The pass
+runs under the first check of the run (closed_form_matrices, or
+random_corpus in the random scope), whose elapsed time therefore carries
+the engine's; the checks after it only take the worst of values already
+computed.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ import functools
 import math
 import random
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,8 +39,10 @@ from . import energy as energy_mod
 from . import graph as graph_mod
 from . import resistance
 from . import spectral
-from .graph import FamilySpec, Graph, format_edge_list
+from .graph import Edge, FamilySpec, Graph, format_edge_list
 
+#: The values of run_verify's scope, and of resq verify --scope.
+SCOPES = ("families", "random", "all")
 DEFAULT_TOL = 1e-9
 SPECTRUM_TOL = 1e-8
 CONTAINMENT_TOL = 1e-7
@@ -92,18 +102,14 @@ def family_specs(max_n: int) -> list[FamilySpec]:
     """Complete, cycle and bipartite instances of order at most max_n."""
     specs = [FamilySpec.complete(n) for n in range(2, max_n + 1)]
     specs += [FamilySpec.cycle(n) for n in range(3, max_n + 1)]
-    specs += [
-        FamilySpec.bipartite(p, q)
-        for p in range(1, max_n)
-        for q in range(p, max_n)
-        if p + q <= max_n
-    ]
+    specs += [FamilySpec.bipartite(p, q) for p in range(1, max_n) for q in range(p, max_n - p + 1)]
     return specs
 
 
 @dataclass
 class _Family:
-    """A family instance as its checks read it: slices of its order's stacks."""
+    """A family instance as its checks read it: slices of its order's stacks.
+    lap_values() is its L spectrum, solved for the whole order on first call."""
 
     spec: FamilySpec
     lap: np.ndarray
@@ -113,47 +119,35 @@ class _Family:
     rl_values: np.ndarray  # descending
     rq_values: np.ndarray
     le_r: float
+    lap_values: Callable[[], np.ndarray]
 
     @functools.cached_property
     def closed(self) -> cf.ClosedForm:
         return cf.closed_form(self.spec)
 
 
-def _family_measures(jobs) -> dict[FamilySpec, list]:
-    """Map every spec of the (specs, measure) jobs to its measure(family) per
-    job, None where a job lacks the spec. Per order: one stacked bundle, one
-    stacked eigensolve each of R^L and R^Q and LE_R as an array reduction;
-    each measure is taken while its order's stacks are alive, so no n x n
-    array (and no graph) outlives its order."""
-    wanted = list(dict.fromkeys(spec for specs, _ in jobs for spec in specs))
-    jobs = [(set(specs), measure) for specs, measure in jobs]
-
-    def solve(n, idx):
-        group = [wanted[i] for i in idx]
-        lap = graph_mod._laplacians([graph_mod.generate(spec) for spec in group], n)
-        b = resistance._stacked_bundle(lap)
-        rl_values = spectral._eigenvalues_in_place(b.rl, None)
-        rq_values = spectral._eigenvalues_in_place(b.rq, None)
-        le_r = energy_mod._eta(rl_values, b.rtr)[2]
-        fams = (_Family(spec, lap[k], b.r[k], b.rl[k], b.rq[k], rl_values[k], rq_values[k],
-                        float(le_r[k])) for k, spec in enumerate(group))
-        return [[measure(f) if f.spec in specs else None for specs, measure in jobs] for f in fams]
-
-    return dict(zip(wanted, _by_order(wanted, solve, order=lambda spec: spec.order)))
+def _family_rows(jobs, specs, lap, b, rl_values) -> list[list]:
+    """The measure(family) of each (specs, measure) job, None where a job
+    lacks the spec, for the family instances of one order, from their slices
+    of its stacks: L, the bundle b and the R^L spectra. R^Q is solved here,
+    LE_R is the energy report's reduction and L is solved on first read."""
+    rq = b.rq
+    rq_values = spectral._eigenvalues_in_place(rq, None)
+    le_r = energy_mod._eta(rl_values, b.rtr)[2]
+    lap_values = functools.cache(lambda: spectral._eigenvalues_in_place(lap, None))
+    fams = (_Family(spec, lap[k], b.r[k], b.rl[k], rq[k], rl_values[k], rq_values[k],
+                    float(le_r[k]), lambda k=k: lap_values()[k]) for k, spec in enumerate(specs))
+    return [[measure(f) if f.spec in wanted else None for wanted, measure in jobs] for f in fams]
 
 
 def _closed_matrix_error(fam: _Family) -> float:
-    return max(
-        float(np.abs(fam.closed.rl_matrix - fam.rl).max()),
-        float(np.abs(fam.closed.rq_matrix - fam.rq).max()),
-    )
+    c = fam.closed
+    return max(float(np.abs(c.rl_matrix - fam.rl).max()), float(np.abs(c.rq_matrix - fam.rq).max()))
 
 
 def _closed_spectrum_error(fam: _Family) -> float:
-    return max(
-        float(np.abs(fam.closed.rl_spectrum.values - fam.rl_values).max()),
-        float(np.abs(fam.closed.rq_spectrum.values - fam.rq_values).max()),
-    )
+    rl, rq = fam.closed.rl_spectrum.values, fam.closed.rq_spectrum.values
+    return max(float(np.abs(rl - fam.rl_values).max()), float(np.abs(rq - fam.rq_values).max()))
 
 
 def _complete_energy_error(fam: _Family) -> float:
@@ -164,30 +158,25 @@ def _energy_equality_error(fam: _Family) -> float:
     return abs(fam.le_r - float(2.0 * energy_mod._perron_root(fam.r)))
 
 
-def _containment_error(parent: np.ndarray, candidates: np.ndarray) -> float:
-    return max(float(np.abs(parent - c).min()) for c in candidates)
+def _containment_error(parent: np.ndarray, candidates: np.ndarray):
+    """Largest distance from a candidate to its nearest value of parent; of
+    each pair of a stack of spectra (..., n) and candidates (..., c)."""
+    return np.abs(parent[..., :, None] - candidates[..., None, :]).min(axis=-2).max(axis=-1)
 
 
 def _quotient_containment_error(fam: _Family) -> float:
     """Worst containment of the (p, q) quotient spectrum in the spectra of
-    L, R^L and R^Q of K_{p,q}; inf if a partition is not equitable."""
-    partition = spectral.Partition.from_sizes(*fam.spec.params)
-    worst = -math.inf
-    for m, parent in (
-        (fam.lap, spectral.eigenvalues_symmetric(fam.lap).values),
-        (fam.rl, fam.rl_values),
-        (fam.rq, fam.rq_values),
-    ):
-        quotient, equitable = spectral.quotient_matrix(m, partition)
-        err = _containment_error(parent, np.linalg.eigvals(quotient).real)
-        worst = max(worst, err if equitable else math.inf)
-    return worst
+    L, R^L and R^Q of K_{p,q}, solved as one stack of the three; inf if a
+    partition is not equitable."""
+    quotients, equitable = spectral.quotient_matrix(
+        np.stack([fam.lap, fam.rl, fam.rq]), spectral.Partition.from_sizes(*fam.spec.params))
+    parents = np.stack([fam.lap_values(), fam.rl_values, fam.rq_values])
+    err = _containment_error(parents, np.linalg.eigvals(quotients).real)
+    return float(np.where(equitable, err, math.inf).max())
 
 
 def _bipartite_specs(max_pq: int) -> list[FamilySpec]:
-    return [
-        FamilySpec.bipartite(p, q) for p in range(1, max_pq + 1) for q in range(p, max_pq + 1)
-    ]
+    return [FamilySpec.bipartite(p, q) for p in range(1, max_pq + 1) for q in range(p, max_pq + 1)]
 
 
 def rq_quotient_report(max_pq: int = 8) -> list[dict]:
@@ -200,7 +189,7 @@ def rq_quotient_report(max_pq: int = 8) -> list[dict]:
     treated as a failure.
     """
     specs = _bipartite_specs(max_pq)
-    table = _family_measures([(specs, _rq_quotient_row)])
+    table = _measures([(specs, _rq_quotient_row)])[0]
     return [table[spec][0] for spec in specs]
 
 
@@ -209,10 +198,8 @@ def _rq_quotient_row(fam: _Family) -> dict:
     quotient_pair = cf._rq_quotient_eigenvalues(p, q)
     quotient_err = _containment_error(fam.rq_values, np.array(quotient_pair))
     pm_pair = cf.bipartite_rq_pm_formula(p, q)
-    if any(math.isnan(v) for v in pm_pair):
-        pm_err = math.inf
-    else:
-        pm_err = _containment_error(fam.rq_values, np.array(pm_pair))
+    nan = any(math.isnan(v) for v in pm_pair)
+    pm_err = math.inf if nan else _containment_error(fam.rq_values, np.array(pm_pair))
     return {
         "p": p,
         "q": q,
@@ -229,15 +216,10 @@ def _check_rq_quotient_vs_pm(rows) -> VerifyOutcome:
 
     def measured():
         for row in rows():
-            pm_note = (
-                "matches"
-                if row["pm_matches"]
-                else f"MISMATCH (err={row['pm_err']:.3g}; expected, reported only)"
-            )
-            lines.append(
-                "K_{%d,%d}: quotient=(%.12g, %.12g) err=%.3g; pm=(%.12g, %.12g) %s"
-                % (row["p"], row["q"], *row["quotient"], row["quotient_err"], *row["pm"], pm_note)
-            )
+            pm_note = "matches" if row["pm_matches"] else (
+                f"MISMATCH (err={row['pm_err']:.3g}; expected, reported only)")
+            lines.append("K_{%d,%d}: quotient=(%.12g, %.12g) err=%.3g; pm=(%.12g, %.12g) %s" % (
+                row["p"], row["q"], *row["quotient"], row["quotient_err"], *row["pm"], pm_note))
             yield row["quotient_err"], None
 
     outcome = _check("rq_bipartite_quotient_report", SPECTRUM_TOL, measured)
@@ -247,13 +229,28 @@ def _check_rq_quotient_vs_pm(rows) -> VerifyOutcome:
 
 
 def _random_graphs(count, max_n, seed) -> list[Graph]:
+    rng = random.Random(seed)  # arguments are drawn left to right: n, edge probability, seed
+    return [graph_mod.random_connected_graph(rng.randint(2, max_n), rng.uniform(0.2, 0.9),
+                                             rng.randrange(2**31)) for _ in range(count)]
+
+
+def _edge_pairs(pair_count, max_n, seed) -> list[tuple[Graph, Edge]]:
+    """Seeded pairs (g, uv) of a connected g and one of its non-edges uv."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        n = rng.randint(2, max_n)
-        p = rng.uniform(0.2, 0.9)
-        out.append(graph_mod.random_connected_graph(n, p, rng.randrange(2**31)))
-    return out
+    pairs = []
+    while len(pairs) < pair_count:
+        n = rng.randint(3, max(3, max_n))
+        g = graph_mod.random_connected_graph(n, rng.uniform(0.2, 0.8), rng.randrange(2**31))
+        missing = graph_mod.non_edges(g)
+        if missing:
+            pairs.append((g, missing[rng.randrange(len(missing))]))
+    return pairs
+
+
+def _random_trees(count, max_n, seed) -> list[Graph]:
+    rng = random.Random(seed)
+    return [graph_mod.random_tree(rng.randint(2, max_n), rng.randrange(2**31))
+            for _ in range(count)]
 
 
 def _by_order(items: list, solve, order=lambda g: g.n) -> list:
@@ -267,6 +264,53 @@ def _by_order(items: list, solve, order=lambda g: g.n) -> list:
         for i, x in zip(idx, solve(n, idx)):
             out[i] = x
     return out
+
+
+def _measures(jobs, corpus=(), pairs=(), trees=()) -> tuple[dict, list, list, list]:
+    """One pass over every graph the run examines. Returns a map from each
+    spec of the (specs, measure) jobs to its measures (_family_rows), the
+    _corpus_measures row of each corpus graph, the distance error of each
+    tree and the monotonicity error of each edge-addition pair (g, uv) from g
+    to g + uv, each in input order. Per order n: one (k, n, n) stack of
+    Laplacians, one stacked bundle and one R^L eigensolve for all of them,
+    and one distance sweep for the corpus and the trees; every measure is
+    taken while its order's stacks are alive, so no n x n array (and no
+    family graph or g + uv) outlives its order."""
+    wanted = list(dict.fromkeys(spec for specs, _ in jobs for spec in specs))
+    jobs = [(set(specs), measure) for specs, measure in jobs]
+    smaller = [g for g, _ in pairs]
+    sources = [wanted, list(corpus), list(trees), smaller, smaller]  # solve adds uv to the second
+    ends = list(accumulate(map(len, sources)))
+    items = [x for source in sources for x in source]
+
+    def solve(n, idx):
+        cuts = [0, *np.searchsorted(idx, ends)]
+        fam, corp, tree, small, big = (slice(a, z) for a, z in zip(cuts, cuts[1:]))
+        specs = [items[i] for i in idx[fam]]
+        bigger = [graph_mod.add_edge(items[i], *pairs[i - ends[3]][1]) for i in idx[big]]
+        lap = graph_mod._laplacians([graph_mod.generate(spec) for spec in specs]
+                                    + [items[i] for i in idx[corp.start:big.start]] + bigger, n)
+        b = resistance._stacked_bundle(lap)
+        values = spectral._eigenvalues_in_place(b.rl, None)
+
+        def part(s):  # the bundle of one source's slice
+            return resistance.ResistanceBundle(b.r[s], b.rtr[s], b.rl[s])
+
+        rows = _family_rows(jobs, specs, lap[fam], part(fam), values[fam])
+        dist = graph_mod._distances(lap[corp.start:tree.stop])
+        c = corp.stop - corp.start
+        if c:  # the bounds reject an empty stack
+            rows += _corpus_measures(part(corp), values[corp], dist[:c]).tolist()
+        d = resistance._bundle(dist[c:])  # D and Diag(DTr) - D of the trees
+        rows += np.maximum(np.abs(b.r[tree] - d.r).max(axis=(-2, -1)),
+                           np.abs(b.rl[tree] - d.rl).max(axis=(-2, -1))).tolist()
+        rows += np.maximum((b.r[big] - b.r[small]).max(axis=(-2, -1)),
+                           (values[big] - values[small]).max(axis=-1)).tolist()
+        return rows + [None] * (big.stop - big.start)
+
+    out = _by_order(items, solve, order=lambda x: x.order if isinstance(x, FamilySpec) else x.n)
+    table = dict(zip(wanted, out[:ends[0]]))
+    return table, out[ends[0]:ends[1]], out[ends[1]:ends[2]], out[ends[2]:ends[3]]
 
 
 #: The corpus checks, in the column order of _corpus_measures, with their
@@ -284,16 +328,16 @@ _CORPUS_CHECKS = (
 )
 
 
-def _corpus_measures(graphs: list[Graph], n: int) -> np.ndarray:
-    """The measures of the _CORPUS_CHECKS on connected graphs that all have
-    order n: one row per graph, one column per check, each the worst
-    violation of its property on that graph (<= 0 when it holds exactly).
-    PSD and zero row sums are relative to max |lambda(R^L)|, the trace
-    identity to max(1, sum RTr) and sum eta^2 = 2F to 2F."""
-    lap = graph_mod._laplacians(graphs, n)
-    b = resistance._stacked_bundle(lap)
+def _corpus_measures(b, values, dist) -> np.ndarray:
+    """The measures of the _CORPUS_CHECKS on connected graphs of one order,
+    from their slices of its stacks: the bundle b, the descending R^L values
+    and the shortest-path distances. One row per graph, one column per
+    check, each the worst violation of its property on that graph (<= 0 when
+    it holds exactly). PSD and zero row sums are relative to max
+    |lambda(R^L)|, the trace identity to max(1, sum RTr) and sum eta^2 = 2F
+    to 2F."""
     r, rtr = b.r, b.rtr
-    values = spectral._eigenvalues_in_place(b.rl, None)
+    n = r.shape[-1]
     norm = np.maximum(np.abs(values).max(axis=-1), 1e-300)
     # shortest[g, i, j] = min over m of r[g, i, m] + r[g, m, j], one m at a
     # time, so that memory stays at one stack and not n of them
@@ -308,55 +352,13 @@ def _corpus_measures(graphs: list[Graph], n: int) -> np.ndarray:
         -values.min(axis=-1) / norm,
         np.abs(b.rl.sum(axis=-1)).max(axis=-1) / norm,
         2.0 - values[:, 0],
-        (r - graph_mod._distances(lap)).max(axis=(-2, -1)),
+        (r - dist).max(axis=(-2, -1)),
         (r - shortest).max(axis=(-2, -1)),
         np.abs(np.trace(b.rl, axis1=-2, axis2=-1) - total) / np.maximum(1.0, total),
         np.abs(eta.sum(axis=-1)) / n,
         np.abs((eta**2).sum(axis=-1) - 2.0 * big_f) / np.maximum(2.0 * big_f, 1e-300),
         np.max([lower - le_r, *(le_r - u for u in uppers)], axis=0),
     ])
-
-
-def _edge_addition_errors(pair_count, max_n, seed):
-    rng = random.Random(seed)
-    smaller, bigger = [], []
-    while len(smaller) < pair_count:
-        n = rng.randint(3, max(3, max_n))
-        g = graph_mod.random_connected_graph(n, rng.uniform(0.2, 0.8), rng.randrange(2**31))
-        missing = graph_mod.non_edges(g)
-        if missing:
-            u, v = missing[rng.randrange(len(missing))]
-            smaller.append(g)
-            bigger.append(graph_mod.add_edge(g, u, v))
-
-    def solve(n, idx):
-        k = len(idx)
-        pairs = [smaller[i] for i in idx] + [bigger[i] for i in idx]
-        b = resistance._stacked_bundle(graph_mod._laplacians(pairs, n))
-        values = spectral._eigenvalues_in_place(b.rl, None)
-        return np.maximum(
-            (b.r[k:] - b.r[:k]).max(axis=(-2, -1)), (values[k:] - values[:k]).max(axis=-1)
-        ).tolist()
-
-    return zip(_by_order(smaller, solve), smaller)
-
-
-def _tree_distance_errors(tree_count, max_tree_n, seed):
-    rng = random.Random(seed)
-    trees = [
-        graph_mod.random_tree(rng.randint(2, max_tree_n), rng.randrange(2**31))
-        for _ in range(tree_count)
-    ]
-
-    def solve(n, idx):
-        lap = graph_mod._laplacians([trees[i] for i in idx], n)
-        b = resistance._stacked_bundle(lap)
-        d = resistance._bundle(graph_mod._distances(lap))  # D and Diag(DTr) - D
-        return np.maximum(
-            np.abs(b.r - d.r).max(axis=(-2, -1)), np.abs(b.rl - d.rl).max(axis=(-2, -1))
-        ).tolist()
-
-    return zip(_by_order(trees, solve), trees)
 
 
 def run_verify(
@@ -373,17 +375,23 @@ def run_verify(
     """Run the verification suite and return one outcome per check.
 
     scope "families" runs the closed-form and quotient checks, "random"
-    runs the seeded-corpus property checks, "all" runs both. Results are
-    deterministic for a fixed seed. The random scope needs max_n >= 2 and
-    max_tree_n >= 2.
+    runs the seeded-corpus property checks, "all" runs both (SCOPES).
+    Results are deterministic for a fixed seed. The random scope needs
+    max_n >= 2 and max_tree_n >= 2.
     """
-    if scope not in ("families", "random", "all"):
-        raise ValueError(f"scope must be families, random or all, got {scope!r}")
+    if scope not in SCOPES:
+        raise ValueError(f"scope must be one of {', '.join(SCOPES)}, got {scope!r}")
+    randoms = scope != "families"
     for name, value in (("max_n", max_n), ("max_tree_n", max_tree_n)):
-        if scope != "families" and value < 2:
+        if randoms and value < 2:
             raise ValueError(f"{name} must be >= 2 for the random scope, got {value}")
-    outcomes: list[VerifyOutcome] = []
-    if scope in ("families", "all"):
+    start = time.perf_counter()
+    corpus = _random_graphs(count, max_n, seed) if randoms else []
+    pairs = _edge_pairs(pair_count, max_n, seed + 1) if randoms else []
+    trees = _random_trees(tree_count, max_tree_n, seed + 2) if randoms else []
+    draw_ms = (time.perf_counter() - start) * 1000.0
+    checks = ()
+    if scope != "random":
         specs, bipartite = family_specs(max_n), _bipartite_specs(max_pq)
         complete = [s for s in specs if s.kind == "complete"]
         # transmission-regular: K_n, C_n and K_{p,p}
@@ -396,40 +404,25 @@ def run_verify(
             ("quotient_containment", bipartite, _quotient_containment_error, CONTAINMENT_TOL),
             ("rq_bipartite_quotient_report", bipartite, _rq_quotient_row, SPECTRUM_TOL),
         )
-        # built by the first check that reads it, which is charged its time
-        table = functools.cache(lambda: _family_measures([(s, m) for _, s, m, _ in checks]))
-        for j, (name, subset, _, check_tol) in enumerate(checks[:-1]):  # the report: own runner
-            outcomes.append(
-                _check(name, check_tol, lambda: ((table()[spec][j], spec) for spec in subset))
-            )
-        outcomes.append(_check_rq_quotient_vs_pm(lambda: [table()[spec][-1] for spec in bipartite]))
-    if scope in ("random", "all"):
+    # the one pass, run by the first check that reads it, which is charged its time
+    table = functools.cache(
+        lambda: _measures([(s, m) for _, s, m, _ in checks], corpus, pairs, trees))
+    outcomes = [_check(name, check_tol, lambda: ((table()[0][spec][j], spec) for spec in subset))
+                for j, (name, subset, _, check_tol) in enumerate(checks[:-1])]  # report: own runner
+    if checks:
+        outcomes.append(
+            _check_rq_quotient_vs_pm(lambda: [table()[0][spec][-1] for spec in bipartite]))
+    if randoms:
         start = time.perf_counter()
-        graphs = _random_graphs(count, max_n, seed)
-        measures = _by_order(
-            graphs, lambda n, idx: _corpus_measures([graphs[i] for i in idx], n).tolist()
-        )
-        outcomes.append(
-            VerifyOutcome(
-                name="random_corpus",
-                status="pass" if graphs else "skip",
-                measured=float(len(graphs)),
-                tolerance=None,
-                elapsed_ms=(time.perf_counter() - start) * 1000.0,
-                detail=f"{len(graphs)} connected graphs, 2 <= n <= {max_n}, seed {seed}",
-            )
-        )
-        for j, (name, check_tol) in enumerate(_CORPUS_CHECKS):
-            outcomes.append(
-                _check(name, tol if check_tol is None else check_tol,
-                       lambda: ((row[j], g) for row, g in zip(measures, graphs)))
-            )
-        outcomes.append(
-            _check("edge_addition_monotonicity", tol,
-                   lambda: _edge_addition_errors(pair_count, max_n, seed + 1))
-        )
-        outcomes.append(
-            _check("tree_distance_equality", tol,
-                   lambda: _tree_distance_errors(tree_count, max_tree_n, seed + 2))
-        )
+        _, rows, tree_errors, edge_errors = table()
+        outcomes.append(VerifyOutcome(
+            "random_corpus", "pass" if corpus else "skip", float(len(corpus)), None,
+            draw_ms + (time.perf_counter() - start) * 1000.0,
+            f"{len(corpus)} connected graphs, 2 <= n <= {max_n}, seed {seed}"))
+        outcomes += [_check(name, tol if check_tol is None else check_tol,
+                            lambda: ((row[j], g) for row, g in zip(rows, corpus)))
+                     for j, (name, check_tol) in enumerate(_CORPUS_CHECKS)]
+        outcomes.append(_check("edge_addition_monotonicity", tol,
+                               lambda: zip(edge_errors, (g for g, _ in pairs))))
+        outcomes.append(_check("tree_distance_equality", tol, lambda: zip(tree_errors, trees)))
     return outcomes

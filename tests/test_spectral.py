@@ -283,10 +283,39 @@ class TestQuotientMatrix:
             quot, equitable = quotient_matrix(lap, Partition(blocks))
             assert np.array_equal(quot, expected[0]) and equitable == expected[1]
 
-    @pytest.mark.parametrize("shape", [(3,), (3, 4), (2, 3, 3), (0, 0)])
+    # (2, 3, 4) is a stack of non-square matrices; a stack of square ones is
+    # valid input (test_stack_matches_each_matrix)
+    @pytest.mark.parametrize("shape", [(3,), (3, 4), (2, 3, 4), (0, 0)])
     def test_rejects_a_non_square_matrix(self, shape):
         with pytest.raises(NotSymmetric, match="non-empty square matrix"):
             quotient_matrix(np.zeros(shape), Partition(((0, 1, 2),)))
+
+    def test_stack_matches_each_matrix(self):
+        # One call on a stack equals one call per matrix bit for bit, the
+        # equitable flags included, for equitable and non-equitable members.
+        rng = np.random.default_rng(5)
+        for p, q in [(2, 3), (4, 4), (1, 7)]:
+            g = generate(FamilySpec.bipartite(p, q))
+            rl = resistance_laplacian(g)
+            members = [laplacian(g), rl, resistance_signless_laplacian(g),
+                       rl + 1e-6 * rng.normal(size=rl.shape), rng.normal(size=rl.shape)]
+            partition = Partition.from_sizes(p, q)
+            quot, equitable = quotient_matrix(np.stack(members), partition)
+            assert quot.shape == (5, 2, 2) and equitable.dtype == bool
+            assert equitable.tolist() == [True, True, True, False, False]
+            for k, m in enumerate(members):
+                one, flag = quotient_matrix(m, partition)
+                assert np.array_equal(quot[k], one) and flag is bool(equitable[k])
+        stacked = np.stack([members, members])  # (2, 5, n, n): any leading shape
+        quot2, equitable2 = quotient_matrix(stacked, partition)
+        assert np.array_equal(quot2, np.stack([quot, quot]))
+        assert np.array_equal(equitable2, np.stack([equitable, equitable]))
+
+    def test_stack_with_a_bad_partition_raises(self):
+        stack = np.stack([laplacian(generate(FamilySpec.cycle(4)))] * 3)
+        for blocks in (((0, 1), (1, 2, 3)), ((0, 1, 2),), ((0, 1, 2, 3), ())):
+            with pytest.raises(InvalidPartition):
+                quotient_matrix(stack, Partition(blocks))
 
     def test_equitable_quotient_eigenvalues_contained(self):
         for p, q in [(1, 1), (2, 2), (2, 5), (3, 4), (8, 8), (1, 8)]:

@@ -23,20 +23,23 @@ from resq.spectral import Partition, eigenvalues_symmetric, quotient_matrix
 from resq.verify import (
     _CORPUS_CHECKS,
     VerifyOutcome,
-    _by_order,
     _check,
     _closed_matrix_error,
     _closed_spectrum_error,
     _complete_energy_error,
-    _corpus_measures,
     _energy_equality_error,
-    _family_measures,
+    _measures,
     _quotient_containment_error,
     _random_graphs,
     family_specs,
     rq_quotient_report,
     run_verify,
 )
+
+
+#: The arguments of the benchmark's verify_suite workload, but scope and seed.
+PINNED = dict(max_n=12, count=200, tree_count=100, max_tree_n=15, pair_count=200, max_pq=8,
+              tol=1e-9)
 
 
 class TestRunVerify:
@@ -95,6 +98,36 @@ class TestRunVerify:
         assert outcomes["closed_form_matrices"].status == "pass"
 
     @pytest.mark.parametrize("seed", [1, 2])
+    def test_all_scope_equals_families_then_random(self, seed):
+        # The one pass of scope "all" stacks the family instances with the
+        # random graphs of each order; no source's graphs may leak into
+        # another's measures.
+        def fields(outcomes):
+            return [{k: v for k, v in o.to_json().items() if k != "elapsed_ms"} for o in outcomes]
+
+        both = run_verify(scope="all", seed=seed, **PINNED)
+        split = (run_verify(scope="families", seed=seed, **PINNED)
+                 + run_verify(scope="random", seed=seed, **PINNED))
+        assert fields(both) == fields(split)
+
+    def test_one_stacked_bundle_per_order_and_one_quotient_per_bipartite_instance(
+            self, monkeypatch):
+        calls = {"_stacked_bundle": [], "quotient_matrix": []}
+        for module, name in ((resq.resistance, "_stacked_bundle"),
+                             (resq.spectral, "quotient_matrix")):
+            def counted(m, *args, fn=getattr(module, name), name=name):
+                calls[name].append(m.shape)
+                return fn(m, *args)
+
+            monkeypatch.setattr(module, name, counted)
+        outcomes = run_verify(scope="all", seed=1, **PINNED)
+        assert all(o.passed for o in outcomes)
+        orders = [shape[-1] for shape in calls["_stacked_bundle"]]
+        assert sorted(orders) == list(range(2, 17))  # trees to 15, K_{8,8} at 16
+        assert len(calls["quotient_matrix"]) == 36  # K_{p,q}, p <= q <= 8
+        assert all(shape[0] == 3 for shape in calls["quotient_matrix"])  # L, R^L, R^Q
+
+    @pytest.mark.parametrize("seed", [1, 2])
     def test_stacked_engine_matches_per_graph(self, monkeypatch, seed):
         args = dict(scope="all", seed=seed, max_n=12, count=60, tree_count=30, pair_count=40)
         stacked = run_verify(**args)
@@ -140,7 +173,7 @@ class TestRunVerify:
                     abs(float((report.eta**2).sum()) - two_f) / max(two_f, 1e-300),
                 "energy_bounds": max(-c.slack for c in report.bounds.values()),
             })
-        rows = _by_order(graphs, lambda n, idx: _corpus_measures([graphs[i] for i in idx], n))
+        rows = _measures([], corpus=graphs)[1]
         assert [dict(zip(names, row)) for row in rows] == expected
         worst = {name: max(e[name] for e in expected) for name in names}
         outcomes = {o.name: o for o in run_verify(scope="random", seed=seed, max_n=12, count=80,
@@ -196,7 +229,7 @@ class TestRunVerify:
                     err = max(float(np.abs(parent - v).min()) for v in values)
                     errors.append(err if equitable else math.inf)
                 expected["quotient_containment"][spec] = max(errors)
-        table = _family_measures([(list(expected[name]), measures[name]) for name in measures])
+        table = _measures([(list(expected[name]), measures[name]) for name in measures])[0]
         for j, (name, values) in enumerate(expected.items()):
             assert {spec: table[spec][j] for spec in values} == values, name
         outcomes = {o.name: o for o in run_verify(scope="families", max_n=12, max_pq=8)}
