@@ -77,10 +77,9 @@ def _compute_chunks(g, what: str, fmt: str):
         "rl": resistance_laplacian,
         "rq": resistance_signless_laplacian,
     }
-    build = builders[what.removeprefix("spectrum-")]
-    matrix = build(g)
+    matrix = builders[what.removeprefix("spectrum-")](g)
     if what.startswith("spectrum-"):
-        spectrum = Spectrum.from_values(_eigenvalues_in_place(matrix, lambda: build(g)))
+        spectrum = Spectrum.from_values(_eigenvalues_in_place(matrix))
         if fmt == "csv":
             yield serialize.spectrum_to_csv(spectrum) + "\n"
         else:
@@ -92,7 +91,8 @@ def _compute_chunks(g, what: str, fmt: str):
 def cmd_compute(args) -> int:
     try:
         with open(args.graph, "r", encoding="utf-8") as fh:
-            source = fh.read()
+            # a BOM is dropped after decoding: an error's byte counts from the file's start
+            source = fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as err:
         raise GraphInputError(f"{args.graph}: not UTF-8 text (byte {err.start})") from err
     g = parse_edge_list(source)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NegativeRadicand
 from .graph import Graph
-from .resistance import _set_diagonal, resistance_laplacian, resistance_matrix
+from .resistance import _set_diagonal, resistance_matrix
 from .spectral import _eigenvalues_in_place
 
 #: Radicands above this (negative) floor are treated as rounding noise and
@@ -178,7 +178,7 @@ def resistance_laplacian_energy(g: Graph) -> EnergyReport:
     f, big_f = _energy_moments(r, rtr)
     e_r = float(2.0 * _perron_root(r))
     rl = _set_diagonal(np.negative(r, out=r), rtr)
-    eta, mean_u, le_r = _eta(_eigenvalues_in_place(rl, lambda: resistance_laplacian(g)), rtr)
+    eta, mean_u, le_r = _eta(_eigenvalues_in_place(rl), rtr)
     mean_u, big_f, le_r = float(mean_u), float(big_f), float(le_r)
     return EnergyReport(
         n=eta.size,

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     Disconnected,
     DuplicateEdge,
-    GraphInputError,
     InvalidFamilyParams,
     MalformedLine,
     SelfLoop,
@@ -146,7 +145,7 @@ def parse_edge_list(text: str) -> Graph:
     Format: the first non-comment line is the vertex count; each following
     line is "u v". Lines starting with '#' are comments; blank lines are
     ignored; LF and CRLF both accepted. Errors name the offending line.
-    Vertex counts above MAX_ORDER are rejected before any O(n) allocation.
+    Counts outside [1, MAX_ORDER] raise VertexOutOfRange before any O(n) allocation.
     """
     n: int | None = None
     seen: set[Edge] = set()
@@ -156,13 +155,10 @@ def parse_edge_list(text: str) -> Graph:
             continue
         if n is None:
             try:
-                n = int(line)
+                count = int(line)
             except ValueError:
                 raise MalformedLine(f"line {lineno}: expected vertex count, got {raw!r}") from None
-            if n < 1:
-                raise MalformedLine(f"line {lineno}: vertex count must be >= 1, got {n}")
-            if n > MAX_ORDER:
-                raise GraphInputError(f"line {lineno}: vertex count {n} exceeds {MAX_ORDER}")
+            n = _require_vertices(count, f"line {lineno}: ")
             continue
         parts = line.split()
         if len(parts) != 2:
@@ -188,13 +184,13 @@ def _as_int(x) -> int | None:
         return None
 
 
-def _require_vertices(n) -> int:
-    """n as an int; raises VertexOutOfRange unless it is an integer in [1, MAX_ORDER]."""
+def _require_vertices(n, where: str = "") -> int:
+    """n as an int; VertexOutOfRange, where prefixing it, unless an integer in [1, MAX_ORDER]."""
     count = _as_int(n)
     if count is None:
-        raise VertexOutOfRange(f"non-integer vertex count {n!r}")
+        raise VertexOutOfRange(f"{where}non-integer vertex count {n!r}")
     if not 1 <= count <= MAX_ORDER:
-        raise VertexOutOfRange(f"vertex count must be >= 1 and <= {MAX_ORDER}, got {count}")
+        raise VertexOutOfRange(f"{where}vertex count must be >= 1 and <= {MAX_ORDER}, got {count}")
     return count
 
 

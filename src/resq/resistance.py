@@ -32,8 +32,9 @@ the peak is one n x n array and n^2 / 4 entries of workspace.
 
 The pseudoinverse is checked against the Penrose identity L X L = L applied
 to one fixed probe vector v, |L(X(Lv)) - Lv|, which costs O(n^2) instead of
-a second O(n^3) matrix product. The nonzero entries of L (at most n + 2m for
-m edges) are saved before L is overwritten, and the probe applies L from them.
+a second O(n^3) matrix product. The nonzero entries L[k, i, j] (at most
+n + 2m for m edges) are saved at row k n + i and column k n + j before L is
+overwritten, and the probe applies L from them by one np.bincount.
 """
 
 from __future__ import annotations
@@ -122,14 +123,17 @@ def _pseudoinverse_in_place(x: np.ndarray) -> np.ndarray:
     with its Moore-Penrose pseudoinverse; returns x.
 
     The Penrose probe needs L once more after x has been overwritten, so the
-    nonzero entries of x are saved first. Raises Disconnected when some L has
-    nullity >= 2.
+    nonzero entries of x are saved first, by row and column of the probe's
+    product. Raises Disconnected when some L has nullity >= 2.
     """
     n = x.shape[-1]
     scale = np.maximum(1.0, np.maximum(x.max(axis=(-2, -1)), -x.min(axis=(-2, -1))))
     lv = x @ np.sin(np.arange(1.0, n + 1.0))[:, None]
-    nonzero = np.flatnonzero(x != 0.0)  # flat index (k n + i) n + j of each L[k, i, j] != 0
-    entries = x.ravel()[nonzero]
+    # L[k, i, j] != 0 sums into (L y)[k, i], at row k n + i, and multiplies
+    # y[k, j], at column k n + j (np.nonzero of x itself takes 3-8x longer)
+    rows, cols = np.divmod(np.flatnonzero(x != 0.0), n)
+    entries = x.reshape(-1, n)[rows, cols]
+    cols += rows - rows % n
     try:
         _grounded_inverse(x[..., :-1, :-1])
     except np.linalg.LinAlgError as exc:
@@ -145,13 +149,7 @@ def _pseudoinverse_in_place(x: np.ndarray) -> np.ndarray:
     # vertices are labelled, and |v| <= 1 keeps the threshold relative to |L|.
     # The comparison is written so that a NaN residual, from a NaN or an inf
     # entry of x, fails it too.
-    at = nonzero // (n * n)  # L[k, i, j] multiplies y[k, j], at k n + j
-    at *= n
-    at += nonzero % n
-    terms = (x @ lv).ravel()[at]
-    terms *= entries
-    np.floor_divide(nonzero, n, out=at)  # (L y)[k, i] sums the terms of row k n + i
-    lxlv = np.bincount(at, terms, lv.size).reshape(lv.shape)
+    lxlv = np.bincount(rows, entries * (x @ lv).ravel()[cols], lv.size).reshape(lv.shape)
     residual = np.abs(lxlv - lv).max(axis=(-2, -1))
     if not np.all(residual <= _PENROSE_RTOL * scale):
         raise Disconnected(f"laplacian has nullity >= 2 (Penrose residual {residual.max():.3e})")

@@ -4,12 +4,16 @@ Symmetric eigenvalues come from LAPACK. Up to order _TWO_STAGE_N, and for
 every stack of matrices, np.linalg.eigvalsh (divide and conquer, dsyevd)
 computes them. Above it, a single matrix goes to the two-stage solver
 dsyevd_2stage, values only, through the LAPACKE interface of the OpenBLAS
-that numpy already loads. It reduces to band form with matrix products before
-the tridiagonal step, and it overwrites the matrix it is given, where
-eigvalsh would copy its input once more. If that library or symbol is
-missing (another numpy build) or the call reports an error, eigvalsh solves
-an intact copy of the matrix. Both solvers are backward stable, and on the
-same matrix their values agree to a few units of roundoff relative to |M|.
+that numpy already loads, or to eigvalsh where this numpy build lacks it. It
+reduces to band form with matrix products before the tridiagonal step, in
+the matrix it is given, where eigvalsh would copy its input once more. With
+JOBZ = 'N' it destroys only the UPLO triangle, diagonal included (LAPACK,
+DSYEVD_2STAGE documentation), here the C-order upper one. eigvalsh reads
+only the diagonal and the C-order lower triangle, so if the call reports an
+error, the diagonal, saved before the call, is written back and eigvalsh
+solves the same buffer, bit for bit as the intact matrix. Both solvers are
+backward stable, and on the same matrix their values agree to a few units
+of roundoff relative to |M|.
 A matrix from outside passes one check, _symmetric, in eigenvalues_symmetric
 and laplacian_pseudoinverse (quotient_matrix: its shape part, _square); the
 matrices resq builds are exactly symmetric and go straight to the solver. A
@@ -46,9 +50,9 @@ _TWO_STAGE_N = 1000
 
 # LAPACKE takes the layout as its first argument. The matrix given to the
 # solver is exactly symmetric (as resq builds it, or the (m + m^T) / 2 of
-# _symmetric, as floating-point addition commutes), so its
-# C-contiguous array reads the same in column-major order; row-major would
-# make LAPACKE transpose it into a hidden n x n copy.
+# _symmetric, as floating-point addition commutes), so its C-contiguous array
+# reads the same in column-major order; row-major would make LAPACKE transpose
+# it into a hidden n x n copy. UPLO = 'L' then names the C-order upper triangle.
 _LAPACK_COL_MAJOR = 102
 
 
@@ -135,25 +139,25 @@ def eigenvalues_symmetric(m: np.ndarray) -> Spectrum:
     entry, or an asymmetry above _SYMMETRY_RTOL relative to max(1, max |m|);
     solves a symmetrised copy (_symmetric), leaving m as it is.
     """
-    return Spectrum.from_values(_eigenvalues_in_place(_symmetric(m), lambda: _symmetric(m)))
+    return Spectrum.from_values(_eigenvalues_in_place(_symmetric(m)))
 
 
-def _eigenvalues_in_place(sym: np.ndarray, intact) -> np.ndarray:
+def _eigenvalues_in_place(sym: np.ndarray) -> np.ndarray:
     """Eigenvalues of sym, a C-contiguous and exactly symmetric matrix or a
     stack of them, descending along the last axis; no checks. A single
     matrix above _TWO_STAGE_N goes to the two-stage solver, which overwrites
-    it; if that call fails, eigvalsh solves intact() instead. A stack, or a
-    matrix of order <= _TWO_STAGE_N, goes to eigvalsh and is left unchanged;
-    intact is then not called, and for a stack it may be None.
+    its diagonal and C-order upper triangle; if that call fails, eigvalsh
+    solves sym with its diagonal written back. A stack, or a matrix of order
+    <= _TWO_STAGE_N, goes to eigvalsh and is left unchanged.
     """
     n = sym.shape[-1]
     solver = _dsyevd_2stage() if sym.ndim == 2 and n > _TWO_STAGE_N else None
     if solver is not None:
-        w = np.empty(n)
+        diagonal, w = sym.diagonal().copy(), np.empty(n)
         info = solver(_LAPACK_COL_MAJOR, b"N", b"L", n, sym.ctypes.data, n, w.ctypes.data)
         if info == 0:
             return w[::-1]
-        sym = intact()
+        np.fill_diagonal(sym, diagonal)
     return np.linalg.eigvalsh(sym)[..., ::-1]
 
 

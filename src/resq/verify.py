@@ -132,9 +132,9 @@ def _family_rows(jobs, specs, lap, b, rl_values) -> list[list]:
     of its stacks: L, the bundle b and the R^L spectra. R^Q is solved here,
     LE_R is the energy report's reduction and L is solved on first read."""
     rq = b.rq
-    rq_values = spectral._eigenvalues_in_place(rq, None)
+    rq_values = spectral._eigenvalues_in_place(rq)
     le_r = energy_mod._eta(rl_values, b.rtr)[2]
-    lap_values = functools.cache(lambda: spectral._eigenvalues_in_place(lap, None))
+    lap_values = functools.cache(lambda: spectral._eigenvalues_in_place(lap))
     fams = (_Family(spec, lap[k], b.r[k], b.rl[k], rq[k], rl_values[k], rq_values[k],
                     float(le_r[k]), lambda k=k: lap_values()[k]) for k, spec in enumerate(specs))
     return [[measure(f) if f.spec in wanted else None for wanted, measure in jobs] for f in fams]
@@ -291,7 +291,7 @@ def _measures(jobs, corpus=(), pairs=(), trees=()) -> tuple[dict, list, list, li
         lap = graph_mod._laplacians([graph_mod.generate(spec) for spec in specs]
                                     + [items[i] for i in idx[corp.start:big.start]] + bigger, n)
         b = resistance._stacked_bundle(lap)
-        values = spectral._eigenvalues_in_place(b.rl, None)
+        values = spectral._eigenvalues_in_place(b.rl)
 
         def part(s):  # the bundle of one source's slice
             return resistance.ResistanceBundle(b.r[s], b.rtr[s], b.rl[s])

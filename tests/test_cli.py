@@ -96,6 +96,9 @@ class TestGenerate:
 
     def test_missing_params_exit_2(self, capsys):
         assert main(["generate", "--family", "bipartite", "--p", "2"]) == 2
+        assert "bipartite requires --p and --q" in capsys.readouterr().err
+        assert main(["generate", "--family", "cycle"]) == 2
+        assert "cycle requires --n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("family, n", [("cycle", "20001"), ("complete", "1000000000")])
     def test_order_above_cap_exit_2(self, capsys, family, n):
@@ -187,7 +190,8 @@ class TestCompute:
         start = time.perf_counter()
         assert main(["compute", path, "--what", "energy"]) == 2
         assert time.perf_counter() - start < 1.0
-        assert "exceeds 20000" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "VertexOutOfRange: line 1: vertex count must be >= 1 and <= 20000" in err
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         path = write_graph(tmp_path, "bad.el", "3\n0 zero\n")
@@ -198,6 +202,19 @@ class TestCompute:
         path.write_bytes(b"3\n0 1\n\xff\xfe 2\n")
         assert main(["compute", str(path), "--what", "energy"]) == 2
         assert "GraphInputError" in capsys.readouterr().err
+        path.write_bytes(b"\xef\xbb\xbf3\n0 1\n\xff\xfe 2\n")  # after a byte-order mark
+        assert main(["compute", str(path), "--what", "energy"]) == 2
+        assert "not UTF-8 text (byte 9)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what, fmt", [("rl", "csv"), ("energy", "json")])
+    def test_byte_order_mark_ignored(self, tmp_path, capsys, what, fmt):
+        text = b"3\n0 1\n1 2\n"
+        printed = []
+        for name, data in (("plain.el", text), ("bom.el", b"\xef\xbb\xbf" + text)):
+            (tmp_path / name).write_bytes(data)
+            assert main(["compute", str(tmp_path / name), "--what", what, "--format", fmt]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["compute", "nope.el", "--what", "rl"]) == 2

@@ -223,7 +223,10 @@ class TestOneBuffer:
 
     def test_failed_two_stage_call_solves_an_intact_matrix(self, monkeypatch):
         def scribbling(layout, jobz, uplo, n, a, lda, w):
-            ctypes.memset(a, 0x7F, n * n * 8)
+            # all a failed call may destroy: the C-order upper triangle and
+            # the diagonal (LAPACK, DSYEVD_2STAGE documentation)
+            m = np.ctypeslib.as_array((ctypes.c_double * (n * n)).from_address(a)).reshape(n, n)
+            m[np.triu_indices(n)] = 1e300
             return -1
 
         monkeypatch.setattr(resq.spectral, "_TWO_STAGE_N", 8)

@@ -9,7 +9,6 @@ import resq.graph
 from resq.errors import (
     Disconnected,
     DuplicateEdge,
-    GraphInputError,
     InvalidFamilyParams,
     MalformedLine,
     SelfLoop,
@@ -77,12 +76,15 @@ class TestParseEdgeList:
             parse_edge_list("# only comments\n")
 
     def test_bad_vertex_count(self):
+        # the rule of Graph.from_edges, with the line named
+        with pytest.raises(VertexOutOfRange, match=r"^line 2: vertex count must be >= 1"):
+            parse_edge_list("# empty\n0\n")
         with pytest.raises(MalformedLine):
-            parse_edge_list("0\n")
+            parse_edge_list("3.0\n0 1\n")
 
     def test_vertex_count_cap(self):
         assert parse_edge_list(f"{MAX_ORDER}\n0 1\n").n == MAX_ORDER
-        with pytest.raises(GraphInputError, match="exceeds"):
+        with pytest.raises(VertexOutOfRange, match=f"<= {MAX_ORDER}, got {MAX_ORDER + 1}$"):
             parse_edge_list(f"{MAX_ORDER + 1}\n0 1\n")
 
     @settings(max_examples=60)
@@ -134,6 +136,10 @@ class TestGenerate:
             generate(FamilySpec.bipartite(0, 3))
         with pytest.raises(InvalidFamilyParams):
             generate(FamilySpec("hypercube", (3,)))
+        with pytest.raises(InvalidFamilyParams, match="exactly two parameters"):
+            FamilySpec("bipartite", (3,)).validate()
+        with pytest.raises(InvalidFamilyParams, match="exactly one parameter"):
+            FamilySpec("cycle", (3, 4)).validate()
 
     def test_numpy_integer_params_read_as_ints(self):
         for kind, params in (("complete", (4,)), ("cycle", (5,)), ("path", (3,)),

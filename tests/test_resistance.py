@@ -391,7 +391,7 @@ class TestStackedBundles:
         assert len(orders) == 15
         for n, group in orders.items():
             stacked = resistance._stacked_bundle(_laplacians(group, n))
-            stacked_values = _eigenvalues_in_place(stacked.rl, None)
+            stacked_values = _eigenvalues_in_place(stacked.rl)
             for k, g in enumerate(group):
                 ref = resistance_bundle(g)
                 for field in ("r", "rtr", "rl"):

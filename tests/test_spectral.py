@@ -126,6 +126,15 @@ def _random_symmetric(n, seed):
     return a + a.T
 
 
+def _failing(layout, jobz, uplo, n, a, lda, w):
+    """A failed two-stage call that garbles all it may destroy: with JOBZ =
+    'N' that is the UPLO triangle, here the C-order upper one with the
+    diagonal (LAPACK, DSYEVD_2STAGE documentation)."""
+    m = np.ctypeslib.as_array((ctypes.c_double * (n * n)).from_address(a)).reshape(n, n)
+    m[np.triu_indices(n)] = np.nan
+    return 1
+
+
 class TestSolverPaths:
     def test_two_stage_solver_found_in_bundled_openblas(self):
         libs = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
@@ -148,7 +157,7 @@ class TestSolverPaths:
         at = _random_symmetric(ABOVE - 1, 4)
         assert np.array_equal(eigenvalues_symmetric(at).values, np.linalg.eigvalsh(at)[::-1])
         stack = np.stack([_random_symmetric(ABOVE, 5)] * 2)
-        values = spectral._eigenvalues_in_place(stack, None)
+        values = spectral._eigenvalues_in_place(stack)
         assert np.array_equal(values, np.linalg.eigvalsh(stack)[..., ::-1])
         assert two_stage_calls == []
 
@@ -156,7 +165,7 @@ class TestSolverPaths:
         # resq verify reads its R^L stacks after solving them
         for m in (np.stack([_random_symmetric(ABOVE, 7)] * 2), _random_symmetric(ABOVE - 1, 8)):
             before = m.copy()
-            values = spectral._eigenvalues_in_place(m, lambda: pytest.fail("intact called"))
+            values = spectral._eigenvalues_in_place(m)
             assert np.array_equal(m.view(np.int64), before.view(np.int64))
             assert np.array_equal(values, np.linalg.eigvalsh(before)[..., ::-1])
         assert two_stage_calls == []
@@ -165,28 +174,34 @@ class TestSolverPaths:
     def test_cli_spectrum_after_a_failed_call_equals_eigvalsh(
         self, monkeypatch, capsys, tmp_path, what
     ):
-        # the CLI solves R^L (R^Q) in its own buffer, so the fallback rebuilds it
-        def failing(layout, jobz, uplo, n, a, lda, w):
-            ctypes.memset(a, 0xFF, n * n * 8)
-            return 1
-
+        # the CLI solves R^L (R^Q) in its own buffer, so the fallback solves
+        # that buffer with its diagonal written back
         path = tmp_path / "g.txt"
         path.write_text(format_edge_list(random_connected_graph(ABOVE, 10 / ABOVE, seed=9)))
         printed = []
-        for solver in (None, failing):
+        for solver in (None, _failing):
             monkeypatch.setattr(spectral, "_dsyevd_2stage", lambda: solver)
             assert main(["compute", str(path), "--what", what]) == 0
             printed.append(capsys.readouterr().out)
         assert printed[0] == printed[1]
 
     def test_failed_call_falls_back_to_eigvalsh(self, monkeypatch):
-        def failing(layout, jobz, uplo, n, a, lda, w):
-            ctypes.memset(a, 0xFF, n * n * 8)  # a failed call may leave the input garbled
-            return 1
-
-        monkeypatch.setattr(spectral, "_dsyevd_2stage", lambda: failing)
+        monkeypatch.setattr(spectral, "_dsyevd_2stage", lambda: _failing)
         m = _random_symmetric(ABOVE, 6)
         assert np.array_equal(eigenvalues_symmetric(m).values, np.linalg.eigvalsh(m)[::-1])
+
+    def test_two_stage_call_destroys_only_what_the_fallback_restores(self, two_stage_calls):
+        # the contract the fallback relies on, checked against the library
+        m = _random_symmetric(ABOVE, 10)
+        a, w = m.copy(), np.empty(ABOVE)
+        info = spectral._dsyevd_2stage()(
+            spectral._LAPACK_COL_MAJOR, b"N", b"L", ABOVE, a.ctypes.data, ABOVE, w.ctypes.data
+        )
+        assert info == 0 and two_stage_calls == [ABOVE]
+        lower = np.tril_indices(ABOVE, -1)
+        assert np.array_equal(a[lower].view(np.int64), m[lower].view(np.int64))
+        np.fill_diagonal(a, m.diagonal())
+        assert np.array_equal(np.linalg.eigvalsh(a), np.linalg.eigvalsh(m))
 
     @pytest.mark.parametrize(
         "spec, closed",
@@ -270,6 +285,8 @@ class TestQuotientMatrix:
             quotient_matrix(m, Partition(((0, 1, 2), ())))  # empty block
         with pytest.raises(InvalidPartition):
             quotient_matrix(m, Partition(((0, 1, 5),)))  # out of range
+        with pytest.raises(InvalidPartition, match="partition has no blocks"):
+            quotient_matrix(m, Partition(()))
 
     @pytest.mark.parametrize("block", [(0.5, 1), (np.float64(0.0), 1), ("0", 1), (None, 1)])
     def test_non_integer_index_rejected(self, block):
