@@ -23,7 +23,7 @@ from .resistance import (
     resistance_signless_laplacian,
 )
 from .spectral import Spectrum, _eigenvalues_in_place
-from .verify import DEFAULT_TOL, SCOPES, run_verify
+from .verify import DEFAULT_TOL, SCOPES, _as_tol, run_verify
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -122,11 +122,8 @@ def _print_outcome(outcome) -> None:
 
 def cmd_verify(args) -> int:
     text = os.environ.get("RESQ_TOL", str(DEFAULT_TOL))
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0.0 <= tol < math.inf:
+    tol = _as_tol(text)
+    if tol is None:
         print(f"error: RESQ_TOL must be a finite number >= 0, got {text!r}", file=sys.stderr)
         return EXIT_INPUT
     outcomes = run_verify(

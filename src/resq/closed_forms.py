@@ -137,14 +137,11 @@ def bipartite_rq_pm_formula(p: int, q: int) -> tuple[float, float]:
         / (2pq)
 
     It disagrees with the verified block quotient already at p = q = 2 and
-    is kept only so reports can show the discrepancy. Returns NaNs when
-    the radicand is negative.
+    is kept only so reports can show the discrepancy. For p, q >= 1 the
+    radicand is at least 9(p - 7q/9)^2 + 32q^2/9 > 0, so both are finite.
     """
     p, q = FamilySpec.bipartite(p, q).validate()
-    radicand = 9.0 * p * p - 14.0 * p * q + 9.0 * q * q * (p + q - 1)
-    if radicand < 0.0:
-        return (math.nan, math.nan)
-    root = math.sqrt(radicand)
+    root = math.sqrt(9.0 * p * p - 14.0 * p * q + 9.0 * q * q * (p + q - 1))
     base = 5.0 * p * p + (2.0 * p - 5.0) * q + 5.0 * q * q - 5.0 * p
     return ((base + root) / (2.0 * p * q), (base - root) / (2.0 * p * q))
 

@@ -51,6 +51,23 @@ ETA_SUM_TOL = 1e-8  # scaled by n
 ETA_SQUARE_RTOL = 1e-7
 
 
+def _as_tol(x) -> float | None:
+    """x by float() if a finite number >= 0, else None: the rule for tol and RESQ_TOL."""
+    try:
+        tol = float(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return tol if 0.0 <= tol < math.inf else None
+
+
+def _read(name: str, x, read=graph_mod._as_int, rule: str = "an integer"):
+    """x by read; ValueError naming the argument and rule where read gives None."""
+    value = read(x)
+    if value is None:
+        raise ValueError(f"{name} must be {rule}, got {x!r}")
+    return value
+
+
 @dataclass
 class VerifyOutcome:
     """Result of one verification check."""
@@ -188,7 +205,7 @@ def rq_quotient_report(max_pq: int = 8) -> list[dict]:
     general (already at p = q = 2) and its disagreement is reported, not
     treated as a failure.
     """
-    specs = _bipartite_specs(max_pq)
+    specs = _bipartite_specs(_read("max_pq", max_pq))
     table = _measures([(specs, _rq_quotient_row)])[0]
     return [table[spec][0] for spec in specs]
 
@@ -198,8 +215,7 @@ def _rq_quotient_row(fam: _Family) -> dict:
     quotient_pair = cf._rq_quotient_eigenvalues(p, q)
     quotient_err = _containment_error(fam.rq_values, np.array(quotient_pair))
     pm_pair = cf.bipartite_rq_pm_formula(p, q)
-    nan = any(math.isnan(v) for v in pm_pair)
-    pm_err = math.inf if nan else _containment_error(fam.rq_values, np.array(pm_pair))
+    pm_err = _containment_error(fam.rq_values, np.array(pm_pair))
     return {
         "p": p,
         "q": q,
@@ -376,11 +392,16 @@ def run_verify(
 
     scope "families" runs the closed-form and quotient checks, "random"
     runs the seeded-corpus property checks, "all" runs both (SCOPES).
-    Results are deterministic for a fixed seed. The random scope needs
-    max_n >= 2 and max_tree_n >= 2.
+    Results are deterministic for a fixed seed. ValueError unless the other
+    arguments are integers, tol is a finite number >= 0 and, for the random
+    scope, max_n >= 2 and max_tree_n >= 2.
     """
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {', '.join(SCOPES)}, got {scope!r}")
+    seed, max_n, count, tree_count, max_tree_n, pair_count, max_pq = (_read(*arg) for arg in (
+        ("seed", seed), ("max_n", max_n), ("count", count), ("tree_count", tree_count),
+        ("max_tree_n", max_tree_n), ("pair_count", pair_count), ("max_pq", max_pq)))
+    tol = _read("tol", tol, _as_tol, "a finite number >= 0")
     randoms = scope != "families"
     for name, value in (("max_n", max_n), ("max_tree_n", max_tree_n)):
         if randoms and value < 2:

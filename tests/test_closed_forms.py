@@ -261,3 +261,7 @@ class TestClosedFormDispatcher:
     def test_pm_formula_nan_guard(self):
         hi, lo = bipartite_rq_pm_formula(1, 1)
         assert not math.isnan(hi) and not math.isnan(lo)
+        # the radicand is positive for all p, q >= 1
+        for p in range(1, 21):
+            for q in range(1, 21):
+                assert all(math.isfinite(v) for v in bipartite_rq_pm_formula(p, q)), (p, q)

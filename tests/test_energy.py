@@ -177,21 +177,38 @@ class TestPerronRoot:
             noise = 4 * g.n * np.finfo(float).eps * gamma[-1]
             assert int((gamma > noise).sum()) == 1, g.n
 
-    def test_dense_solver_only_at_small_order_or_after_the_cap(self, monkeypatch):
+    def test_dense_solver_only_after_the_cap(self, monkeypatch):
         calls = []
         dense = np.linalg.eigvalsh
         monkeypatch.setattr(
             np.linalg, "eigvalsh", lambda m: calls.append(m.shape[0]) or dense(m)
         )
-        small = resistance_matrix(generate(FamilySpec.path(64)))
-        large = resistance_matrix(generate(FamilySpec.path(65)))
-        _perron_root(small)
-        iterated = _perron_root(large)
-        assert calls == [64]
+        path = resistance_matrix(generate(FamilySpec.path(64)))
+        iterated = _perron_root(path)
+        k2 = _perron_root(resistance_matrix(generate(FamilySpec.complete(2))))
+        assert k2 == pytest.approx(1.0, rel=1e-15)
+        assert _perron_root(resistance_matrix(Graph.from_edges(1, []))) == 0.0
+        assert calls == []
         monkeypatch.setattr(resq.energy, "_PERRON_MAX_ITER", 1)
-        fallback = _perron_root(large)
-        assert calls == [64, 65]
+        fallback = _perron_root(path)
+        assert calls == [64]
         assert fallback == pytest.approx(iterated, rel=1e-14)
+
+    def test_small_orders_converge_without_the_dense_solver(self, monkeypatch):
+        nx = pytest.importorskip("networkx")
+        graphs = [Graph.from_edges(h.number_of_nodes(), list(h.edges()))
+                  for h in nx.graph_atlas_g() if h.number_of_nodes() and nx.is_connected(h)]
+        assert len(graphs) == 996
+        expected = [float(np.abs(np.linalg.eigvalsh(resistance_matrix(g))).sum()) for g in graphs]
+
+        def dense(m):
+            raise AssertionError("eigvalsh reached")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+        u = np.finfo(float).eps / 2
+        for g, e_r in zip(graphs, expected):
+            got = 2.0 * _perron_root(resistance_matrix(g))
+            assert abs(got - e_r) <= 4 * g.n * u * e_r, sorted(g.edges)
 
 
 class TestOneBuffer:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resq.energy import _energy_moments
 from resq.errors import Disconnected, NotSymmetric
 from resq.spectral import _SYMMETRY_RTOL, _eigenvalues_in_place, eigenvalues_symmetric
 from resq.verify import _by_order, _random_graphs
@@ -392,12 +393,15 @@ class TestStackedBundles:
         for n, group in orders.items():
             stacked = resistance._stacked_bundle(_laplacians(group, n))
             stacked_values = _eigenvalues_in_place(stacked.rl)
+            moments = _energy_moments(stacked.r, stacked.rtr)
             for k, g in enumerate(group):
                 ref = resistance_bundle(g)
                 for field in ("r", "rtr", "rl"):
                     assert np.array_equal(getattr(stacked, field)[k], getattr(ref, field)), (n, field)
                 assert np.array_equal(stacked.rq[k], ref.rq), n
                 assert np.array_equal(stacked_values[k], eigenvalues_symmetric(ref.rl).values), n
+                single = _energy_moments(ref.r, ref.rtr)
+                assert [m[k] for m in moments] == list(single), n
 
     def test_stacked_distances_equal_bfs(self):
         trees = [random_tree(2 + seed % 14, seed) for seed in range(100)]

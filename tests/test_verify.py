@@ -281,6 +281,29 @@ class TestRunVerify:
         with pytest.raises(ValueError, match=f"{arg} must be >= 2"):
             run_verify(scope=scope, count=3, **{arg: 1})
 
+    @pytest.mark.parametrize("call, kwargs, name", [
+        (run_verify, {"seed": 1.5, "scope": "random", "max_n": 4, "count": 3}, "seed"),
+        (run_verify, {"max_n": 6.5, "scope": "families"}, "max_n"),
+        (run_verify, {"count": "3", "scope": "random", "max_n": 4}, "count"),
+        (run_verify, {"max_pq": 2.5, "scope": "families", "max_n": 3}, "max_pq"),
+        (run_verify, {"tol": math.nan, "scope": "families", "max_n": 3}, "tol"),
+        (run_verify, {"tol": math.inf, "scope": "families", "max_n": 3}, "tol"),
+        (run_verify, {"tol": -1e-9, "scope": "families", "max_n": 3}, "tol"),
+        (run_verify, {"tol": "abc", "scope": "families", "max_n": 3}, "tol"),
+        (run_verify, {"tol": 10**400, "scope": "families", "max_n": 3}, "tol"),
+        (rq_quotient_report, {"max_pq": 2.5}, "max_pq"),
+        (rq_quotient_report, {"max_pq": None}, "max_pq"),
+    ])
+    def test_arguments_from_outside_raise_value_error_naming_them(self, call, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call(**kwargs)
+
+    def test_numpy_integer_arguments_read_as_ints(self):
+        fields = [(o.name, o.status, o.measured) for o in run_verify(seed=1, max_n=5, count=5)]
+        numpy_args = run_verify(seed=np.int64(1), max_n=np.int32(5), count=np.int64(5),
+                                tol=np.float64(1e-9))
+        assert [(o.name, o.status, o.measured) for o in numpy_args] == fields
+
     def test_families_scope_of_order_one_skips(self):
         outcomes = run_verify(scope="families", max_n=1, max_pq=0)
         assert outcomes and all(o.status == "skip" for o in outcomes)
