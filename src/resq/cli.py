@@ -185,11 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--out", help="output path (default: stdout)")
     comp.set_defaults(handler=cmd_compute)
 
-    ver = sub.add_parser("verify", help="run the property verification suite")
+    ver = sub.add_parser(
+        "verify", help="run the property verification suite",
+        description="Run the property verification suite. The quotient checks also run "
+                    "K_{p,q} for p, q <= 8 (up to order 16), and the random trees go to "
+                    "n = 15, whatever --max-n is.")
     ver.add_argument("--scope", default="all", choices=SCOPES)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--max-n", dest="max_n", type=_int_in_range(2, VERIFY_MAX_N), default=12,
-                     help=f"largest graph order, 2 to {VERIFY_MAX_N} (default 12)")
+                     help=f"largest order of the family instances, random graphs and "
+                          f"edge-addition pairs, 2 to {VERIFY_MAX_N} (default 12)")
     ver.add_argument("--count", type=_int_in_range(0), default=200, help="random corpus size")
     ver.add_argument("--jsonl", action="store_true", help="one JSON object per check")
     ver.set_defaults(handler=cmd_verify)

@@ -62,8 +62,8 @@ class Graph:
         """
         n = _require_vertices(n)
         normalized: set[Edge] = set()
-        for u, v in edges:
-            key = _edge(n, u, v)
+        for pair in edges:
+            key = _edge(n, pair)
             if key in normalized:
                 raise DuplicateEdge(f"edge ({key[0]}, {key[1]}) listed twice")
             normalized.add(key)
@@ -113,7 +113,10 @@ class FamilySpec:
         """The params as ints; InvalidFamilyParams unless they fit the kind."""
         if self.kind not in FAMILY_KINDS:
             raise InvalidFamilyParams(f"unknown family kind {self.kind!r}")
-        params = tuple(_as_int(p) for p in self.params)
+        try:
+            params = tuple(map(_as_int, self.params))
+        except TypeError:  # params is no sequence
+            params = (None,)
         if not all(p is not None and p >= 1 for p in params):
             raise InvalidFamilyParams(
                 f"{self.kind} parameters must be positive integers, got {self.params}"
@@ -167,7 +170,7 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise MalformedLine(f"line {lineno}: endpoints must be integers, got {raw!r}") from None
-        key = _edge(n, u, v, f"line {lineno}: ")
+        key = _edge(n, (u, v), f"line {lineno}: ")
         if key in seen:
             raise DuplicateEdge(f"line {lineno}: duplicate edge ({u}, {v})")
         seen.add(key)
@@ -194,10 +197,14 @@ def _require_vertices(n, where: str = "") -> int:
     return count
 
 
-def _edge(n: int, u, v, where: str = "") -> Edge:
-    """Key (min, max) of the edge {u, v} on n vertices, endpoints read by
-    _as_int. Raises VertexOutOfRange for an endpoint that is not an integer
+def _edge(n: int, pair, where: str = "") -> Edge:
+    """Key (min, max) of the edge pair (u, v) on n vertices, endpoints read
+    by _as_int. Raises VertexOutOfRange for a pair that is not two integers
     in [0, n) and SelfLoop for u == v; where prefixes the message."""
+    try:
+        u, v = pair
+    except (TypeError, ValueError):
+        raise VertexOutOfRange(f"{where}edge {pair!r} is not a pair of vertices") from None
     a, b = _as_int(u), _as_int(v)
     if a is None or b is None:
         raise VertexOutOfRange(f"{where}edge ({u!r}, {v!r}) has a non-integer endpoint")
@@ -302,7 +309,7 @@ def classical_distance_matrix(g: Graph) -> np.ndarray:
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     """Return a copy of g with the extra edge {u, v}. Only the new pair is
     checked, as g's edges were when g was built; an existing edge is kept."""
-    return Graph(g.n, g.edges | {_edge(g.n, u, v)})
+    return Graph(g.n, g.edges | {_edge(g.n, (u, v))})
 
 
 def non_edges(g: Graph) -> list[Edge]:

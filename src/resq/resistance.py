@@ -130,8 +130,10 @@ def _pseudoinverse_in_place(x: np.ndarray) -> np.ndarray:
     scale = np.maximum(1.0, np.maximum(x.max(axis=(-2, -1)), -x.min(axis=(-2, -1))))
     lv = x @ np.sin(np.arange(1.0, n + 1.0))[:, None]
     # L[k, i, j] != 0 sums into (L y)[k, i], at row k n + i, and multiplies
-    # y[k, j], at column k n + j (np.nonzero of x itself takes 3-8x longer)
-    rows, cols = np.divmod(np.flatnonzero(x != 0.0), n)
+    # y[k, j], at column k n + j (np.nonzero of x itself takes 3-8x longer);
+    # both stay below k n, so they are kept as int32 unless x has 2^31 entries
+    index = np.int32 if x.size < 2**31 else np.intp
+    rows, cols = (a.astype(index) for a in np.divmod(np.flatnonzero(x != 0.0), n))
     entries = x.reshape(-1, n)[rows, cols]
     cols += rows - rows % n
     try:

@@ -15,9 +15,10 @@ solves the same buffer, bit for bit as the intact matrix. Both solvers are
 backward stable, and on the same matrix their values agree to a few units
 of roundoff relative to |M|.
 A matrix from outside passes one check, _symmetric, in eigenvalues_symmetric
-and laplacian_pseudoinverse (quotient_matrix: its shape part, _square); the
-matrices resq builds are exactly symmetric and go straight to the solver. A
-Spectrum groups the sorted values into multiplicities when these are read.
+and laplacian_pseudoinverse (quotient_matrix: its shape and real-number
+part, _square); the matrices resq builds are exactly symmetric and go
+straight to the solver. A Spectrum groups the sorted values into
+multiplicities when these are read.
 """
 
 from __future__ import annotations
@@ -97,8 +98,16 @@ class Spectrum:
 
 
 def _square(m, stacks: bool = False) -> np.ndarray:
-    """m as floats; NotSymmetric unless a non-empty square matrix (or, with stacks, a stack)."""
-    m = np.asarray(m, dtype=float)
+    """m as floats; NotSymmetric unless a non-empty square matrix (or, with
+    stacks, a stack) of real numbers: a complex, string or object entry, or
+    a ragged nesting, is rejected, never read in part."""
+    try:
+        m = np.asarray(m)
+    except (TypeError, ValueError):
+        raise NotSymmetric("expected a matrix of numbers, got a ragged nesting") from None
+    if m.dtype.kind not in "biuf":
+        raise NotSymmetric(f"expected a matrix of real numbers, got dtype {m.dtype}")
+    m = m.astype(float, copy=False)
     if not (m.ndim == 2 or stacks and m.ndim > 2) or m.shape[-1] != m.shape[-2] or m.size == 0:
         raise NotSymmetric(f"expected a non-empty square matrix, got shape {m.shape}")
     return m
@@ -135,8 +144,8 @@ def eigenvalues_symmetric(m: np.ndarray) -> Spectrum:
     """All eigenvalues of a symmetric matrix, descending, grouped within
     DEFAULT_GROUP_TOL, by a backward stable LAPACK solver (module docstring).
 
-    Raises NotSymmetric for an empty or non-square array, a NaN or infinite
-    entry, or an asymmetry above _SYMMETRY_RTOL relative to max(1, max |m|);
+    Raises NotSymmetric for an empty, non-square or non-real array, a NaN or
+    infinite entry, or an asymmetry above _SYMMETRY_RTOL relative to max(1, max |m|);
     solves a symmetrised copy (_symmetric), leaving m as it is.
     """
     return Spectrum.from_values(_eigenvalues_in_place(_symmetric(m)))
@@ -169,7 +178,10 @@ class Partition:
 
     @classmethod
     def from_sizes(cls, *sizes: int) -> "Partition":
-        """Consecutive index blocks of the given sizes, e.g. (p, q) parts."""
+        """Consecutive index blocks of the given sizes, e.g. (p, q) parts;
+        InvalidPartition unless each size is an integer."""
+        if None in map(_as_int, sizes):
+            raise InvalidPartition(f"block sizes must be integers, got {sizes}")
         return cls(tuple(tuple(range(end - s, end)) for s, end in zip(sizes, accumulate(sizes))))
 
     def validate(self, n: int) -> list[list[int]]:

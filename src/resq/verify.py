@@ -9,12 +9,12 @@ K_{p,q} against the numeric pipeline; the random checks exercise the
 order-independent properties (positive semidefiniteness, monotonicity under
 edge addition, metric axioms, energy identities and bounds) on seeded
 corpora. All of them read one pass of one engine, _measures. It groups
-every graph the run examines (family instances, the random corpus, both
-graphs of each edge-addition pair, the trees) by order n, and each order is
-one (k, n, n) stack of Laplacians: one stacked computation gives R, RTr,
-R^L and the R^L spectra of all of them, and R^Q with its spectra for the
-family slice. Every measure is an array reduction over its source's slice
-of the stack, or is read from a member's slices, while the stack is alive.
+each of its sources (family instances, the random corpus, the trees, the
+edge-addition pairs) by order n, and each order is one (k, n, n) stack of
+Laplacians: one stacked computation gives R, RTr, R^L and the R^L spectra
+of all of them, and R^Q with its spectra for the family slice. Every
+measure is an array reduction over its source's slice of the stack, or is
+read from a member's slices, while the stack is alive.
 The random graphs are drawn first, under the random_corpus timer. The pass
 runs under the first check of the run (closed_form_matrices, or
 random_corpus in the random scope), whose elapsed time therefore carries
@@ -269,64 +269,53 @@ def _random_trees(count, max_n, seed) -> list[Graph]:
             for _ in range(count)]
 
 
-def _by_order(items: list, solve, order=lambda g: g.n) -> list:
-    """Call solve(n, indices) once for the items (graphs, by default) of each
-    order n and return its per-item results in input order."""
-    groups: dict[int, list[int]] = {}
-    for i, item in enumerate(items):
-        groups.setdefault(order(item), []).append(i)
-    out: list = [None] * len(items)
-    for n, idx in groups.items():
-        for i, x in zip(idx, solve(n, idx)):
-            out[i] = x
-    return out
-
-
 def _measures(jobs, corpus=(), pairs=(), trees=()) -> tuple[dict, list, list, list]:
     """One pass over every graph the run examines. Returns a map from each
     spec of the (specs, measure) jobs to its measures (_family_rows), the
     _corpus_measures row of each corpus graph, the distance error of each
     tree and the monotonicity error of each edge-addition pair (g, uv) from g
-    to g + uv, each in input order. Per order n: one (k, n, n) stack of
-    Laplacians, one stacked bundle and one R^L eigensolve for all of them,
-    and one distance sweep for the corpus and the trees; every measure is
-    taken while its order's stacks are alive, so no n x n array (and no
-    family graph or g + uv) outlives its order."""
+    to g + uv, each in input order. The four sources are grouped by order
+    into one map n -> the indices of each source's members of order n. Per
+    order: one (k, n, n) stack of Laplacians, [family | corpus | trees | g |
+    g + uv], one stacked bundle and one R^L eigensolve for all of them, and
+    one distance sweep for the corpus and the trees; each source's results
+    go back to its indices. Every measure is taken while its order's stacks
+    are alive, so no n x n array (and no family graph or g + uv) outlives
+    its order."""
     wanted = list(dict.fromkeys(spec for specs, _ in jobs for spec in specs))
     jobs = [(set(specs), measure) for specs, measure in jobs]
-    smaller = [g for g, _ in pairs]
-    sources = [wanted, list(corpus), list(trees), smaller, smaller]  # solve adds uv to the second
-    ends = list(accumulate(map(len, sources)))
-    items = [x for source in sources for x in source]
-
-    def solve(n, idx):
-        cuts = [0, *np.searchsorted(idx, ends)]
-        fam, corp, tree, small, big = (slice(a, z) for a, z in zip(cuts, cuts[1:]))
-        specs = [items[i] for i in idx[fam]]
-        bigger = [graph_mod.add_edge(items[i], *pairs[i - ends[3]][1]) for i in idx[big]]
-        lap = graph_mod._laplacians([graph_mod.generate(spec) for spec in specs]
-                                    + [items[i] for i in idx[corp.start:big.start]] + bigger, n)
+    orders: dict[int, tuple[list[int], ...]] = {}
+    for s, ns in enumerate(([spec.order for spec in wanted], [g.n for g in corpus],
+                            [g.n for g in trees], [g.n for g, _ in pairs])):
+        for i, n in enumerate(ns):
+            orders.setdefault(n, ([], [], [], []))[s].append(i)
+    table, rows, tree_errors, edge_errors = {}, {}, {}, {}  # the last three by input index
+    for n, (fam, corp, tree, pair) in orders.items():
+        specs, smaller = [wanted[i] for i in fam], [pairs[i][0] for i in pair]
+        lap = graph_mod._laplacians(
+            [graph_mod.generate(spec) for spec in specs] + [corpus[i] for i in corp]
+            + [trees[i] for i in tree] + smaller
+            + [graph_mod.add_edge(g, *pairs[i][1]) for g, i in zip(smaller, pair)], n)
         b = resistance._stacked_bundle(lap)
         values = spectral._eigenvalues_in_place(b.rl)
+        cuts = [0, *accumulate(map(len, (fam, corp, tree, pair, pair)))]
+        fs, cs, ts, small, big = map(slice, cuts, cuts[1:])
 
         def part(s):  # the bundle of one source's slice
             return resistance.ResistanceBundle(b.r[s], b.rtr[s], b.rl[s])
 
-        rows = _family_rows(jobs, specs, lap[fam], part(fam), values[fam])
-        dist = graph_mod._distances(lap[corp.start:tree.stop])
-        c = corp.stop - corp.start
-        if c:  # the bounds reject an empty stack
-            rows += _corpus_measures(part(corp), values[corp], dist[:c]).tolist()
-        d = resistance._bundle(dist[c:])  # D and Diag(DTr) - D of the trees
-        rows += np.maximum(np.abs(b.r[tree] - d.r).max(axis=(-2, -1)),
-                           np.abs(b.rl[tree] - d.rl).max(axis=(-2, -1))).tolist()
-        rows += np.maximum((b.r[big] - b.r[small]).max(axis=(-2, -1)),
-                           (values[big] - values[small]).max(axis=-1)).tolist()
-        return rows + [None] * (big.stop - big.start)
-
-    out = _by_order(items, solve, order=lambda x: x.order if isinstance(x, FamilySpec) else x.n)
-    table = dict(zip(wanted, out[:ends[0]]))
-    return table, out[ends[0]:ends[1]], out[ends[1]:ends[2]], out[ends[2]:ends[3]]
+        table.update(zip(specs, _family_rows(jobs, specs, lap[fs], part(fs), values[fs])))
+        dist, d = np.split(graph_mod._distances(lap[cs.start:ts.stop]), [len(corp)])
+        if corp:  # the bounds reject an empty stack
+            rows.update(zip(corp, _corpus_measures(part(cs), values[cs], dist).tolist()))
+        tree_errors.update(zip(tree, np.maximum(  # a tree's R is its D, so its RTr is DTr
+            np.abs(b.r[ts] - d).max(axis=(-2, -1)),
+            np.abs(b.rtr[ts] - d.sum(axis=-2)).max(axis=-1)).tolist()))
+        edge_errors.update(zip(pair, np.maximum(
+            (b.r[big] - b.r[small]).max(axis=(-2, -1)),
+            (values[big] - values[small]).max(axis=-1)).tolist()))
+        del lap, b, values, dist, d  # this order's stacks go before the next order's come
+    return table, *([o[i] for i in range(len(o))] for o in (rows, tree_errors, edge_errors))
 
 
 #: The corpus checks, in the column order of _corpus_measures, with their

@@ -17,6 +17,7 @@ import resq.resistance
 import resq.spectral
 import resq.verify
 from resq.cli import COMPUTE_TARGETS, main
+from resq.energy import resistance_laplacian_energy
 from resq.graph import format_edge_list, parse_edge_list, random_connected_graph
 from resq.resistance import (
     resistance_laplacian,
@@ -173,6 +174,14 @@ class TestCompute:
         assert payload["le_r"] == pytest.approx(3.0, abs=1e-9)
         assert payload["n"] == 4
         assert all(payload["satisfied"].values())
+
+    def test_energy_csv_by_default(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "k4.el", "4\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        assert main(["compute", path, "--what", "energy"]) == 0
+        g = parse_edge_list(Path(path).read_text())
+        report = resistance_laplacian_energy(g)
+        expected = serialize.energy_report_to_csv(report, serialize.graph_hash(g)) + "\n"
+        assert capsys.readouterr().out == expected
 
     def test_spectrum_json_c4(self, tmp_path, capsys):
         path = write_graph(tmp_path, "c4.el", "4\n0 1\n1 2\n2 3\n0 3\n")

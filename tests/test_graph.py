@@ -141,6 +141,10 @@ class TestGenerate:
         with pytest.raises(InvalidFamilyParams, match="exactly one parameter"):
             FamilySpec("cycle", (3, 4)).validate()
 
+    def test_params_that_are_no_sequence_rejected(self):
+        with pytest.raises(InvalidFamilyParams, match="got 5$"):
+            FamilySpec("complete", 5).validate()
+
     def test_numpy_integer_params_read_as_ints(self):
         for kind, params in (("complete", (4,)), ("cycle", (5,)), ("path", (3,)),
                              ("bipartite", (2, 3))):
@@ -360,3 +364,8 @@ class TestEdgeHelpers:
             Graph.from_edges(0, [])
         with pytest.raises(VertexOutOfRange):
             Graph.from_edges(MAX_ORDER + 1, [])
+
+    @pytest.mark.parametrize("pair", [(0, 1, 2), (0,), 1, None])
+    def test_edge_that_is_no_pair_rejected(self, pair):
+        with pytest.raises(VertexOutOfRange, match="is not a pair of vertices"):
+            Graph.from_edges(3, [pair])

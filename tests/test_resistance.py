@@ -7,8 +7,14 @@ from hypothesis import strategies as st
 
 from resq.energy import _energy_moments
 from resq.errors import Disconnected, NotSymmetric
-from resq.spectral import _SYMMETRY_RTOL, _eigenvalues_in_place, eigenvalues_symmetric
-from resq.verify import _by_order, _random_graphs
+from resq.spectral import (
+    _SYMMETRY_RTOL,
+    Partition,
+    _eigenvalues_in_place,
+    eigenvalues_symmetric,
+    quotient_matrix,
+)
+from resq.verify import _measures, _random_graphs
 from resq.graph import (
     FamilySpec,
     Graph,
@@ -167,6 +173,22 @@ class TestMatrixRule:
         alone = _refusal(laplacian_pseudoinverse, laps[member])
         assert alone is not None and _refusal(laplacian_pseudoinverse, laps) == alone
 
+    @pytest.mark.parametrize("solve", [
+        eigenvalues_symmetric,
+        laplacian_pseudoinverse,
+        lambda m: quotient_matrix(m, Partition.from_sizes(1, 1)),
+    ])
+    @pytest.mark.parametrize("m", [
+        [[2, 1j], [-1j, 2]],  # Hermitian, spectrum (3, 1): its real part would give (2, 2)
+        np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex),
+        [[1, "-1"], ["-1", 1]],
+        [[1, None], [None, 1]],
+        [[1, -1], [-1]],  # ragged
+    ])
+    def test_non_real_or_ragged_input_refused(self, solve, m):
+        with pytest.raises(NotSymmetric):
+            solve(m)
+
     def test_directed_cycle_refused(self):
         # no graph Laplacian: pinv of (L + L^T) / 2 would be up to 0.33 off pinv(L)
         directed = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])
@@ -316,11 +338,9 @@ class TestExactOracle:
             self.assert_close(resistance_matrix(g), exact_resistance(g))
 
     def test_stacked_bundle(self):
-        graphs = self.graphs()
-        rows = _by_order(graphs, lambda n, idx: resistance._stacked_bundle(
-            _laplacians([graphs[i] for i in idx], n)).r)
-        for g, r in zip(graphs, rows):
-            self.assert_close(r, exact_resistance(g))
+        for n, group in TestStackedBundles.by_order(self.graphs()).items():
+            for g, r in zip(group, resistance._stacked_bundle(_laplacians(group, n)).r):
+                self.assert_close(r, exact_resistance(g))
 
 
 class TestResistanceMatrix:
@@ -412,10 +432,7 @@ class TestStackedBundles:
                     assert np.array_equal(stacked[k], classical_distance_matrix(g)), n
 
     def test_empty(self):
-        def solve(n, idx):
-            raise AssertionError("no order to solve")
-
-        assert _by_order([], solve) == []
+        assert _measures([]) == ({}, [], [], [])
 
     @pytest.mark.parametrize(
         "bad",

@@ -288,6 +288,11 @@ class TestQuotientMatrix:
         with pytest.raises(InvalidPartition, match="partition has no blocks"):
             quotient_matrix(m, Partition(()))
 
+    @pytest.mark.parametrize("sizes", [(2.5, 1), (2, None), ("2", 1)])
+    def test_non_integer_sizes_rejected(self, sizes):
+        with pytest.raises(InvalidPartition, match="block sizes must be integers"):
+            Partition.from_sizes(*sizes)
+
     @pytest.mark.parametrize("block", [(0.5, 1), (np.float64(0.0), 1), ("0", 1), (None, 1)])
     def test_non_integer_index_rejected(self, block):
         with pytest.raises(InvalidPartition, match="non-integer index"):
