@@ -10,6 +10,7 @@ _as_int; hop counts come from one BFS, _hops.
 from __future__ import annotations
 
 import heapq
+import numbers
 import operator
 import random
 from collections import deque
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import (
     Disconnected,
     DuplicateEdge,
+    GraphInputError,
     InvalidFamilyParams,
     MalformedLine,
     SelfLoop,
@@ -57,12 +59,17 @@ class Graph:
         """Validate and normalize an iterable of vertex pairs into a Graph.
 
         Raises SelfLoop, VertexOutOfRange (also for a non-integer endpoint or
-        vertex count) or DuplicateEdge when the input violates the simple-graph
-        invariants.
+        vertex count, and for edges that cannot be iterated) or DuplicateEdge
+        when the input violates the simple-graph invariants.
         """
         n = _require_vertices(n)
+        try:
+            pairs = iter(edges)
+        except TypeError:
+            raise VertexOutOfRange(
+                f"edges must be an iterable of vertex pairs, got {edges!r}") from None
         normalized: set[Edge] = set()
-        for pair in edges:
+        for pair in pairs:
             key = _edge(n, pair)
             if key in normalized:
                 raise DuplicateEdge(f"edge ({key[0]}, {key[1]}) listed twice")
@@ -326,9 +333,12 @@ def random_connected_graph(n: int, edge_prob: float, seed: int) -> Graph:
     """Erdos-Renyi draw, resampled until connected; deterministic per seed.
 
     After _MAX_RESAMPLE failed draws, a random spanning tree is overlaid on
-    the last draw so the result is always connected.
+    the last draw so the result is always connected. GraphInputError unless
+    edge_prob is a finite real number in [0, 1].
     """
     n = _require_vertices(n)
+    if not (isinstance(edge_prob, numbers.Real) and 0.0 <= edge_prob <= 1.0):
+        raise GraphInputError(f"edge_prob must be a real number in [0, 1], got {edge_prob!r}")
     rng = random.Random(seed)
     edges: list[Edge] = []
     for _ in range(_MAX_RESAMPLE):

@@ -13,8 +13,12 @@ each of its sources (family instances, the random corpus, the trees, the
 edge-addition pairs) by order n, and each order is one (k, n, n) stack of
 Laplacians: one stacked computation gives R, RTr, R^L and the R^L spectra
 of all of them, and R^Q with its spectra for the family slice. Every
-measure is an array reduction over its source's slice of the stack, or is
-read from a member's slices, while the stack is alive.
+measure is an array reduction over its source's slice of the stack while
+the stack is alive: each family check's over the instances it examines,
+with their closed forms stacked, and the quotient
+check's from one quotient_matrix call and one eigvals on the (k, 3, n, n)
+stack of L, R^L and R^Q of the order's K_{p,q}; only E_R is one Perron root
+per transmission-regular instance.
 The random graphs are drawn first, under the random_corpus timer. The pass
 runs under the first check of the run (closed_form_matrices, or
 random_corpus in the random scope), whose elapsed time therefore carries
@@ -28,7 +32,6 @@ import functools
 import math
 import random
 import time
-from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 
@@ -123,56 +126,52 @@ def family_specs(max_n: int) -> list[FamilySpec]:
     return specs
 
 
-@dataclass
-class _Family:
-    """A family instance as its checks read it: slices of its order's stacks.
-    lap_values() is its L spectrum, solved for the whole order on first call."""
+class _FamilyOrder:
+    """The family instances of one order as the family checks read them:
+    their specs and their slices of the order's stacks, L, the bundle b and
+    the descending R^L values. The R^Q spectra and LE_R of the whole slice
+    are computed on first read, and each instance's closed form once. Each
+    family measure below takes one and the instances idx it examines there
+    (a non-empty list of indices) and returns their measures, one array
+    reduction over their stacks."""
 
-    spec: FamilySpec
-    lap: np.ndarray
-    r: np.ndarray
-    rl: np.ndarray
-    rq: np.ndarray
-    rl_values: np.ndarray  # descending
-    rq_values: np.ndarray
-    le_r: float
-    lap_values: Callable[[], np.ndarray]
+    def __init__(self, specs, lap, b, rl_values):
+        self.specs, self.lap, self.b, self.rl_values = specs, lap, b, rl_values
+        self.closed_form = functools.cache(lambda k: cf.closed_form(specs[k]))  # by index
 
     @functools.cached_property
-    def closed(self) -> cf.ClosedForm:
-        return cf.closed_form(self.spec)
+    def rq_values(self) -> np.ndarray:
+        return spectral._eigenvalues_in_place(self.b.rq)
+
+    @functools.cached_property
+    def le_r(self) -> np.ndarray:
+        return energy_mod._eta(self.rl_values, self.b.rtr)[2]
+
+    def closed(self, idx, read) -> np.ndarray:
+        """read(closed form) of the instances idx, stacked."""
+        return np.stack([read(self.closed_form(k)) for k in idx])
 
 
-def _family_rows(jobs, specs, lap, b, rl_values) -> list[list]:
-    """The measure(family) of each (specs, measure) job, None where a job
-    lacks the spec, for the family instances of one order, from their slices
-    of its stacks: L, the bundle b and the R^L spectra. R^Q is solved here,
-    LE_R is the energy report's reduction and L is solved on first read."""
-    rq = b.rq
-    rq_values = spectral._eigenvalues_in_place(rq)
-    le_r = energy_mod._eta(rl_values, b.rtr)[2]
-    lap_values = functools.cache(lambda: spectral._eigenvalues_in_place(lap))
-    fams = (_Family(spec, lap[k], b.r[k], b.rl[k], rq[k], rl_values[k], rq_values[k],
-                    float(le_r[k]), lambda k=k: lap_values()[k]) for k, spec in enumerate(specs))
-    return [[measure(f) if f.spec in wanted else None for wanted, measure in jobs] for f in fams]
+def _closed_matrix_errors(f: _FamilyOrder, idx) -> list:
+    rl, rq = f.closed(idx, lambda c: c.rl_matrix), f.closed(idx, lambda c: c.rq_matrix)
+    return np.maximum(np.abs(rl - f.b.rl[idx]).max(axis=(-2, -1)),
+                      np.abs(rq - f.b.rq[idx]).max(axis=(-2, -1))).tolist()
 
 
-def _closed_matrix_error(fam: _Family) -> float:
-    c = fam.closed
-    return max(float(np.abs(c.rl_matrix - fam.rl).max()), float(np.abs(c.rq_matrix - fam.rq).max()))
+def _closed_spectrum_errors(f: _FamilyOrder, idx) -> list:
+    rl = f.closed(idx, lambda c: c.rl_spectrum.values)
+    rq = f.closed(idx, lambda c: c.rq_spectrum.values)
+    return np.maximum(np.abs(rl - f.rl_values[idx]).max(axis=-1),
+                      np.abs(rq - f.rq_values[idx]).max(axis=-1)).tolist()
 
 
-def _closed_spectrum_error(fam: _Family) -> float:
-    rl, rq = fam.closed.rl_spectrum.values, fam.closed.rq_spectrum.values
-    return max(float(np.abs(rl - fam.rl_values).max()), float(np.abs(rq - fam.rq_values).max()))
+def _complete_energy_errors(f: _FamilyOrder, idx) -> list:
+    return np.abs(f.le_r[idx] - 4.0 * (1.0 - 1.0 / f.lap.shape[-1])).tolist()
 
 
-def _complete_energy_error(fam: _Family) -> float:
-    return abs(fam.le_r - 4.0 * (1.0 - 1.0 / fam.spec.order))
-
-
-def _energy_equality_error(fam: _Family) -> float:
-    return abs(fam.le_r - float(2.0 * energy_mod._perron_root(fam.r)))
+def _energy_equality_errors(f: _FamilyOrder, idx) -> list:
+    e_r = [2.0 * energy_mod._perron_root(f.b.r[k]) for k in idx]
+    return np.abs(f.le_r[idx] - e_r).tolist()
 
 
 def _containment_error(parent: np.ndarray, candidates: np.ndarray):
@@ -181,15 +180,38 @@ def _containment_error(parent: np.ndarray, candidates: np.ndarray):
     return np.abs(parent[..., :, None] - candidates[..., None, :]).min(axis=-2).max(axis=-1)
 
 
-def _quotient_containment_error(fam: _Family) -> float:
-    """Worst containment of the (p, q) quotient spectrum in the spectra of
-    L, R^L and R^Q of K_{p,q}, solved as one stack of the three; inf if a
-    partition is not equitable."""
+def _quotient_containment_errors(f: _FamilyOrder, idx) -> list:
+    """Worst containment of the (p, q) quotient spectrum of each K_{p,q} in
+    the spectra of its L, R^L and R^Q, all of them stacked as (k, 3, n, n)
+    for one quotient_matrix call, one eigvals and one eigensolve of L; inf
+    where a partition is not equitable."""
+    lap = f.lap[idx]
     quotients, equitable = spectral.quotient_matrix(
-        np.stack([fam.lap, fam.rl, fam.rq]), spectral.Partition.from_sizes(*fam.spec.params))
-    parents = np.stack([fam.lap_values(), fam.rl_values, fam.rq_values])
+        np.stack([lap, f.b.rl[idx], f.b.rq[idx]], axis=1),
+        [spectral.Partition.from_sizes(*f.specs[k].params) for k in idx])
+    parents = np.stack([spectral._eigenvalues_in_place(lap), f.rl_values[idx], f.rq_values[idx]],
+                       axis=1)
     err = _containment_error(parents, np.linalg.eigvals(quotients).real)
-    return float(np.where(equitable, err, math.inf).max())
+    return np.where(equitable, err, math.inf).max(axis=-1).tolist()
+
+
+def _rq_quotient_rows(f: _FamilyOrder, idx) -> list[dict]:
+    """The rq_quotient_report row of each K_{p,q}: both routes' pairs and
+    their containment in its R^Q spectrum, from one reduction. The specs
+    were validated when their graphs were built."""
+    params = [f.specs[k].params for k in idx]
+    pairs = [(cf._rq_quotient_eigenvalues(p, q), cf.bipartite_rq_pm_formula.__wrapped__(p, q))
+             for p, q in params]
+    errors = _containment_error(f.rq_values[idx, None, :], np.array(pairs)).tolist()
+    return [{
+        "p": p,
+        "q": q,
+        "quotient": [float(v) for v in quotient_pair],
+        "quotient_err": quotient_err,
+        "pm": [float(v) for v in pm_pair],
+        "pm_err": pm_err,
+        "pm_matches": bool(pm_err <= SPECTRUM_TOL),
+    } for (p, q), (quotient_pair, pm_pair), (quotient_err, pm_err) in zip(params, pairs, errors)]
 
 
 def _bipartite_specs(max_pq: int) -> list[FamilySpec]:
@@ -206,25 +228,8 @@ def rq_quotient_report(max_pq: int = 8) -> list[dict]:
     treated as a failure.
     """
     specs = _bipartite_specs(_read("max_pq", max_pq))
-    table = _measures([(specs, _rq_quotient_row)])[0]
-    return [table[spec][0] for spec in specs]
-
-
-def _rq_quotient_row(fam: _Family) -> dict:
-    p, q = fam.spec.params
-    quotient_pair = cf._rq_quotient_eigenvalues(p, q)
-    quotient_err = _containment_error(fam.rq_values, np.array(quotient_pair))
-    pm_pair = cf.bipartite_rq_pm_formula(p, q)
-    pm_err = _containment_error(fam.rq_values, np.array(pm_pair))
-    return {
-        "p": p,
-        "q": q,
-        "quotient": [float(v) for v in quotient_pair],
-        "quotient_err": float(quotient_err),
-        "pm": [float(v) for v in pm_pair],
-        "pm_err": float(pm_err),
-        "pm_matches": bool(pm_err <= SPECTRUM_TOL),
-    }
+    rows = _measures([(specs, _rq_quotient_rows)])[0][0]
+    return [rows[spec] for spec in specs]
 
 
 def _check_rq_quotient_vs_pm(rows) -> VerifyOutcome:
@@ -269,27 +274,30 @@ def _random_trees(count, max_n, seed) -> list[Graph]:
             for _ in range(count)]
 
 
-def _measures(jobs, corpus=(), pairs=(), trees=()) -> tuple[dict, list, list, list]:
-    """One pass over every graph the run examines. Returns a map from each
-    spec of the (specs, measure) jobs to its measures (_family_rows), the
-    _corpus_measures row of each corpus graph, the distance error of each
-    tree and the monotonicity error of each edge-addition pair (g, uv) from g
-    to g + uv, each in input order. The four sources are grouped by order
-    into one map n -> the indices of each source's members of order n. Per
-    order: one (k, n, n) stack of Laplacians, [family | corpus | trees | g |
-    g + uv], one stacked bundle and one R^L eigensolve for all of them, and
-    one distance sweep for the corpus and the trees; each source's results
-    go back to its indices. Every measure is taken while its order's stacks
-    are alive, so no n x n array (and no family graph or g + uv) outlives
-    its order."""
+def _measures(jobs, corpus=(), pairs=(), trees=()) -> tuple[list, list, list, list]:
+    """One pass over every graph the run examines. Returns, for each (specs,
+    measure) job, a map from each of its specs to its measure (a family
+    measure above), the _corpus_measures row of each corpus graph, the
+    distance error of each tree and the monotonicity error of each
+    edge-addition pair (g, uv) from g to g + uv, each in input order. The
+    four sources are grouped by order into one map n -> the indices of each
+    source's members of order n. Per order: one (k, n, n) stack of
+    Laplacians, [family | corpus | trees | g | g + uv], one stacked bundle
+    and one R^L eigensolve for all of them, one distance sweep for the
+    corpus and the trees, and one call of each job's measure on the family
+    instances of the order it examines; each source's results go back to
+    its indices. Every measure is taken while its order's stacks are alive,
+    so no n x n array (and no family graph or g + uv) outlives its order."""
     wanted = list(dict.fromkeys(spec for specs, _ in jobs for spec in specs))
-    jobs = [(set(specs), measure) for specs, measure in jobs]
+    at = {spec: i for i, spec in enumerate(wanted)}
+    jobs = [({at[spec] for spec in specs}, measure) for specs, measure in jobs]
     orders: dict[int, tuple[list[int], ...]] = {}
     for s, ns in enumerate(([spec.order for spec in wanted], [g.n for g in corpus],
                             [g.n for g in trees], [g.n for g, _ in pairs])):
         for i, n in enumerate(ns):
             orders.setdefault(n, ([], [], [], []))[s].append(i)
-    table, rows, tree_errors, edge_errors = {}, {}, {}, {}  # the last three by input index
+    table = [{} for _ in jobs]
+    rows, tree_errors, edge_errors = {}, {}, {}  # by input index
     for n, (fam, corp, tree, pair) in orders.items():
         specs, smaller = [wanted[i] for i in fam], [pairs[i][0] for i in pair]
         lap = graph_mod._laplacians(
@@ -304,7 +312,11 @@ def _measures(jobs, corpus=(), pairs=(), trees=()) -> tuple[dict, list, list, li
         def part(s):  # the bundle of one source's slice
             return resistance.ResistanceBundle(b.r[s], b.rtr[s], b.rl[s])
 
-        table.update(zip(specs, _family_rows(jobs, specs, lap[fs], part(fs), values[fs])))
+        family = _FamilyOrder(specs, lap[fs], part(fs), values[fs])
+        for measured, (subset, measure) in zip(table, jobs):
+            idx = [k for k, i in enumerate(fam) if i in subset]
+            if idx:
+                measured.update(zip([specs[k] for k in idx], measure(family, idx)))
         dist, d = np.split(graph_mod._distances(lap[cs.start:ts.stop]), [len(corp)])
         if corp:  # the bounds reject an empty stack
             rows.update(zip(corp, _corpus_measures(part(cs), values[cs], dist).tolist()))
@@ -314,7 +326,7 @@ def _measures(jobs, corpus=(), pairs=(), trees=()) -> tuple[dict, list, list, li
         edge_errors.update(zip(pair, np.maximum(
             (b.r[big] - b.r[small]).max(axis=(-2, -1)),
             (values[big] - values[small]).max(axis=-1)).tolist()))
-        del lap, b, values, dist, d  # this order's stacks go before the next order's come
+        del lap, b, values, family, dist, d  # this order's stacks go before the next order's come
     return table, *([o[i] for i in range(len(o))] for o in (rows, tree_errors, edge_errors))
 
 
@@ -407,21 +419,21 @@ def run_verify(
         # transmission-regular: K_n, C_n and K_{p,p}
         regular = [s for s in specs if s.kind != "bipartite" or s.params[0] == s.params[1]]
         checks = (
-            ("closed_form_matrices", specs, _closed_matrix_error, tol),
-            ("closed_form_spectra", specs, _closed_spectrum_error, SPECTRUM_TOL),
-            ("complete_energy_formula", complete, _complete_energy_error, tol),
-            ("transmission_regular_energy", regular, _energy_equality_error, ENERGY_EQUALITY_TOL),
-            ("quotient_containment", bipartite, _quotient_containment_error, CONTAINMENT_TOL),
-            ("rq_bipartite_quotient_report", bipartite, _rq_quotient_row, SPECTRUM_TOL),
+            ("closed_form_matrices", specs, _closed_matrix_errors, tol),
+            ("closed_form_spectra", specs, _closed_spectrum_errors, SPECTRUM_TOL),
+            ("complete_energy_formula", complete, _complete_energy_errors, tol),
+            ("transmission_regular_energy", regular, _energy_equality_errors, ENERGY_EQUALITY_TOL),
+            ("quotient_containment", bipartite, _quotient_containment_errors, CONTAINMENT_TOL),
+            ("rq_bipartite_quotient_report", bipartite, _rq_quotient_rows, SPECTRUM_TOL),
         )
     # the one pass, run by the first check that reads it, which is charged its time
     table = functools.cache(
         lambda: _measures([(s, m) for _, s, m, _ in checks], corpus, pairs, trees))
-    outcomes = [_check(name, check_tol, lambda: ((table()[0][spec][j], spec) for spec in subset))
+    outcomes = [_check(name, check_tol, lambda: ((table()[0][j][spec], spec) for spec in subset))
                 for j, (name, subset, _, check_tol) in enumerate(checks[:-1])]  # report: own runner
     if checks:
         outcomes.append(
-            _check_rq_quotient_vs_pm(lambda: [table()[0][spec][-1] for spec in bipartite]))
+            _check_rq_quotient_vs_pm(lambda: [table()[0][-1][spec] for spec in bipartite]))
     if randoms:
         start = time.perf_counter()
         _, rows, tree_errors, edge_errors = table()

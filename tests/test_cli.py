@@ -324,7 +324,8 @@ class TestVerify:
                                 lambda m, partition: (quotient(m, partition)[0], False))
             name, token = "quotient_containment", "inf"
         else:
-            monkeypatch.setattr(resq.verify, "_closed_matrix_error", lambda fam: math.nan)
+            monkeypatch.setattr(resq.verify, "_closed_matrix_errors",
+                                lambda family, idx: [math.nan] * len(idx))
             name, token = "closed_form_matrices", "nan"
         assert main(["verify", "--scope", "families", "--max-n", "4", "--jsonl"]) == 4
 

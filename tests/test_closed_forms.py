@@ -254,6 +254,32 @@ class TestClosedFormDispatcher:
         k23 = bipartite_rq_spectrum(np.int64(2), np.int32(3)).values
         assert np.array_equal(k23, bipartite_rq_spectrum(2, 3).values)
 
+    def test_spec_validated_once(self, monkeypatch):
+        checked = []
+        validate = FamilySpec.validate
+        monkeypatch.setattr(FamilySpec, "validate",
+                            lambda spec: checked.append(spec) or validate(spec))
+        for spec in (FamilySpec.complete(5), FamilySpec.bipartite(2, 3), FamilySpec.cycle(6)):
+            closed_form(spec)
+            assert checked == [spec]
+            checked.clear()
+
+    def test_builders_check_their_own_parameters(self):
+        # each builder equals its part of closed_form, bit for bit
+        k23, c6 = closed_form(FamilySpec.bipartite(2, 3)), closed_form(FamilySpec.cycle(6))
+        assert np.array_equal(bipartite_rl(2, 3), k23.rl_matrix)
+        assert np.array_equal(bipartite_rq(q=3, p=2), k23.rq_matrix)  # keywords bind by name
+        assert np.array_equal(bipartite_rq_spectrum(2, 3).values, k23.rq_spectrum.values)
+        assert np.array_equal(cycle_rq(6), c6.rq_matrix)
+        for builder, params in ((complete_rq, (0,)), (complete_rq_spectrum, (1.5,)),
+                                (bipartite_rl_spectrum, (2, 0)),
+                                (bipartite_rq_pm_formula, ("2", 1)),
+                                (cycle_rq, (2,)), (cycle_spectra, (None,))):
+            with pytest.raises(InvalidFamilyParams):
+                builder(*params)
+        with pytest.raises(TypeError):
+            bipartite_rl(2)  # a missing parameter, as for any function
+
     def test_path_has_no_closed_form(self):
         with pytest.raises(InvalidFamilyParams):
             closed_form(FamilySpec.path(4))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ import resq.graph
 from resq.errors import (
     Disconnected,
     DuplicateEdge,
+    GraphInputError,
     InvalidFamilyParams,
     MalformedLine,
     SelfLoop,
@@ -301,6 +303,19 @@ class TestRandomGraphs:
         with pytest.raises(VertexOutOfRange):
             random_connected_graph(n, 0.5, 1)
 
+    @pytest.mark.parametrize("edge_prob", ["a", "0.5", None, math.nan, math.inf, -math.inf,
+                                           2.0, -1.0, np.float64(1.5), np.array(0.5)])
+    def test_edge_prob_must_be_a_real_number_in_the_unit_interval(self, edge_prob):
+        # a NaN would make _MAX_RESAMPLE empty draws before the tree overlay
+        with pytest.raises(GraphInputError, match="^edge_prob must be a real number in"):
+            random_connected_graph(200, edge_prob, 1)
+
+    @pytest.mark.parametrize("edge_prob", [0, 1, 0.0, 1.0, True, np.float64(0.5), np.int64(1)])
+    def test_edge_prob_bounds_and_numpy_numbers_accepted(self, edge_prob):
+        g = random_connected_graph(6, edge_prob, 3)
+        assert g == random_connected_graph(6, float(edge_prob), 3)
+        assert is_connected(g)
+
     @pytest.mark.parametrize("n", [0, -3, MAX_ORDER + 1])
     def test_tree_needs_a_vertex(self, n):
         with pytest.raises(VertexOutOfRange):
@@ -364,6 +379,11 @@ class TestEdgeHelpers:
             Graph.from_edges(0, [])
         with pytest.raises(VertexOutOfRange):
             Graph.from_edges(MAX_ORDER + 1, [])
+
+    @pytest.mark.parametrize("edges", [5, None, 1.5])
+    def test_edges_that_cannot_be_iterated_rejected(self, edges):
+        with pytest.raises(VertexOutOfRange, match="^edges must be an iterable of vertex pairs"):
+            Graph.from_edges(3, edges)
 
     @pytest.mark.parametrize("pair", [(0, 1, 2), (0,), 1, None])
     def test_edge_that_is_no_pair_rejected(self, pair):

@@ -432,7 +432,7 @@ class TestStackedBundles:
                     assert np.array_equal(stacked[k], classical_distance_matrix(g)), n
 
     def test_empty(self):
-        assert _measures([]) == ({}, [], [], [])
+        assert _measures([]) == ([], [], [], [])
 
     @pytest.mark.parametrize(
         "bad",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import resq.resistance
-from resq.closed_forms import closed_form
+from resq.closed_forms import _rq_quotient_eigenvalues, bipartite_rq_pm_formula, closed_form
 from resq.energy import resistance_laplacian_energy
 from resq.graph import (
     FamilySpec,
@@ -24,12 +24,12 @@ from resq.verify import (
     _CORPUS_CHECKS,
     VerifyOutcome,
     _check,
-    _closed_matrix_error,
-    _closed_spectrum_error,
-    _complete_energy_error,
-    _energy_equality_error,
+    _closed_matrix_errors,
+    _closed_spectrum_errors,
+    _complete_energy_errors,
+    _energy_equality_errors,
     _measures,
-    _quotient_containment_error,
+    _quotient_containment_errors,
     _random_graphs,
     family_specs,
     rq_quotient_report,
@@ -110,11 +110,10 @@ class TestRunVerify:
                  + run_verify(scope="random", seed=seed, **PINNED))
         assert fields(both) == fields(split)
 
-    def test_one_stacked_bundle_per_order_and_one_quotient_per_bipartite_instance(
-            self, monkeypatch):
-        calls = {"_stacked_bundle": [], "quotient_matrix": []}
+    def test_one_stacked_bundle_one_quotient_and_one_eigvals_per_order(self, monkeypatch):
+        calls = {"_stacked_bundle": [], "quotient_matrix": [], "eigvals": []}
         for module, name in ((resq.resistance, "_stacked_bundle"),
-                             (resq.spectral, "quotient_matrix")):
+                             (resq.spectral, "quotient_matrix"), (np.linalg, "eigvals")):
             def counted(m, *args, fn=getattr(module, name), name=name):
                 calls[name].append(m.shape)
                 return fn(m, *args)
@@ -124,8 +123,12 @@ class TestRunVerify:
         assert all(o.passed for o in outcomes)
         orders = [shape[-1] for shape in calls["_stacked_bundle"]]
         assert sorted(orders) == list(range(2, 17))  # trees to 15, K_{8,8} at 16
-        assert len(calls["quotient_matrix"]) == 36  # K_{p,q}, p <= q <= 8
-        assert all(shape[0] == 3 for shape in calls["quotient_matrix"])  # L, R^L, R^Q
+        # every K_{p,q}, p <= q <= 8, of one order in one (k, 3, n, n) stack of L, R^L and R^Q
+        quotients = calls["quotient_matrix"]
+        assert sorted(shape[-1] for shape in quotients) == list(range(2, 17))
+        assert all(len(shape) == 4 and shape[1] == 3 for shape in quotients)
+        assert sum(shape[0] for shape in quotients) == 36
+        assert [shape[:2] for shape in calls["eigvals"]] == [shape[:2] for shape in quotients]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_stacked_engine_matches_per_graph(self, monkeypatch, seed):
@@ -192,13 +195,14 @@ class TestRunVerify:
         specs = family_specs(12)
         bipartite = [FamilySpec.bipartite(p, q) for p in range(1, 9) for q in range(p, 9)]
         measures = {
-            "closed_form_matrices": _closed_matrix_error,
-            "closed_form_spectra": _closed_spectrum_error,
-            "complete_energy_formula": _complete_energy_error,
-            "transmission_regular_energy": _energy_equality_error,
-            "quotient_containment": _quotient_containment_error,
+            "closed_form_matrices": _closed_matrix_errors,
+            "closed_form_spectra": _closed_spectrum_errors,
+            "complete_energy_formula": _complete_energy_errors,
+            "transmission_regular_energy": _energy_equality_errors,
+            "quotient_containment": _quotient_containment_errors,
         }
         expected = {name: {} for name in measures}
+        report_errors = {}  # the quotient and +/- pairs' containment in the R^Q spectrum
         for spec in dict.fromkeys(specs + bipartite):
             g = generate(spec)
             rl, rq = resistance_laplacian(g), resistance_signless_laplacian(g)
@@ -229,9 +233,16 @@ class TestRunVerify:
                     err = max(float(np.abs(parent - v).min()) for v in values)
                     errors.append(err if equitable else math.inf)
                 expected["quotient_containment"][spec] = max(errors)
+                report_errors[spec] = [
+                    float(np.abs(rq_values[:, None] - np.array(pair)).min(axis=0).max())
+                    for pair in (_rq_quotient_eigenvalues(*spec.params),
+                                 bipartite_rq_pm_formula(*spec.params))]
         table = _measures([(list(expected[name]), measures[name]) for name in measures])[0]
         for j, (name, values) in enumerate(expected.items()):
-            assert {spec: table[spec][j] for spec in values} == values, name
+            assert table[j] == values, name
+        rows = rq_quotient_report(max_pq=8)
+        assert [[row["quotient_err"], row["pm_err"]] for row in rows] == [
+            report_errors[spec] for spec in bipartite]
         outcomes = {o.name: o for o in run_verify(scope="families", max_n=12, max_pq=8)}
         worst = {name: max(values.values()) for name, values in expected.items()}
         assert {name: outcomes[name].measured for name in measures} == worst
