@@ -34,9 +34,9 @@ Edge = tuple[int, int]
 FAMILY_KINDS = ("complete", "bipartite", "cycle", "path")
 
 #: Largest vertex count parse_edge_list accepts and generate builds: one
-#: n x n float64 matrix of this order takes 3.2 GB. The energy report holds
-#: one of them plus about a quarter of one as workspace; a matrix output
-#: adds its text, which is larger still.
+#: n x n float64 matrix of this order takes 3.2 GB. The energy report and a
+#: matrix output hold one of them plus at most 256 x n entries (41 MB) of
+#: workspace; a matrix output adds one block of its text.
 MAX_ORDER = 20_000
 
 # Erdos-Renyi draws random_connected_graph makes before it overlays a tree.

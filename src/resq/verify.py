@@ -317,16 +317,19 @@ def _measures(jobs, corpus=(), pairs=(), trees=()) -> tuple[list, list, list, li
             idx = [k for k, i in enumerate(fam) if i in subset]
             if idx:
                 measured.update(zip([specs[k] for k in idx], measure(family, idx)))
-        dist, d = np.split(graph_mod._distances(lap[cs.start:ts.stop]), [len(corp)])
-        if corp:  # the bounds reject an empty stack
-            rows.update(zip(corp, _corpus_measures(part(cs), values[cs], dist).tolist()))
-        tree_errors.update(zip(tree, np.maximum(  # a tree's R is its D, so its RTr is DTr
-            np.abs(b.r[ts] - d).max(axis=(-2, -1)),
-            np.abs(b.rtr[ts] - d.sum(axis=-2)).max(axis=-1)).tolist()))
-        edge_errors.update(zip(pair, np.maximum(
-            (b.r[big] - b.r[small]).max(axis=(-2, -1)),
-            (values[big] - values[small]).max(axis=-1)).tolist()))
-        del lap, b, values, family, dist, d  # this order's stacks go before the next order's come
+        if corp or tree:  # one distance sweep serves both, and none runs without them
+            dist, d = np.split(graph_mod._distances(lap[cs.start:ts.stop]), [len(corp)])
+            if corp:  # the bounds reject an empty stack
+                rows.update(zip(corp, _corpus_measures(part(cs), values[cs], dist).tolist()))
+            tree_errors.update(zip(tree, np.maximum(  # a tree's R is its D, so its RTr is DTr
+                np.abs(b.r[ts] - d).max(axis=(-2, -1)),
+                np.abs(b.rtr[ts] - d.sum(axis=-2)).max(axis=-1)).tolist()))
+            del dist, d
+        if pair:
+            edge_errors.update(zip(pair, np.maximum(
+                (b.r[big] - b.r[small]).max(axis=(-2, -1)),
+                (values[big] - values[small]).max(axis=-1)).tolist()))
+        del lap, b, values, family  # this order's stacks go before the next order's come
     return table, *([o[i] for i in range(len(o))] for o in (rows, tree_errors, edge_errors))
 
 

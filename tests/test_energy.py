@@ -227,7 +227,7 @@ class TestOneBuffer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one buffer and the block elimination's workspace of n^2 / 4; the
+        # one buffer and strips of _TILE x n entries of workspace; the
         # report built from three arrays peaked at about 3.5 n^2 8 bytes
         assert peak <= 1.6 * self.N**2 * 8
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resq.energy import _energy_moments
+from resq.energy import _energy_moments, resistance_laplacian_energy
 from resq.errors import Disconnected, NotSymmetric
 from resq.spectral import (
     _SYMMETRY_RTOL,
@@ -217,13 +218,28 @@ class TestInPlaceCore:
         resistance._grounded_inverse(scribbled)
         assert np.array_equal(scribbled, expected)
 
+    @pytest.mark.parametrize("report", [resistance_matrix, resistance_laplacian_energy])
+    def test_one_buffer_and_strips_of_workspace(self, report):
+        # the strips of the block elimination, the row blocks of the nonzero
+        # scan and the tiles of R each hold at most _TILE x n entries; with
+        # a product of n^2 / 4 entries this read 4.90 MB over the buffer
+        n = 1500
+        g = random_connected_graph(n, 10.0 / n, seed=1)
+        tracemalloc.start()
+        try:
+            report(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - n * n * 8 <= resistance._TILE * n * 8
+
     @pytest.mark.parametrize("sizes", [(3, 4), (150, 60)])
     def test_two_components_raise_without_the_bfs(self, sizes):
         p, q = sizes
         edges = [(i, i + 1) for i in range(p - 1)] + [(p + i, p + i + 1) for i in range(q - 1)]
         lap = laplacian(Graph.from_edges(p + q, edges))
         with pytest.raises(Disconnected):
-            resistance._pseudoinverse_in_place(lap)
+            resistance._generalized_inverse_in_place(lap)
 
 
 def shifted_pseudoinverse(lap):
@@ -313,6 +329,30 @@ def exact_resistance(g):
                      for i in range(g.n)])
 
 
+class TestFusedResistance:
+    """R from the grounded generalized inverse X in one pass over pairs of
+    tiles, against R from the centred pseudoinverse P."""
+
+    @staticmethod
+    def graph(kind, n):
+        if kind == "bipartite":
+            return generate(FamilySpec.bipartite(n // 2, n - n // 2))
+        if kind == "random":
+            return random_connected_graph(n, 10.0 / n, seed=n)
+        return generate(getattr(FamilySpec, kind)(n))
+
+    @pytest.mark.parametrize("n", [128, 129, 257, 513, 1000])
+    @pytest.mark.parametrize("kind", ["path", "cycle", "complete", "bipartite", "random"])
+    def test_matches_the_pseudoinverse(self, kind, n):
+        g = self.graph(kind, n)
+        r = resistance_matrix(g)
+        assert np.array_equal(r, r.T)
+        assert np.all(np.diagonal(r) == 0.0)
+        p = laplacian_pseudoinverse(laplacian(g))
+        d = np.diagonal(p)
+        assert np.abs(r - (d[:, None] + d[None, :] - 2.0 * p)).max() <= 4 * n * (EPS / 2) * r.max()
+
+
 class TestExactOracle:
     """R against exact rational arithmetic, an algorithm that shares no code
     with the float pipeline: |R - R_exact| <= 4 n u max(r)."""
@@ -380,8 +420,8 @@ class TestResistanceMatrix:
 
     @pytest.mark.parametrize("n", [12, 129, 1000])
     def test_exactly_symmetric(self, n):
-        # R is assembled from the symmetrised pseudoinverse, so no further
-        # symmetrisation is needed, for a leaf or for a split block.
+        # each r_ij is formed once and written to both of its entries, for
+        # a leaf or for a split block
         r = resistance_matrix(random_connected_graph(n, min(0.5, 10.0 / n), seed=n))
         assert np.array_equal(r, r.T)
 
@@ -455,7 +495,7 @@ class TestStackedBundles:
         before = laps.copy()
         b = resistance._stacked_bundle(laps)
         assert np.array_equal(laps, before)
-        assert resistance._pseudoinverse_in_place(laps) is laps
+        assert resistance._generalized_inverse_in_place(laps) is laps
         assert np.array_equal(resistance._resistance(laps), b.r)
 
     def test_disconnected_member_caught_by_the_probe(self):
