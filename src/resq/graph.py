@@ -4,7 +4,8 @@ Vertices are 0-indexed integers. Graphs are immutable; every operation in
 this module is a pure function, so values can be shared freely across
 threads. Edges from outside (parse_edge_list, Graph.from_edges, add_edge's
 new pair) pass one check, _edge, and every integer from outside one rule,
-_as_int; hop counts come from one BFS, _hops.
+_as_int; hop counts come from one BFS, _hops, and connectivity from one
+rule on an edge list, _connected, applied to g.edges and to each random draw.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import operator
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -79,14 +80,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def neighbor_lists(self) -> list[list[int]]:
-        """Neighbours of each vertex, in no particular order."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -204,6 +197,13 @@ def _require_vertices(n, where: str = "") -> int:
     return count
 
 
+def _require_seed(seed) -> int:
+    """seed as an int; GraphInputError unless an integer."""
+    if (value := _as_int(seed)) is None:
+        raise GraphInputError(f"seed must be an integer, got {seed!r}")
+    return value
+
+
 def _edge(n: int, pair, where: str = "") -> Edge:
     """Key (min, max) of the edge pair (u, v) on n vertices, endpoints read
     by _as_int. Raises VertexOutOfRange for a pair that is not two integers
@@ -264,9 +264,24 @@ def _hops(adj: list[list[int]], source: int) -> list[int]:
     return hops
 
 
+def _neighbor_lists(n: int, edges) -> list[list[int]]:
+    """Neighbours of each of n vertices joined by the edges (u, v), in no particular order."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _connected(n: int, edges) -> bool:
+    """True iff the edges (u, v), a list or set, join all n vertices: never
+    with fewer than n - 1, else iff a BFS from vertex 0 reaches every vertex."""
+    return len(edges) >= n - 1 and -1 not in _hops(_neighbor_lists(n, edges), 0)
+
+
 def is_connected(g: Graph) -> bool:
     """True iff a BFS from vertex 0 reaches all n vertices (n=1 is connected)."""
-    return -1 not in _hops(g.neighbor_lists(), 0)
+    return _connected(g.n, g.edges)
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -306,7 +321,7 @@ def classical_distance_matrix(g: Graph) -> np.ndarray:
 
     Raises Disconnected when some pair is unreachable.
     """
-    adj = g.neighbor_lists()
+    adj = _neighbor_lists(g.n, g.edges)
     dist = np.array([_hops(adj, src) for src in range(g.n)], dtype=float)
     if (dist < 0).any():
         raise Disconnected("graph is disconnected; distances undefined")
@@ -321,12 +336,7 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
 
 def non_edges(g: Graph) -> list[Edge]:
     """Unordered vertex pairs not joined by an edge, in lexicographic order."""
-    return [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if (u, v) not in g.edges
-    ]
+    return [e for e in combinations(range(g.n), 2) if e not in g.edges]
 
 
 def random_connected_graph(n: int, edge_prob: float, seed: int) -> Graph:
@@ -334,19 +344,26 @@ def random_connected_graph(n: int, edge_prob: float, seed: int) -> Graph:
 
     After _MAX_RESAMPLE failed draws, a random spanning tree is overlaid on
     the last draw so the result is always connected. GraphInputError unless
-    edge_prob is a finite real number in [0, 1].
+    edge_prob is a finite real number in [0, 1] and seed an integer.
     """
     n = _require_vertices(n)
     if not (isinstance(edge_prob, numbers.Real) and 0.0 <= edge_prob <= 1.0):
         raise GraphInputError(f"edge_prob must be a real number in [0, 1], got {edge_prob!r}")
+    return _random_connected(n, edge_prob, _require_seed(seed))
+
+
+def _random_connected(n: int, edge_prob, seed: int, pairs=None) -> Graph:
+    """random_connected_graph of checked arguments. Each draw calls rng.random
+    once per vertex pair, walking pairs, tuple(combinations(range(n), 2)) or by
+    default the same pairs lazily; only the draw accepted becomes a Graph."""
     rng = random.Random(seed)
+    draw = rng.random
     edges: list[Edge] = []
     for _ in range(_MAX_RESAMPLE):
-        # one draw per vertex pair, in lexicographic order, with no pair list
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob]
-        g = Graph(n, frozenset(edges))
-        if is_connected(g):
-            return g
+        edges = [e for e in (combinations(range(n), 2) if pairs is None else pairs)
+                 if draw() < edge_prob]
+        if _connected(n, edges):
+            return Graph(n, frozenset(edges))
     order = list(range(n))
     rng.shuffle(order)
     tree: set[Edge] = set()
@@ -357,8 +374,8 @@ def random_connected_graph(n: int, edge_prob: float, seed: int) -> Graph:
 
 
 def random_tree(n: int, seed: int) -> Graph:
-    """Uniform random labeled tree on n vertices (Prufer decode)."""
-    n = _require_vertices(n)
+    """Uniform random labeled tree on n vertices (Prufer decode), deterministic per seed."""
+    n, seed = _require_vertices(n), _require_seed(seed)
     if n == 1:
         return Graph(1, frozenset())
     rng = random.Random(seed)

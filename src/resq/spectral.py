@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import operator
 import pathlib
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -186,6 +187,12 @@ class Partition:
 
     def validate(self, n: int) -> list[list[int]]:
         """The blocks as lists of ints; InvalidPartition unless they partition [0, n)."""
+        try:  # one sort accepts a partition; only one that fails is walked again, for the message
+            blocks = [list(map(operator.index, block)) for block in self.blocks]
+            if blocks and all(blocks) and sorted(chain.from_iterable(blocks)) == list(range(n)):
+                return blocks
+        except TypeError:  # a non-integer index, or a block that is no sequence
+            pass
         if not self.blocks:
             raise InvalidPartition("partition has no blocks")
         blocks = [[_as_int(i) for i in block] for block in self.blocks]

@@ -19,11 +19,13 @@ with their closed forms stacked, and the quotient
 check's from one quotient_matrix call and one eigvals on the (k, 3, n, n)
 stack of L, R^L and R^Q of the order's K_{p,q}; only E_R is one Perron root
 per transmission-regular instance.
-The random graphs are drawn first, under the random_corpus timer. The pass
-runs under the first check of the run (closed_form_matrices, or
-random_corpus in the random scope), whose elapsed time therefore carries
-the engine's; the checks after it only take the worst of values already
-computed.
+The random graphs are drawn first, under the random_corpus timer, the
+corpus and the pairs from one tuple of vertex pairs per order for the run
+(_vertex_pairs); each g + uv enters the stack as a second copy of g with
+uv's entries added. The pass runs under the first check of the run
+(closed_form_matrices, or random_corpus in the random scope), whose elapsed
+time therefore carries the engine's; the checks after it only take the
+worst of values already computed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import math
 import random
 import time
 from dataclasses import asdict, dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -249,20 +251,28 @@ def _check_rq_quotient_vs_pm(rows) -> VerifyOutcome:
     return outcome
 
 
-def _random_graphs(count, max_n, seed) -> list[Graph]:
-    rng = random.Random(seed)  # arguments are drawn left to right: n, edge probability, seed
-    return [graph_mod.random_connected_graph(rng.randint(2, max_n), rng.uniform(0.2, 0.9),
-                                             rng.randrange(2**31)) for _ in range(count)]
+def _vertex_pairs():
+    """A map n -> tuple(combinations(range(n), 2)), built on first read; one
+    per run, shared by its draws, whose edges are then its tuples."""
+    return functools.cache(lambda n: tuple(combinations(range(n), 2)))
 
 
-def _edge_pairs(pair_count, max_n, seed) -> list[tuple[Graph, Edge]]:
+def _random_graphs(count, max_n, seed, vertex_pairs=None) -> list[Graph]:
+    rng, of_order = random.Random(seed), vertex_pairs or _vertex_pairs()
+    # arguments are drawn left to right: n, edge probability, seed
+    return [graph_mod._random_connected(n := rng.randint(2, max_n), rng.uniform(0.2, 0.9),
+                                        rng.randrange(2**31), of_order(n)) for _ in range(count)]
+
+
+def _edge_pairs(pair_count, max_n, seed, vertex_pairs=None) -> list[tuple[Graph, Edge]]:
     """Seeded pairs (g, uv) of a connected g and one of its non-edges uv."""
-    rng = random.Random(seed)
+    rng, of_order = random.Random(seed), vertex_pairs or _vertex_pairs()
     pairs = []
     while len(pairs) < pair_count:
         n = rng.randint(3, max(3, max_n))
-        g = graph_mod.random_connected_graph(n, rng.uniform(0.2, 0.8), rng.randrange(2**31))
-        missing = graph_mod.non_edges(g)
+        every = of_order(n)
+        g = graph_mod._random_connected(n, rng.uniform(0.2, 0.8), rng.randrange(2**31), every)
+        missing = [e for e in every if e not in g.edges]  # graph.non_edges(g)
         if missing:
             pairs.append((g, missing[rng.randrange(len(missing))]))
     return pairs
@@ -286,8 +296,9 @@ def _measures(jobs, corpus=(), pairs=(), trees=()) -> tuple[list, list, list, li
     and one R^L eigensolve for all of them, one distance sweep for the
     corpus and the trees, and one call of each job's measure on the family
     instances of the order it examines; each source's results go back to
-    its indices. Every measure is taken while its order's stacks are alive,
-    so no n x n array (and no family graph or g + uv) outlives its order."""
+    its indices. g is assembled twice, and its second copy gets the edge uv
+    added in place, exactly. Every measure is taken while its order's stacks
+    are alive, so no n x n array (and no family graph) outlives its order."""
     wanted = list(dict.fromkeys(spec for specs, _ in jobs for spec in specs))
     at = {spec: i for i, spec in enumerate(wanted)}
     jobs = [({at[spec] for spec in specs}, measure) for specs, measure in jobs]
@@ -302,12 +313,16 @@ def _measures(jobs, corpus=(), pairs=(), trees=()) -> tuple[list, list, list, li
         specs, smaller = [wanted[i] for i in fam], [pairs[i][0] for i in pair]
         lap = graph_mod._laplacians(
             [graph_mod.generate(spec) for spec in specs] + [corpus[i] for i in corp]
-            + [trees[i] for i in tree] + smaller
-            + [graph_mod.add_edge(g, *pairs[i][1]) for g, i in zip(smaller, pair)], n)
-        b = resistance._stacked_bundle(lap)
-        values = spectral._eigenvalues_in_place(b.rl)
+            + [trees[i] for i in tree] + smaller + smaller, n)
         cuts = [0, *accumulate(map(len, (fam, corp, tree, pair, pair)))]
         fs, cs, ts, small, big = map(slice, cuts, cuts[1:])
+        if pair:  # g + uv: g's rows with the entries of the edge uv added, exact integers
+            k, (u, v) = np.arange(big.start, big.stop), np.array([pairs[i][1] for i in pair]).T
+            lap[k, u, v] = lap[k, v, u] = -1.0
+            lap[k, u, u] += 1.0
+            lap[k, v, v] += 1.0
+        b = resistance._stacked_bundle(lap)
+        values = spectral._eigenvalues_in_place(b.rl)
 
         def part(s):  # the bundle of one source's slice
             return resistance.ResistanceBundle(b.r[s], b.rtr[s], b.rl[s])
@@ -410,9 +425,9 @@ def run_verify(
     for name, value in (("max_n", max_n), ("max_tree_n", max_tree_n)):
         if randoms and value < 2:
             raise ValueError(f"{name} must be >= 2 for the random scope, got {value}")
-    start = time.perf_counter()
-    corpus = _random_graphs(count, max_n, seed) if randoms else []
-    pairs = _edge_pairs(pair_count, max_n, seed + 1) if randoms else []
+    start, vertex_pairs = time.perf_counter(), _vertex_pairs()
+    corpus = _random_graphs(count, max_n, seed, vertex_pairs) if randoms else []
+    pairs = _edge_pairs(pair_count, max_n, seed + 1, vertex_pairs) if randoms else []
     trees = _random_trees(tree_count, max_tree_n, seed + 2) if randoms else []
     draw_ms = (time.perf_counter() - start) * 1000.0
     checks = ()

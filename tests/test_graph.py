@@ -20,6 +20,7 @@ from resq.graph import (
     MAX_ORDER,
     FamilySpec,
     Graph,
+    _connected,
     add_edge,
     classical_distance_matrix,
     format_edge_list,
@@ -186,6 +187,21 @@ class TestConnectivity:
     def test_two_components(self):
         assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
+    def test_edge_lists_of_the_draw(self):
+        # the draw checks its edge list before it builds a Graph
+        assert _connected(1, [])
+        assert _connected(5, [(0, 1), (1, 2), (1, 3), (3, 4)])  # a tree, n - 1 edges
+        assert not _connected(4, [(0, 1), (1, 2), (0, 2)])  # n - 1 edges, vertex 3 isolated
+        assert not _connected(4, [(0, 1), (2, 3)])
+
+    def test_fewer_than_n_minus_1_edges_need_no_bfs(self, monkeypatch):
+        def no_bfs(adj, source):
+            raise AssertionError("BFS run")
+
+        monkeypatch.setattr(resq.graph, "_hops", no_bfs)
+        assert not _connected(5, [(0, 1), (1, 2), (2, 3)])
+        assert not _connected(2, [])
+
 
 class TestLaplacian:
     def test_k2(self):
@@ -281,6 +297,28 @@ class TestRandomGraphs:
         for n in range(1, 41):
             for seed in range(20):
                 assert random_connected_graph(n, 0.1, seed) == from_pair_list(n, 0.1, seed, 3)
+
+    def test_no_draw_overlays_a_spanning_tree_alone(self, monkeypatch):
+        monkeypatch.setattr(resq.graph, "_MAX_RESAMPLE", 0)
+        for seed in range(10):
+            g = random_connected_graph(9, 0.9, seed)
+            assert g.edge_count == 8 and is_connected(g)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, np.float64(2.0), "abc", [1], b"1"])
+    def test_seed_must_be_an_integer(self, seed):
+        # None would draw a different graph on every call
+        with pytest.raises(GraphInputError, match="^seed must be an integer"):
+            random_connected_graph(5, 0.5, seed)
+        with pytest.raises(GraphInputError, match="^seed must be an integer"):
+            random_tree(5, seed)
+        with pytest.raises(GraphInputError, match="^seed must be an integer"):
+            random_tree(1, seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.int32(7), 7])
+    def test_integer_seeds_read_as_ints(self, seed):
+        assert random_connected_graph(8, 0.3, seed) == random_connected_graph(8, 0.3, 7)
+        assert random_tree(8, seed) == random_tree(8, 7)
+        assert random_connected_graph(8, 0.3, True) == random_connected_graph(8, 0.3, 1)
 
     def test_trees_have_n_minus_1_edges(self):
         for seed in range(30):

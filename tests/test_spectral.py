@@ -288,6 +288,26 @@ class TestQuotientMatrix:
         with pytest.raises(InvalidPartition, match="partition has no blocks"):
             quotient_matrix(m, Partition(()))
 
+    @pytest.mark.parametrize("blocks, n, message", [
+        ((), 3, "partition has no blocks"),
+        (((0, 1),), 3, "indices not covered: [2]"),
+        (((0, 1), (1, 2)), 3, "index 1 appears in two blocks"),
+        (((0, 1, 2), ()), 3, "partition contains an empty block"),
+        (((0, -1), (1, 2)), 3, "index -1 outside [0, 3)"),
+        (((2, 0), (1,)), 2, "index 2 outside [0, 2)"),
+        (((0, 1), (2,), (3, 0)), 3, "index 3 outside [0, 3)"),
+        ((("0", 1), (2,)), 3, "block ('0', 1) holds a non-integer index"),
+        ((((), 0),), 1, "block ((), 0) holds a non-integer index"),
+    ])
+    def test_each_failure_names_its_first_fault(self, blocks, n, message):
+        with pytest.raises(InvalidPartition) as caught:
+            Partition(blocks).validate(n)
+        assert str(caught.value) == message
+
+    def test_blocks_in_any_order_accepted(self):
+        blocks = Partition(((3, np.int64(0)), (True, 4, 2))).validate(5)
+        assert blocks == [[3, 0], [1, 4, 2]] and all(type(i) is int for b in blocks for i in b)
+
     @pytest.mark.parametrize("sizes", [(2.5, 1), (2, None), ("2", 1)])
     def test_non_integer_sizes_rejected(self, sizes):
         with pytest.raises(InvalidPartition, match="block sizes must be integers"):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,11 +10,14 @@ from resq.closed_forms import _rq_quotient_eigenvalues, bipartite_rq_pm_formula,
 from resq.energy import resistance_laplacian_energy
 from resq.graph import (
     FamilySpec,
+    add_edge,
     classical_distance_matrix,
     format_edge_list,
     generate,
     laplacian,
+    non_edges,
     parse_edge_list,
+    random_connected_graph,
 )
 from resq.resistance import (
     resistance_bundle,
@@ -29,8 +34,11 @@ from resq.verify import (
     _complete_energy_errors,
     _energy_equality_errors,
     _measures,
+    _edge_pairs,
     _quotient_containment_errors,
     _random_graphs,
+    _random_trees,
+    _vertex_pairs,
     family_specs,
     rq_quotient_report,
     run_verify,
@@ -317,6 +325,67 @@ class TestRunVerify:
     def test_families_scope_of_order_one_skips(self):
         outcomes = run_verify(scope="families", max_n=1, max_pq=0)
         assert outcomes and all(o.status == "skip" for o in outcomes)
+
+
+class TestRandomDraws:
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "4d83482290542545e34cf02b7124a6381258fddd41754b6e23f76676ebd1b484"),
+        (1, "62629e5fd12fc8d03cf0d34367b503097766d217ec89b639121aee93c3b03959"),
+        (2, "cba6a3e9a1fa77b24f469810c8cb3f612aee5dc1261c75343f23078c2928929c"),
+    ])
+    def test_draws_pinned(self, seed, digest):
+        # Every graph, and every uv, that run_verify draws at the benchmark's
+        # arguments, as run_verify seeds its three sources.
+        h = hashlib.sha256()
+        for g in _random_graphs(PINNED["count"], PINNED["max_n"], seed):
+            h.update(format_edge_list(g).encode())
+        for g, (u, v) in _edge_pairs(PINNED["pair_count"], PINNED["max_n"], seed + 1):
+            h.update(format_edge_list(g).encode())
+            h.update(f"{u} {v}\n".encode())
+        for g in _random_trees(PINNED["tree_count"], PINNED["max_tree_n"], seed + 2):
+            h.update(format_edge_list(g).encode())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_draws_equal_the_public_generators_called_one_by_one(self, seed):
+        rng = random.Random(seed)
+        corpus = [random_connected_graph(rng.randint(2, 12), rng.uniform(0.2, 0.9),
+                                         rng.randrange(2**31)) for _ in range(150)]
+        rng, pairs = random.Random(seed + 1), []
+        while len(pairs) < 150:
+            g = random_connected_graph(rng.randint(3, 12), rng.uniform(0.2, 0.8),
+                                       rng.randrange(2**31))
+            missing = non_edges(g)
+            if missing:
+                pairs.append((g, missing[rng.randrange(len(missing))]))
+        shared = _vertex_pairs()
+        drawn = _random_graphs(150, 12, seed, shared)
+        assert drawn == corpus
+        assert _edge_pairs(150, 12, seed + 1, shared) == pairs
+        # the drawn edges are the shared pair tuples themselves
+        assert all(any(e is p for p in shared(g.n)) for g in drawn[:20] for e in g.edges)
+
+    def test_stacked_g_plus_uv_rows_equal_the_laplacian_of_add_edge(self, monkeypatch):
+        stacks = {}
+        bundle = resq.resistance._stacked_bundle
+
+        def captured(lap):
+            stacks[lap.shape[-1]] = lap.copy()
+            return bundle(lap)
+
+        monkeypatch.setattr(resq.resistance, "_stacked_bundle", captured)
+        corpus = [random_connected_graph(2, 0.5, 0), random_connected_graph(14, 0.5, 1)]
+        pairs = _edge_pairs(40, 14, 3)
+        _measures([], corpus=corpus, pairs=pairs)
+        assert max(g.n for g, _ in pairs) == 14  # the largest order has pairs
+        assert stacks[2].tobytes() == laplacian(corpus[0]).tobytes()  # an order with no pair
+        for n, lap in stacks.items():
+            at_n = [(g, uv) for g, uv in pairs if g.n == n]
+            expected = [laplacian(g) for g, _ in at_n] + [laplacian(add_edge(g, *uv))
+                                                          for g, uv in at_n]
+            assert lap.shape[0] == sum(g.n == n for g in corpus) + len(expected)
+            if expected:
+                assert lap[-len(expected):].tobytes() == np.stack(expected).tobytes()
 
 
 class TestFamilySpecs:
