@@ -33,7 +33,7 @@ EXIT_VERIFY = 4
 COMPUTE_TARGETS = ("resistance", "rl", "rq", "spectrum-rl", "spectrum-rq", "energy")
 
 # Largest --max-n of resq verify: family instances grow as max_n^2 and their
-# edges as max_n^4; the families scope takes about 20 s at 150 on one core.
+# edges as max_n^4; the families scope takes 14-17 s at 150 on one core.
 VERIFY_MAX_N = 150
 
 
@@ -96,6 +96,7 @@ def cmd_compute(args) -> int:
     except UnicodeDecodeError as err:
         raise GraphInputError(f"{args.graph}: not UTF-8 text (byte {err.start})") from err
     g = parse_edge_list(source)
+    del source  # the text (9 MB on G(2000, 0.5)) need not live through the O(n^3) work
     chunks = _compute_chunks(g, args.what, args.format)
     # Every input and domain error comes before the first piece, so --out is
     # opened (and an existing file replaced) only for an output to write.

@@ -1,22 +1,27 @@
 """Simple undirected graphs: construction, parsing, generators, BFS metrics.
 
-Vertices are 0-indexed integers. Graphs are immutable; every operation in
-this module is a pure function, so values can be shared freely across
-threads. Edges from outside (parse_edge_list, Graph.from_edges, add_edge's
-new pair) pass one check, _edge, and every integer from outside one rule,
-_as_int; hop counts come from one BFS, _hops, and connectivity from one
-rule on an edge list, _connected, applied to g.edges and to each random draw.
+Vertices are 0-indexed integers. A Graph holds its edges in one sorted (m, 2)
+array, read with no Python tuple per edge by the parse, connectivity, the
+Laplacian and the edge-list text. Graphs are immutable; every operation in
+this module is a pure function. Edges from outside (parse_edge_list,
+Graph.from_edges, add_edge's new pair) pass one check, _edge, and every
+integer from outside one rule, _as_int. Connectivity is one rule, _connected,
+for a Graph's array and for a random draw's edge list, whose BFS, _hops, also
+gives classical_distance_matrix its hop counts.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import io
 import numbers
 import operator
 import random
+import re
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 
 import numpy as np
 
@@ -44,16 +49,33 @@ MAX_ORDER = 20_000
 _MAX_RESAMPLE = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Edges are stored as (u, v) pairs of ints with u < v. Edges from outside
-    go through :meth:`from_edges`, which validates and normalizes them.
+    edge_array holds the edges as read-only (m, 2) integer rows (u, v), u < v,
+    sorted, no repeats; edges is the same set of int pairs, built on first
+    read. Edges from outside go through :meth:`from_edges`, which validates
+    and normalizes them.
     """
 
     n: int
-    edges: frozenset[Edge]
+    edge_array: np.ndarray
+
+    def __post_init__(self):
+        self.edge_array.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
+
+    def __hash__(self):
+        return hash((self.n, self.edge_array.tobytes()))
+
+    @functools.cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(map(tuple, self.edge_array.tolist()))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -75,11 +97,11 @@ class Graph:
             if key in normalized:
                 raise DuplicateEdge(f"edge ({key[0]}, {key[1]}) listed twice")
             normalized.add(key)
-        return cls(n=n, edges=frozenset(normalized))
+        return _graphs([(n, sorted(normalized))])[0]
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
 
 @dataclass(frozen=True)
@@ -142,6 +164,12 @@ class FamilySpec:
         return {"complete": "K", "cycle": "C", "path": "P"}[self.kind] + str(self.params[0])
 
 
+# The bytes np.loadtxt splits as str.splitlines and int() do (it rejects a lone
+# CR in a line), and the vertex count line when an edge line follows it.
+_PLAIN = b"0123456789+- \t\r\n"
+_COUNT_LINE = re.compile(rb"\s*(\S+)[ \t\r]*\n(?=\s*\S)")
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a Graph.
 
@@ -149,7 +177,31 @@ def parse_edge_list(text: str) -> Graph:
     line is "u v". Lines starting with '#' are comments; blank lines are
     ignored; LF and CRLF both accepted. Errors name the offending line.
     Counts outside [1, MAX_ORDER] raise VertexOutOfRange before any O(n) allocation.
+    A text of digits, signs, blanks and line ends is read by np.loadtxt and
+    checked on arrays; any other text or anomaly goes to the line parser.
     """
+    data = text.encode("ascii") if text.isascii() else b""
+    if (head := _COUNT_LINE.match(data)) and not data.translate(None, _PLAIN):
+        (body := io.BytesIO(data)).seek(head.end())
+        try:
+            n, edges = int(head[1]), np.loadtxt(body, dtype=np.intp, ndmin=2)
+            u, v = edges.T  # ValueError unless every row is a pair
+        except (ValueError, OverflowError):
+            return _parse_lines(text)
+        if 1 <= n <= MAX_ORDER and edges.min() >= 0 and edges.max() < n and (u != v).all():
+            swap = u > v
+            edges[swap] = edges[swap, ::-1]
+            keys = u * n + v
+            if not (np.diff(keys) > 0).all():
+                order = np.argsort(keys, kind="stable")
+                edges, keys = edges[order], keys[order]
+            if (np.diff(keys) > 0).all():  # no pair listed twice
+                return Graph(n, edges)
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Graph:
+    """parse_edge_list one line at a time."""
     n: int | None = None
     seen: set[Edge] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -176,7 +228,7 @@ def parse_edge_list(text: str) -> Graph:
         seen.add(key)
     if n is None:
         raise MalformedLine("missing vertex count line")
-    return Graph(n=n, edges=frozenset(seen))
+    return _graphs([(n, sorted(seen))])[0]
 
 
 def _as_int(x) -> int | None:
@@ -222,15 +274,24 @@ def _edge(n: int, pair, where: str = "") -> Edge:
     return (a, b) if a < b else (b, a)
 
 
+def _graphs(items) -> list[Graph]:
+    """The Graph of each (n, edges) item, edges a sorted list of distinct
+    pairs (u, v), u < v: views of one array filled by one np.fromiter."""
+    cuts = [0, *accumulate(len(edges) for _, edges in items)]
+    ends = chain.from_iterable(chain.from_iterable(edges for _, edges in items))
+    flat = np.fromiter(ends, dtype=np.intp, count=2 * cuts[-1]).reshape(-1, 2)
+    return [Graph(n, flat[a:b]) for (n, _), a, b in zip(items, cuts, cuts[1:])]
+
+
 def format_edge_list(g: Graph) -> str:
-    """Render a Graph in the edge-list text format accepted by parse_edge_list."""
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"
+    """Render a Graph in the edge-list text format accepted by parse_edge_list,
+    one "%d" formatting per block of 2^15 edges."""
+    blocks = np.split(g.edge_array, range(1 << 15, g.edge_count, 1 << 15))
+    return f"{g.n}\n" + "".join(("%d %d\n" * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
 
 
 def generate(spec: FamilySpec) -> Graph:
-    """Build the graph described by a FamilySpec.
+    """Build the graph described by a FamilySpec, its edge array by formula.
 
     Bipartite parts are {0..p-1} and {p..p+q-1}; paths use edges {i, i+1},
     and cycles add {0, n-1}.
@@ -238,15 +299,14 @@ def generate(spec: FamilySpec) -> Graph:
     params = spec.validate()
     n = sum(params)
     if spec.kind == "complete":
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = np.argwhere(np.arange(n)[:, None] < np.arange(n))
     elif spec.kind == "bipartite":
-        p, q = params
-        edges = [(u, p + v) for u in range(p) for v in range(q)]
+        edges = np.argwhere(np.ones(params, dtype=bool)) + (0, params[0])
     else:
-        edges = [(i, i + 1) for i in range(n - 1)]
-        if spec.kind == "cycle":
-            edges.append((0, n - 1))
-    return Graph(n, frozenset(edges))
+        edges = np.arange(n - 1)[:, None] + (0, 1)
+        if spec.kind == "cycle":  # {0, n-1} sorts second
+            edges = np.concatenate([edges[:1], [(0, n - 1)], edges[1:]])
+    return Graph(n, edges)
 
 
 def _hops(adj: list[list[int]], source: int) -> list[int]:
@@ -274,14 +334,26 @@ def _neighbor_lists(n: int, edges) -> list[list[int]]:
 
 
 def _connected(n: int, edges) -> bool:
-    """True iff the edges (u, v), a list or set, join all n vertices: never
-    with fewer than n - 1, else iff a BFS from vertex 0 reaches every vertex."""
-    return len(edges) >= n - 1 and -1 not in _hops(_neighbor_lists(n, edges), 0)
+    """True iff the edges join all n vertices: never with fewer than n - 1,
+    else iff vertex 0 reaches all, by BFS on a list of pairs. An (m, 2) array
+    hooks the larger root of each edge across two trees under the smaller and
+    points every vertex at its root, until no edge joins two trees."""
+    if len(edges) < n - 1:
+        return False
+    if not isinstance(edges, np.ndarray):
+        return -1 not in _hops(_neighbor_lists(n, edges), 0)
+    u, v = edges.T
+    root = np.arange(n)
+    while ((ru := root[u]) != (rv := root[v])).any():
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while not np.array_equal(jump := root[root], root):
+            root = jump
+    return not root.any()
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff a BFS from vertex 0 reaches all n vertices (n=1 is connected)."""
-    return _connected(g.n, g.edges)
+    """True iff the edges join all n vertices (n=1 is connected)."""
+    return _connected(g.n, g.edge_array)
 
 
 def laplacian(g: Graph) -> np.ndarray:
@@ -290,16 +362,19 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 def _laplacians(graphs: list[Graph], n: int) -> np.ndarray:
-    """Stacked Laplacians, shape (k, n, n), of graphs that all have order n,
-    built from edge index arrays."""
-    sizes = [len(g.edges) for g in graphs]
-    which = np.repeat(np.arange(len(graphs)), sizes)
-    ends = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
-    u, v = np.fromiter(ends, dtype=np.intp, count=2 * sum(sizes)).reshape(-1, 2).T
-    laps = np.zeros((len(graphs), n, n))
-    laps[which, u, v] = laps[which, v, u] = -1.0
-    i = np.arange(n)
-    laps[:, i, i] = 0.0 - laps.sum(axis=-1)
+    """Stacked Laplacians, shape (k, n, n), of graphs that all have order n:
+    two scatters of their concatenated edges, and the degrees by bincount."""
+    k = len(graphs)
+    u, v = np.concatenate([g.edge_array for g in graphs]).T
+    at = np.repeat(np.arange(0, k * n, n), [g.edge_count for g in graphs]) + u  # u's row
+    laps = np.zeros((k, n, n))
+    rows = laps.reshape(k * n, n)
+    rows[at, v] = -1.0
+    degree = np.bincount(at, minlength=k * n)
+    at += v - u  # v's row
+    rows[at, u] = -1.0
+    degree += np.bincount(at, minlength=k * n)
+    laps[:, np.arange(n), np.arange(n)] = degree.reshape(k, n)
     return laps
 
 
@@ -321,7 +396,7 @@ def classical_distance_matrix(g: Graph) -> np.ndarray:
 
     Raises Disconnected when some pair is unreachable.
     """
-    adj = _neighbor_lists(g.n, g.edges)
+    adj = _neighbor_lists(g.n, g.edge_array.tolist())
     dist = np.array([_hops(adj, src) for src in range(g.n)], dtype=float)
     if (dist < 0).any():
         raise Disconnected("graph is disconnected; distances undefined")
@@ -331,7 +406,7 @@ def classical_distance_matrix(g: Graph) -> np.ndarray:
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     """Return a copy of g with the extra edge {u, v}. Only the new pair is
     checked, as g's edges were when g was built; an existing edge is kept."""
-    return Graph(g.n, g.edges | {_edge(g.n, (u, v))})
+    return _graphs([(g.n, sorted(g.edges | {_edge(g.n, (u, v))}))])[0]
 
 
 def non_edges(g: Graph) -> list[Edge]:
@@ -349,13 +424,13 @@ def random_connected_graph(n: int, edge_prob: float, seed: int) -> Graph:
     n = _require_vertices(n)
     if not (isinstance(edge_prob, numbers.Real) and 0.0 <= edge_prob <= 1.0):
         raise GraphInputError(f"edge_prob must be a real number in [0, 1], got {edge_prob!r}")
-    return _random_connected(n, edge_prob, _require_seed(seed))
+    return _graphs([(n, _random_connected(n, edge_prob, _require_seed(seed)))])[0]
 
 
-def _random_connected(n: int, edge_prob, seed: int, pairs=None) -> Graph:
-    """random_connected_graph of checked arguments. Each draw calls rng.random
-    once per vertex pair, walking pairs, tuple(combinations(range(n), 2)) or by
-    default the same pairs lazily; only the draw accepted becomes a Graph."""
+def _random_connected(n: int, edge_prob, seed: int, pairs=None) -> list[Edge]:
+    """The sorted edges of random_connected_graph of checked arguments. Each
+    draw calls rng.random once per vertex pair, walking pairs,
+    tuple(combinations(range(n), 2)) or by default the same pairs lazily."""
     rng = random.Random(seed)
     draw = rng.random
     edges: list[Edge] = []
@@ -363,21 +438,26 @@ def _random_connected(n: int, edge_prob, seed: int, pairs=None) -> Graph:
         edges = [e for e in (combinations(range(n), 2) if pairs is None else pairs)
                  if draw() < edge_prob]
         if _connected(n, edges):
-            return Graph(n, frozenset(edges))
+            return edges
     order = list(range(n))
     rng.shuffle(order)
     tree: set[Edge] = set()
     for i in range(1, n):
         a, b = order[i], order[rng.randrange(i)]
         tree.add((min(a, b), max(a, b)))
-    return Graph(n, frozenset(edges) | tree)
+    return sorted(tree.union(edges))
 
 
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree on n vertices (Prufer decode), deterministic per seed."""
     n, seed = _require_vertices(n), _require_seed(seed)
+    return _graphs([(n, _random_tree(n, seed))])[0]
+
+
+def _random_tree(n: int, seed: int) -> list[Edge]:
+    """The sorted edge list of random_tree of checked arguments."""
     if n == 1:
-        return Graph(1, frozenset())
+        return []
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -394,4 +474,4 @@ def random_tree(n: int, seed: int) -> Graph:
             heapq.heappush(leaves, s)
     # the heap pops the smaller of the last two leaves first, so u < v
     edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return Graph(n, frozenset(edges))
+    return sorted(edges)

@@ -34,8 +34,9 @@ on C_3000, against 130 MB with a block product of n^2 / 4 entries.
 X is checked against the Penrose identity L X L = L applied to one fixed
 probe vector v, |L(X(Lv)) - Lv|, which costs O(n^2) instead of a second
 O(n^3) matrix product. The nonzero entries L[k, i, j] (at most n + 2m for m
-edges) are saved at row k n + i and column k n + j before L is overwritten,
-and max |L|, Lv and the probe's products with L are read from them.
+edges) are saved with their positions, block by block of rows, before L is
+overwritten, and max |L|, Lv and the probe's products with L are read from
+them: 12 bytes a nonzero, and scratch for one block.
 """
 
 from __future__ import annotations
@@ -126,21 +127,25 @@ def _generalized_inverse_in_place(x: np.ndarray) -> np.ndarray:
     with X, inv(L_g) padded with a zero last row and column; returns x.
 
     The Penrose probe needs L once more after x has been overwritten, so the
-    nonzero entries of x are saved first, one block of _TILE rows at a time.
+    nonzero entries of x are saved first, a block of about 2^18 entries at a
+    time.
     Raises Disconnected when some L has nullity >= 2.
     """
     n = x.shape[-1]
     flat = x.reshape(-1, n)
-    # L[k, i, j] != 0 sums into (L y)[k, i], at row k n + i, and multiplies y[k, j],
-    # at column k n + j: int32 below 2^31 entries (np.nonzero of x is 3-8x slower)
-    index = np.int32 if x.size < 2**31 else np.intp
-    nonzero = [np.flatnonzero(flat[i:i + _TILE] != 0.0) + i * n for i in range(0, len(flat), _TILE)]
-    rows, cols = (a.astype(index) for a in np.divmod(np.concatenate(nonzero), n))
-    entries = flat[rows, cols]
+    # L[k, i, j] != 0 sums into (L y)[k, i] and multiplies y[k, j]: each block
+    # of step rows keeps the flat positions of its nonzeros (np.nonzero of x is
+    # 3-8x slower) and their values, so no array over all nonzeros is made
+    step = max(1, 2**18 // n)
+    saved = [(a, (at := np.flatnonzero(flat[a:a + step] != 0.0).astype(np.int32)),
+              flat[a:a + step].ravel()[at]) for a in range(0, len(flat), step)]
     scale = np.ones(len(flat) // n)  # max(1, max |L|) of each L
-    np.maximum.at(scale, rows // n, np.abs(entries))
-    lv = np.bincount(rows, entries * np.sin(cols + 1.0), len(flat)).reshape(*x.shape[:-1], 1)
-    cols += rows - rows % n
+    lv = np.empty(len(flat))
+    for a, at, entries in saved:
+        rows, cols = np.divmod(at, n)
+        np.maximum.at(scale, (rows + a) // n, np.abs(entries))
+        lv[a:a + step] = np.bincount(rows, entries * np.sin(cols + 1.0), len(lv[a:a + step]))
+    lv = lv.reshape(*x.shape[:-1], 1)
     try:
         _grounded_inverse(x[..., :-1, :-1])
     except np.linalg.LinAlgError as exc:
@@ -153,8 +158,12 @@ def _generalized_inverse_in_place(x: np.ndarray) -> np.ndarray:
     # L P X P L = L X L for the centring P = I - J/n, so this is also the
     # pseudoinverse's residual. The comparison is written so that a NaN
     # residual, from a NaN or an inf entry of x, fails it too.
-    lxlv = np.bincount(rows, entries * (x @ lv).ravel()[cols], lv.size).reshape(lv.shape)
-    residual = np.abs(lxlv - lv).reshape(-1, n).max(axis=-1)
+    y, lxlv = (x @ lv).ravel(), np.empty(lv.size)
+    for a, at, entries in saved:  # y[k, j] at k n + j
+        rows, cols = np.divmod(at, n)
+        lxlv[a:a + step] = np.bincount(rows, entries * y[cols + (rows + a) // n * n],
+                                       len(lxlv[a:a + step]))
+    residual = np.abs(lxlv.reshape(lv.shape) - lv).reshape(-1, n).max(axis=-1)
     if not np.all(residual <= _PENROSE_RTOL * scale):
         raise Disconnected(f"laplacian has nullity >= 2 (Penrose residual {residual.max():.3e})")
     return x

@@ -35,7 +35,7 @@ import math
 import random
 import time
 from dataclasses import asdict, dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, filterfalse
 
 import numpy as np
 
@@ -253,35 +253,37 @@ def _check_rq_quotient_vs_pm(rows) -> VerifyOutcome:
 
 def _vertex_pairs():
     """A map n -> tuple(combinations(range(n), 2)), built on first read; one
-    per run, shared by its draws, whose edges are then its tuples."""
+    per run, shared by its draws, whose edge lists then hold its tuples."""
     return functools.cache(lambda n: tuple(combinations(range(n), 2)))
 
 
 def _random_graphs(count, max_n, seed, vertex_pairs=None) -> list[Graph]:
     rng, of_order = random.Random(seed), vertex_pairs or _vertex_pairs()
     # arguments are drawn left to right: n, edge probability, seed
-    return [graph_mod._random_connected(n := rng.randint(2, max_n), rng.uniform(0.2, 0.9),
-                                        rng.randrange(2**31), of_order(n)) for _ in range(count)]
+    return graph_mod._graphs([(n := rng.randint(2, max_n), graph_mod._random_connected(
+        n, rng.uniform(0.2, 0.9), rng.randrange(2**31), of_order(n))) for _ in range(count)])
 
 
 def _edge_pairs(pair_count, max_n, seed, vertex_pairs=None) -> list[tuple[Graph, Edge]]:
     """Seeded pairs (g, uv) of a connected g and one of its non-edges uv."""
     rng, of_order = random.Random(seed), vertex_pairs or _vertex_pairs()
-    pairs = []
-    while len(pairs) < pair_count:
+    drawn, added = [], []
+    while len(drawn) < pair_count:
         n = rng.randint(3, max(3, max_n))
         every = of_order(n)
-        g = graph_mod._random_connected(n, rng.uniform(0.2, 0.8), rng.randrange(2**31), every)
-        missing = [e for e in every if e not in g.edges]  # graph.non_edges(g)
+        edges = graph_mod._random_connected(n, rng.uniform(0.2, 0.8), rng.randrange(2**31), every)
+        missing = list(filterfalse(set(edges).__contains__, every))  # graph.non_edges(g)
         if missing:
-            pairs.append((g, missing[rng.randrange(len(missing))]))
-    return pairs
+            drawn.append((n, edges))
+            added.append(missing[rng.randrange(len(missing))])
+    return list(zip(graph_mod._graphs(drawn), added))
 
 
 def _random_trees(count, max_n, seed) -> list[Graph]:
     rng = random.Random(seed)
-    return [graph_mod.random_tree(rng.randint(2, max_n), rng.randrange(2**31))
-            for _ in range(count)]
+    return graph_mod._graphs([(n := rng.randint(2, max_n),
+                               graph_mod._random_tree(n, rng.randrange(2**31)))
+                              for _ in range(count)])
 
 
 def _measures(jobs, corpus=(), pairs=(), trees=()) -> tuple[list, list, list, list]:

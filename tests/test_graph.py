@@ -1,9 +1,10 @@
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import resq.graph
@@ -21,6 +22,7 @@ from resq.graph import (
     FamilySpec,
     Graph,
     _connected,
+    _parse_lines,
     add_edge,
     classical_distance_matrix,
     format_edge_list,
@@ -32,6 +34,7 @@ from resq.graph import (
     random_connected_graph,
     random_tree,
 )
+from resq.serialize import graph_hash
 
 
 def assert_normalized(g):
@@ -95,6 +98,142 @@ class TestParseEdgeList:
     def test_format_parse_roundtrip(self, n, seed):
         g = random_connected_graph(n, 0.4, seed)
         assert parse_edge_list(format_edge_list(g)) == g
+
+
+def _outcome(parse, text):
+    """parse(text), or the type and message of the input error it raises."""
+    try:
+        return parse(text)
+    except GraphInputError as err:
+        return type(err), str(err)
+
+
+def _mostly(common, rare, odds=9):
+    """common, and one time in odds + 1 an element of rare."""
+    return st.sampled_from([common] * odds * len(rare) + rare)
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """Edge-list texts, most of them on 2 to 7 vertices and most lines plain:
+    now and then a duplicate, a self-loop, an endpoint out of range, a row
+    of 1 or 3 tokens, a comment, a line break that str.splitlines and
+    np.loadtxt read differently, or a token int() reads and np.loadtxt does
+    not."""
+    def token(x):
+        return draw(_mostly(str(x), ["+%d" % x, "00%d" % x, "%d_0" % x, "\u0661",
+                                     "99999999999999999999", "%d#" % x, "#", "x", "1+2", "-"], 40))
+
+    def blank():
+        return draw(_mostly(" ", ["\t", "  ", "\xa0", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                  "\u2028", "\u2029", "\r"], 40))
+
+    n = draw(_mostly(draw(st.integers(2, 7)), [0, 1, 8, MAX_ORDER + 1]))
+    lines = [blank().join([token(n)] * draw(_mostly(1, [2])))]
+    for _ in range(draw(st.integers(0, min(n, 8)))):
+        u, v = draw(st.permutations(range(max(2, min(n, 8)))))[:2]
+        ends = draw(_mostly((u, v), [(u,), (u, v, v), (u, u), (u, n), (-1, v)]))
+        lines.append(draw(_mostly(blank().join(map(token, ends)), ["", " \t", "# comment"])))
+    lines.insert(0, draw(_mostly("", ["# header", " "])))
+    return "".join(line + draw(_mostly("\n", ["\r\n", "\r", "\n\n", "\x0c", "\x85", "\u2028"], 30))
+                   for line in lines[draw(_mostly(1, [0])):])
+
+
+class TestArrayParse:
+    """parse_edge_list reads a plain text with one np.loadtxt and array
+    checks, and anything else line by line; both give one answer."""
+
+    @pytest.mark.filterwarnings("error")  # np.loadtxt warns on a body with no row
+    @settings(max_examples=500)
+    @given(text=_edge_list_texts())
+    @example(text="3\n0\x0c1\n")
+    @example(text="3\n0\x0b1\n")
+    @example(text="3\n0\u20281\n")
+    @example(text="3\n0\r1\n")
+    @example(text="3\n0 1\r")
+    @example(text="3\n0 1\r\r1 2")
+    @example(text="3\n1_0 1\n")
+    @example(text="3\n\u0661 0\n")
+    @example(text="3\n0 99999999999999999999\n")
+    @example(text="3\n0 1\n1 0\n")
+    @example(text="3\n0 1\n1 1\n")
+    @example(text="3\n2 1\n0 3\n")
+    @example(text="3\n0 1\n2\n")
+    @example(text="3\n0 1 2\n")
+    @example(text="3\n0 1 2\n1 2 0\n")
+    @example(text="3\n0 1#\n")
+    @example(text="3\n0 1 # comment\n")
+    @example(text="3\n# comment\n")
+    @example(text="3\n-1 2\n")
+    @example(text="0\n0 1\n")
+    @example(text="20001\n0 1\n")
+    @example(text="\n \n+3 \r\n 2\t1\r\n\r\n0 2\r\n")
+    @example(text="1\n")
+    @example(text="  \n")
+    def test_array_path_equals_line_parser(self, text):
+        assert _outcome(parse_edge_list, text) == _outcome(_parse_lines, text)
+
+    @pytest.mark.parametrize("text", ["3\n0\x0c1\n", "3\n0\x0b1\n", "3\n0\u20281\n"])
+    def test_line_breaks_loadtxt_reads_as_blanks_stay_malformed(self, text):
+        with pytest.raises(MalformedLine, match="^line 2: expected 'u v'"):
+            parse_edge_list(text)
+
+    @pytest.mark.parametrize("text, outcome", [
+        ("3\n1_0 1\n", (VertexOutOfRange, "line 2: edge (10, 1) outside [0, 3)")),
+        ("12\n1_0 1\n", {(1, 10)}),
+        ("3\n\u0661 0\n", {(0, 1)}),
+        ("3\n0 99999999999999999999\n",
+         (VertexOutOfRange, "line 2: edge (0, 99999999999999999999) outside [0, 3)")),
+    ])
+    def test_tokens_only_int_reads_fall_back(self, text, outcome):
+        got = _outcome(parse_edge_list, text)
+        assert (got.edges if isinstance(got, Graph) else got) == outcome
+
+    def test_plain_text_never_reaches_the_line_parser(self, monkeypatch):
+        g = random_connected_graph(200, 0.1, 4)
+        shuffled = g.edge_array.tolist()
+        random.Random(1).shuffle(shuffled)
+        text = "\r\n \n200\t\n" + "".join(f" {v}\t{u} \r\n" for u, v in shuffled)
+
+        def no_lines(text):
+            raise AssertionError("line parser run")
+
+        monkeypatch.setattr(resq.graph, "_parse_lines", no_lines)
+        assert parse_edge_list(text) == g
+        assert parse_edge_list(format_edge_list(g)) == g
+
+    def test_edge_array_is_sorted_read_only_and_equal_graphs_hash_alike(self):
+        g = parse_edge_list("4\n3 2\n0 1\n2 1\n")
+        assert g.edge_array.tolist() == [[0, 1], [1, 2], [2, 3]]
+        assert not g.edge_array.flags.writeable
+        h = Graph.from_edges(4, [(2, 3), (1, 0), (2, 1)])
+        assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+        assert g != Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)]) and g != g.edges
+
+
+class TestPinnedDigests:
+    """sha256 of format_edge_list, whose first 16 hex digits are graph_hash,
+    as the frozenset representation of the graphs gave them."""
+
+    @pytest.mark.parametrize("g, digest", [
+        pytest.param(lambda: generate(FamilySpec.complete(5)),
+                     "851174736016c0ff783d13c3353f584784c91ae775743839f1faf5c6a29c22ef", id="K5"),
+        pytest.param(lambda: generate(FamilySpec.cycle(7)),
+                     "afe458951827b1aff7593c2f122e6a38d20722c79498707469c97caa89bf6957", id="C7"),
+        pytest.param(lambda: generate(FamilySpec.bipartite(2, 3)),
+                     "71c314185d28dd7ff7225c6b3abc984c3f9e0f0969550e489706a246b162bdb1", id="K23"),
+        pytest.param(lambda: generate(FamilySpec.path(4)),
+                     "b2d2190278a57dd2b9c60fb785f7785d60a797acdce46b2de034d20091caa75f", id="P4"),
+        pytest.param(lambda: random_connected_graph(300, 0.05, 1),
+                     "90f1708ee629033b58c08d32e25cf909442b3485bd6e73be180d4fbdf4ad6329", id="G300"),
+        pytest.param(lambda: parse_edge_list(
+            "# a commented graph\r\n5\r\n\r\n3 4\r\n# middle\r\n0 2\r\n1 0\r\n2 3\r\n"),
+                     "bfbfd6c296da3252f86a385f770bca5e405bf3fd78303898027015a97eb414aa", id="crlf"),
+    ])
+    def test_digest(self, g, digest):
+        g = g()
+        assert hashlib.sha256(format_edge_list(g).encode("ascii")).hexdigest() == digest
+        assert graph_hash(g) == digest[:16]
 
 
 class TestGenerate:
@@ -193,6 +332,18 @@ class TestConnectivity:
         assert _connected(5, [(0, 1), (1, 2), (1, 3), (3, 4)])  # a tree, n - 1 edges
         assert not _connected(4, [(0, 1), (1, 2), (0, 2)])  # n - 1 edges, vertex 3 isolated
         assert not _connected(4, [(0, 1), (2, 3)])
+
+    def test_edge_arrays_agree_with_the_bfs(self):
+        rng = random.Random(3)
+        for trial in range(300):
+            n = rng.randint(1, 40)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 3 / n]
+            if trial % 3 == 0:  # a path under a random labelling, connected
+                order = list(range(n))
+                rng.shuffle(order)
+                pairs = sorted({(min(a, b), max(a, b)) for a, b in zip(order, order[1:])})
+            g = Graph.from_edges(n, pairs)
+            assert is_connected(g) == _connected(n, pairs) == _connected(n, g.edge_array)
 
     def test_fewer_than_n_minus_1_edges_need_no_bfs(self, monkeypatch):
         def no_bfs(adj, source):

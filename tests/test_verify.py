@@ -362,8 +362,8 @@ class TestRandomDraws:
         drawn = _random_graphs(150, 12, seed, shared)
         assert drawn == corpus
         assert _edge_pairs(150, 12, seed + 1, shared) == pairs
-        # the drawn edges are the shared pair tuples themselves
-        assert all(any(e is p for p in shared(g.n)) for g in drawn[:20] for e in g.edges)
+        # the draws keep no edge tuple: their edge arrays are views of one array
+        assert all(g.edge_array.base is drawn[0].edge_array.base for g in drawn)
 
     def test_stacked_g_plus_uv_rows_equal_the_laplacian_of_add_edge(self, monkeypatch):
         stacks = {}
