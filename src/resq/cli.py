@@ -33,7 +33,7 @@ EXIT_VERIFY = 4
 COMPUTE_TARGETS = ("resistance", "rl", "rq", "spectrum-rl", "spectrum-rq", "energy")
 
 # Largest --max-n of resq verify: family instances grow as max_n^2 and their
-# edges as max_n^4; the families scope takes 14-17 s at 150 on one core.
+# edges as max_n^4; the families scope takes about 11 s at 150 on one core.
 VERIFY_MAX_N = 150
 
 
@@ -62,30 +62,22 @@ def cmd_generate(args) -> int:
 
 
 def _compute_chunks(g, what: str, fmt: str):
-    """The output of resq compute in pieces, its final newline included: a
-    matrix comes a row block at a time (serialize.matrix_chunks)."""
+    """The ASCII bytes of resq compute in pieces, its final newline included:
+    a matrix comes a row block at a time (serialize.matrix_chunks)."""
     if what == "energy":
-        report = resistance_laplacian_energy(g)
-        tag = serialize.graph_hash(g)
-        if fmt == "csv":
-            yield serialize.energy_report_to_csv(report, tag) + "\n"
-        else:
-            yield serialize.dumps(serialize.energy_report_to_json(report, tag)) + "\n"
-        return
-    builders = {
-        "resistance": resistance_matrix,
-        "rl": resistance_laplacian,
-        "rq": resistance_signless_laplacian,
-    }
-    matrix = builders[what.removeprefix("spectrum-")](g)
-    if what.startswith("spectrum-"):
-        spectrum = Spectrum.from_values(_eigenvalues_in_place(matrix))
-        if fmt == "csv":
-            yield serialize.spectrum_to_csv(spectrum) + "\n"
-        else:
-            yield serialize.dumps(serialize.spectrum_to_json(spectrum)) + "\n"
+        payload = resistance_laplacian_energy(g), serialize.graph_hash(g)
+        to_csv, to_json = serialize.energy_report_to_csv, serialize.energy_report_to_json
     else:
-        yield from serialize.matrix_chunks(matrix, what, fmt)
+        builders = {"resistance": resistance_matrix, "rl": resistance_laplacian,
+                    "rq": resistance_signless_laplacian}
+        matrix = builders[what.removeprefix("spectrum-")](g)
+        if not what.startswith("spectrum-"):
+            yield from serialize.matrix_chunks(matrix, what, fmt)
+            return
+        payload = (Spectrum.from_values(_eigenvalues_in_place(matrix)),)
+        to_csv, to_json = serialize.spectrum_to_csv, serialize.spectrum_to_json
+    text = to_csv(*payload) if fmt == "csv" else serialize.dumps(to_json(*payload))
+    yield (text + "\n").encode("ascii")
 
 
 def cmd_compute(args) -> int:
@@ -101,7 +93,9 @@ def cmd_compute(args) -> int:
     # Every input and domain error comes before the first piece, so --out is
     # opened (and an existing file replaced) only for an output to write.
     first = next(chunks)
-    with open(args.out, "w", encoding="ascii") if args.out else nullcontext(sys.stdout) as out:
+    if not args.out:
+        sys.stdout.flush()  # text printed before goes first: the bytes skip the text layer
+    with open(args.out, "wb") if args.out else nullcontext(sys.stdout.buffer) as out:
         out.write(first)
         out.writelines(chunks)
     return EXIT_OK

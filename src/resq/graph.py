@@ -168,6 +168,22 @@ class FamilySpec:
 # CR in a line), and the vertex count line when an edge line follows it.
 _PLAIN = b"0123456789+- \t\r\n"
 _COUNT_LINE = re.compile(rb"\s*(\S+)[ \t\r]*\n(?=\s*\S)")
+# A '#' and the rest of its line, ended by LF, CRLF or the text's end and
+# holding no other byte that str.splitlines ends a line at.
+_COMMENT = re.compile(rb"#[^\r\n\x0b\x0c\x1c-\x1e]*(?:\r?\n|\Z)")
+
+
+def _without_comment_lines(data: bytes) -> bytes:
+    """data without its lines whose first non-blank byte is '#'; data as it
+    is if a '#' follows anything else on its line."""
+    view, pieces, end = memoryview(data), [], 0
+    for comment in _COMMENT.finditer(data):
+        start = data.rfind(b"\n", 0, comment.start()) + 1
+        if data[start : comment.start()].strip(b" \t"):
+            return data
+        pieces.append(view[end:start])
+        end = comment.end()
+    return b"".join([*pieces, view[end:]])
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -177,10 +193,12 @@ def parse_edge_list(text: str) -> Graph:
     line is "u v". Lines starting with '#' are comments; blank lines are
     ignored; LF and CRLF both accepted. Errors name the offending line.
     Counts outside [1, MAX_ORDER] raise VertexOutOfRange before any O(n) allocation.
-    A text of digits, signs, blanks and line ends is read by np.loadtxt and
-    checked on arrays; any other text or anomaly goes to the line parser.
+    A text of digits, signs, blanks and line ends, once its whole-line
+    comments are dropped, is read by np.loadtxt and checked on arrays; any
+    other text or anomaly goes to the line parser, as the original text.
     """
     data = text.encode("ascii") if text.isascii() else b""
+    data = _without_comment_lines(data) if b"#" in data else data
     if (head := _COUNT_LINE.match(data)) and not data.translate(None, _PLAIN):
         (body := io.BytesIO(data)).seek(head.end())
         try:

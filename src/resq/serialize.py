@@ -3,16 +3,16 @@
 CSV carries floats as %.17g; JSON numbers use Python's shortest
 round-trip representation. Both reproduce the underlying doubles exactly.
 
-matrix_to_csv prints every value with 1e-5 <= |x| < 1e15 through an exact
-numpy kernel. For each such value it finds the 17 significant digits D
-(10**16 <= D < 10**17) and the decimal exponent e with x * 10**(16 - e)
-formed exactly, as a Dekker (1971) two-product with the exact double
-10**(16 - e), and rounds D half to even from the product's exact low part.
-So its bytes are those of Python's correctly rounded "%.17g". Zeros,
-non-finite values and the values outside that range go through Python's
-"%" instead. A matrix is formatted a block of rows at a time, and
-matrix_chunks hands out its text block by block, so that the scratch
-memory is one block.
+Every CSV float goes through one numpy kernel, a block of rows at a time: for
+1e-5 <= |x| < 1e15 it forms x * 10**(16 - e) exactly, as a Dekker (1971)
+two-product with the exact double 10**(16 - e), and rounds its 17 digits half
+to even from the exact low part, as Python's "%.17g" does. A block's most
+common decade e takes one two-product with scalars; only values whose product
+leaves (10**16, 10**17) find e by log10. Cells are laid out in row order, each
+ending in its separator, for bytes.translate to drop their padding. Zeros,
+non-finite values and values outside the range go through Python's "%".
+matrix_chunks hands out bytes a block at a time, so the scratch is one block;
+R^L of G(1000, 10/n) takes 62 ms per million values (one core, 2-vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -49,13 +49,12 @@ _SPLIT = 2.0**27 + 1  # Veltkamp's splitter: 53-bit doubles into two halves
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 
-# A CSV cell is ASCII in little-endian uint64 words: a separator, the value,
-# then spaces, which the last pass drops. Every character the kernel writes
-# has the 0x20 bit of a space, so it ORs its characters minus 0x20 into words
-# of spaces; a byte of 0 there is left a space.
+# A CSV cell is ASCII in little-endian uint64 words: the value, spaces, which
+# the last pass drops, and its separator in the last byte. Every character the
+# kernel writes has the 0x20 bit of a space, so it ORs its characters minus
+# 0x20 into words of spaces; a byte of 0 there is left a space.
 _ONES = 0x0101010101010101
 _SPACES = np.uint64(0x20 * _ONES)
-_COMMA = np.uint64(ord(",") - 0x20)
 _MINUS = np.uint64(ord("-") - 0x20)
 _POINT = np.uint64(ord(".") - 0x20)
 
@@ -64,25 +63,29 @@ def _chars(text: bytes) -> np.uint64:
     return np.uint64(int.from_bytes(bytes(c - 0x20 for c in text), "little"))
 
 
-def _two_product(v: np.ndarray, k: np.ndarray):
+def _two_product(v: np.ndarray, k):
     """hi, lo with hi + lo == v * 10**k exactly and hi the rounded product."""
     c = v * _SPLIT
-    vh = c - (c - v)
-    vl = v - vh
+    vh = c - v
+    vh = np.subtract(c, vh, out=vh)  # c - (c - v)
+    vl = np.subtract(v, vh, out=c)
     ph, pl = _POW10_HI[k], _POW10_LO[k]
     hi = v * _POW10[k]
-    lo = ((vh * ph - hi) + vh * pl + vl * ph) + vl * pl
+    lo = vh * ph
+    lo -= hi
+    lo += np.multiply(vh, pl, out=vh)
+    lo += vl * ph
+    lo += np.multiply(vl, pl, out=vl)
     return hi, lo
 
 
-def _significands(v: np.ndarray):
-    """D (uint64) and e with D * 10**(e - 16) the 17-digit round half to even
-    of each v in [_KERNEL_MIN, _KERNEL_MAX)."""
+def _exact_products(v: np.ndarray):
+    """hi, lo and e with hi + lo == v * 10**(16 - e) exactly in [10**16,
+    10**17), for each v in [_KERNEL_MIN, _KERNEL_MAX)."""
     e = np.floor(np.log10(v)).astype(np.intp)
     hi, lo = _two_product(v, 16 - e)
     # log10 can be one off near a power of ten; move those e until the exact
-    # product hi + lo lies in [10**16, 10**17). hi >= 2**53 is an even integer
-    # there, so rounding lo half to even rounds hi + lo half to even.
+    # product hi + lo lies in [10**16, 10**17).
     for _ in range(3):
         near = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
         h, l = hi[near], lo[near]
@@ -96,17 +99,18 @@ def _significands(v: np.ndarray):
         hi[near], lo[near] = _two_product(v[near], 16 - e[near])
     else:
         raise AssertionError("decimal exponent did not settle")
-    # No carry to 10**17: the largest double below each power of ten from
-    # 1e-5 to 1e15 rounds to 17 digits below it, as the tests check.
+    return hi, lo, e
+
+
+def _digit_words(hi: np.ndarray, lo: np.ndarray):
+    """The 17 digits of each D, hi + lo rounded half to even: d0 as 0x10 + d0,
+    and d1..d8 and d9..d16 as bytes 0..7 of two words (2, N), first digit
+    lowest, each 0x10 + digit up to the last nonzero digit and 0 after it."""
+    # hi >= 2**53 is an even integer, so rounding lo half to even rounds hi + lo
+    # half to even; no carry to 10**17: the largest double below each power of
+    # ten from 1e-5 to 1e15 rounds to 17 digits below it, as the tests check.
     d = hi.astype(np.uint64)
     d += np.rint(lo).astype(np.int64).view(np.uint64)
-    return d, e
-
-
-def _digit_words(d: np.ndarray):
-    """Digit d0 of each D as 0x10 + d0; digits d1..d8 and d9..d16 as bytes
-    0..9 of two words (2, N), first digit lowest; and the same two words with
-    0x80 in every byte up to the last nonzero digit of d1..d16."""
     top = d // 10**8
     d0 = top // 10**8
     h = np.empty((2, d.size), np.uint64)
@@ -115,57 +119,56 @@ def _digit_words(d: np.ndarray):
     # Split each word's 8 digits in place: two 4-digit lanes, four 2-digit
     # lanes, eight digits. 10486 / 2**20 and 103 / 2**10 divide by 100 and
     # 10 exactly below 10**4 and 10**2.
+    # (v - 10**4 t) << 32 | t is (v << 32) - ((10**4 << 32) - 1) t, and so on.
     v = h.reshape(-1)
     t = v // 10**4
-    v -= t * 10**4
     v <<= 32
-    v |= t
+    v -= t * ((10**4 << 32) - 1)
     t = v * 10486
     t >>= 20
     t &= 0x0000007F0000007F
-    v -= t * 100
     v <<= 16
-    v |= t
+    v -= t * ((100 << 16) - 1)
     t = v * 103
     t >>= 10
     t &= 0x000F000F000F000F
-    v -= t * 10
     v <<= 8
-    v |= t
+    v -= t * ((10 << 8) - 1)
     kept = h + 0x7F * _ONES
     kept &= 0x80 * _ONES
     flat = kept.reshape(-1)
     for shift in (8, 16, 32):
         flat |= flat >> shift
     kept[0] |= (kept[1] & 0x80) * _ONES  # a nonzero digit in d9..d16 keeps d1..d8
+    kept >>= 3
+    kept |= h
     d0 += 0x10
-    return d0, h, kept
+    return d0, kept
 
 
 def _pack(words: np.ndarray, pieces) -> None:
     """Lay (value, byte count) pieces out one after another in each cell's
-    words, from byte 1: byte 0 is the separator."""
-    words[0] = _SPACES | _COMMA
-    words[1:] = _SPACES
-    pos = 1
+    three words (3, N), from byte 0, over spaces."""
+    acc = [_SPACES] * 3
+    pos = 0
     for value, size in pieces:
         j, b = divmod(pos, 8)
-        words[j] |= value << np.uint64(8 * b)
+        acc[j] = acc[j] | (value << np.uint64(8 * b) if b else value)
         if b + size > 8:
-            words[j + 1] |= value >> np.uint64(64 - 8 * b)
+            acc[j + 1] = acc[j + 1] | (value >> np.uint64(64 - 8 * b))
         pos += size
+    for word, value in zip(words, acc):
+        word[...] = value
 
 
-def _layout(words: np.ndarray, exp: int, sign, d0, h, kept) -> None:
+def _layout(words: np.ndarray, exp: int, sign, d0, digits) -> None:
     """The cells of values with decimal exponent exp: ddd.ddd for 0 <= exp
     <= 14, 0.000ddd for -4 <= exp < 0, and d.ddde-05 for exp == -5, each with
     its trailing fraction zeros (and a point with no digit after it) dropped."""
     exp = int(exp)
-    if exp > 0:  # integer digits d1..d_exp stay even when they are zeros
-        lead = [int.from_bytes(b"\x80" * n, "little") for n in (min(exp, 8), max(exp - 8, 0))]
-        kept = kept | np.array(lead, np.uint64)[:, None]
-    digits = kept >> 3
-    digits |= h  # 0x10 + digit where kept, 0 (a space) where dropped
+    if exp > 0:  # integer digits d1..d_exp show even when they are zeros
+        lead = [int.from_bytes(b"\x10" * n, "little") for n in (min(exp, 8), max(exp - 8, 0))]
+        digits = digits | np.array(lead, np.uint64)[:, None]
     w1, w2 = digits
     if exp >= 0:
         # The point goes after byte b of digit word j, and shows if a digit
@@ -188,74 +191,80 @@ def _layout(words: np.ndarray, exp: int, sign, d0, h, kept) -> None:
     _pack(words, pieces)
 
 
-def _kernel_cells(x: np.ndarray) -> np.ndarray:
-    """The cells (3, N) of x, 1-D with every |x| in [_KERNEL_MIN, _KERNEL_MAX).
+def _kernel_cells(x: np.ndarray):
+    """The cells (N, 3) of x in row order, and the indices of the values out
+    of the kernel's range, whose cells are left to the caller.
 
-    The most common exponent is laid out over all of x, then every other
-    exponent over its own values.
+    The values of the block's common decade c take one two-product with the
+    scalar 10**(16 - c); only those whose exact product leaves (10**16,
+    10**17) take the general path of _exact_products. The common decade is
+    laid out over all of x, then every other one over its own values.
     """
-    d, e = _significands(np.abs(x))
-    d0, h, kept = _digit_words(d)
-    sign = (x < 0).astype(np.uint64) * _MINUS
-    counts = np.bincount(e + 5)
-    common = int(np.argmax(counts)) - 5
-    words = np.empty((3, x.size), np.uint64)
-    _layout(words, common, sign, d0, h, kept)
-    for exp in np.flatnonzero(counts) - 5:
-        if exp != common:
-            sel = np.flatnonzero(e == exp)
-            part = np.empty((3, sel.size), np.uint64)
-            _layout(part, exp, sign[sel], d0[sel], h[:, sel], kept[:, sel])
-            words[:, sel] = part
-    return words
-
-
-def _block_to_csv(m: np.ndarray) -> str:
-    rows = m.shape[0]
-    x = m.ravel()
     a = np.abs(x)
-    in_range = (a >= _KERNEL_MIN) & (a < _KERNEL_MAX)
-    words = _kernel_cells(np.where(in_range, x, 1.0))
-    # Cells of the fewest words that hold every value of the block.
-    width = 3 if (words[2] != _SPACES).any() else 2 if (words[1] != _SPACES).any() else 1
-    others = np.flatnonzero(~in_range)
+    s = a[:: max(1, a.size >> 8)]  # about 256 values: their most common decade is c
+    s = s[(s >= _KERNEL_MIN) & (s < _KERNEL_MAX)]
+    common = int(np.argmax(np.bincount(_exact_products(s)[2] + 5))) - 5 if s.size else 0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN leave the common decade
+        hi, lo = _two_product(a, 16 - common)
+        rest = np.flatnonzero(~((hi > 1e16) & (hi < 1e17)))
+    v = a[rest]
+    kernel = (v >= _KERNEL_MIN) & (v < _KERNEL_MAX)
+    hi[rest], lo[rest], e = _exact_products(np.where(kernel, v, 1.0))
+    d0, digits = _digit_words(hi, lo)
+    del a, hi, lo  # freed before the layout, the block's memory peak
+    sign = (x.view(np.uint64) >> 63) * _MINUS  # -0.0 and NaN cells come from Python
+    cells = np.empty((x.size, 3), "<u8")  # a kernel value has at most 23 bytes
+    _layout(cells.T, common, sign, d0, digits)
+    for exp in np.flatnonzero(np.bincount(e[kernel] + 5)) - 5:  # np.unique imports numpy.ma
+        if exp != common:
+            sel = rest[kernel & (e == exp)]
+            part = np.empty((3, sel.size), np.uint64)
+            _layout(part, exp, sign[sel], d0[sel], digits[:, sel])
+            cells[sel] = part.T
+    return cells, rest[~kernel]
+
+
+def _csv_block(m: np.ndarray) -> bytes:
+    """The CSV text of the rows of m, each row ending in a newline."""
+    rows, cols = m.shape
+    if not cols:
+        return b"\n" * rows
+    x = m.ravel()
+    cells, others = _kernel_cells(x)
     texts = [format_float(v) for v in x[others].tolist()]
-    width = max([width] + [len(t) // 8 + 1 for t in texts])
-    cells = np.empty((x.size, width), np.uint64)
-    cells[:, :3] = words[:width].T
-    cells[:, 3:] = _SPACES
+    width = max([3] + [len(t) // 8 + 1 for t in texts])
+    if width > 3:
+        cells = np.concatenate([cells, np.full((x.size, width - 3), _SPACES, "<u8")], axis=1)
     if texts:
-        padded = "".join(("," + t).ljust(8 * width) for t in texts).encode("ascii")
+        padded = "".join(t.ljust(8 * width) for t in texts).encode("ascii")
         cells[others] = np.frombuffer(padded, "<u8").reshape(-1, width)
-    text = cells.astype("<u8", copy=False).view(np.uint8).reshape(rows, -1)
-    text[1:, 0] = ord("\n")
-    return text.tobytes().translate(None, b" ")[1:].decode("ascii")
+    text = cells.view(np.uint8).reshape(rows, -1)
+    text[:, 8 * width - 1 :: 8 * width] = ord(",")
+    text[:, -1] = ord("\n")
+    return text.tobytes().translate(None, b" ")
 
 
 def matrix_to_csv(m: np.ndarray) -> str:
     """Rows of %.17g values joined by commas and newlines, no final newline."""
     m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        return "\n" * max(m.shape[0] - 1, 0)
-    return "\n".join(_block_to_csv(block) for block in _row_blocks(m))
+    return b"".join(map(_csv_block, _row_blocks(m))).decode("ascii")[:-1]
 
 
 def matrix_chunks(m: np.ndarray, kind: str, fmt: str):
-    """The text of m in pieces made a row block at a time. Joined, they are
-    matrix_to_csv(m) or dumps({"data": m.ravel().tolist(), "kind": kind,
+    """The ASCII bytes of m in pieces made a row block at a time. Joined, they
+    are matrix_to_csv(m) or dumps({"data": m.ravel().tolist(), "kind": kind,
     "n": len(m)}), and a newline."""
     if fmt == "csv":
-        for block in _row_blocks(m):
-            yield matrix_to_csv(block) + "\n"
+        yield from map(_csv_block, _row_blocks(np.asarray(m, dtype=float)))
         return
-    yield '{"data":['
+    yield b'{"data":['
     for i, block in enumerate(_row_blocks(m)):
-        yield ("," if i else "") + dumps(block.ravel().tolist())[1:-1]
-    yield f'],"kind":{dumps(kind)},"n":{len(m)}}}\n'
+        yield (("," if i else "") + dumps(block.ravel().tolist())[1:-1]).encode("ascii")
+    yield f'],"kind":{dumps(kind)},"n":{len(m)}}}\n'.encode("ascii")
 
 
 def spectrum_to_csv(s: Spectrum) -> str:
-    return ",".join(format_float(v) for v in s.values)
+    return matrix_to_csv([s.values])
 
 
 def spectrum_to_json(s: Spectrum) -> dict:
@@ -287,7 +296,7 @@ def energy_report_to_csv(report: EnergyReport, graph_tag: str) -> str:
         f"graph,{graph_tag}",
         f"n,{report.n}",
         f"mean_transmission,{format_float(report.mean_transmission)}",
-        "eta," + ",".join(format_float(v) for v in report.eta),
+        "eta," + matrix_to_csv([report.eta]),
         f"f,{format_float(report.f)}",
         f"F,{format_float(report.F)}",
         f"le_r,{format_float(report.le_r)}",

@@ -164,6 +164,11 @@ class TestArrayParse:
     @example(text="3\n0 1#\n")
     @example(text="3\n0 1 # comment\n")
     @example(text="3\n# comment\n")
+    @example(text="# h\r\n3\r\n# c\r\n0 1\r\n")
+    @example(text="# h\n3\n0 1\n1 2 # note\n")
+    @example(text="3\n0 1\r# c\n")
+    @example(text="3\n0 1\n# c\r")
+    @example(text="3\n0 1\n# c\x0c1 2\n")
     @example(text="3\n-1 2\n")
     @example(text="0\n0 1\n")
     @example(text="20001\n0 1\n")
@@ -201,6 +206,26 @@ class TestArrayParse:
         monkeypatch.setattr(resq.graph, "_parse_lines", no_lines)
         assert parse_edge_list(text) == g
         assert parse_edge_list(format_edge_list(g)) == g
+
+    @pytest.mark.parametrize("text", [
+        "# header\n3\n0 1\n1 2\n",
+        "3\n0 1\n# between\n \t# indented\n#\n1 2\n# last",
+        "# h\r\n3\r\n# c\r\n0 1\r\n1 2\r\n",
+    ], ids=["header", "between", "crlf"])
+    def test_whole_line_comments_keep_the_array_path(self, text, monkeypatch):
+        expected = _parse_lines(text)
+
+        def no_lines(text):
+            raise AssertionError("line parser run")
+
+        monkeypatch.setattr(resq.graph, "_parse_lines", no_lines)
+        assert parse_edge_list(text) == expected == Graph.from_edges(3, [(0, 1), (1, 2)])
+
+    def test_a_mid_line_comment_is_malformed_at_its_line(self):
+        text = "# header\n3\n0 1\n1 2 # note\n"
+        with pytest.raises(MalformedLine, match="^line 4: expected 'u v', got '1 2 # note'$"):
+            parse_edge_list(text)
+        assert _outcome(parse_edge_list, text) == _outcome(_parse_lines, text)
 
     def test_edge_array_is_sorted_read_only_and_equal_graphs_hash_alike(self):
         g = parse_edge_list("4\n3 2\n0 1\n2 1\n")

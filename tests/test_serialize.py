@@ -1,5 +1,7 @@
+import dataclasses
 import json
 from decimal import ROUND_HALF_EVEN, Context, Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -161,14 +163,69 @@ def test_matrix_text_over_row_blocks_with_mixed_exponents(n, monkeypatch):
     assert matrix_to_csv(m).split("\n") == csv_reference(m).split("\n")
     blocks = list(serialize._row_blocks(m))
     assert [len(b) for b in blocks] == ([5] * 4 + [3] if n == 23 else [1] * n)
-    assert "".join(serialize.matrix_chunks(m, "rq", "csv")) == csv_reference(m) + "\n"
+    assert b"".join(serialize.matrix_chunks(m, "rq", "csv")) == (csv_reference(m) + "\n").encode()
     expected = {"n": n, "kind": "rq", "data": m.ravel().tolist()}
-    assert "".join(serialize.matrix_chunks(m, "rq", "json")) == dumps(expected) + "\n"
+    assert b"".join(serialize.matrix_chunks(m, "rq", "json")) == (dumps(expected) + "\n").encode()
+
+
+def decade_values(decade):
+    """Doubles of one decimal exponent, 10**decade <= |x| < 10**(decade + 1),
+    of either sign."""
+    low, high = 10.0**decade, 10.0 ** (decade + 1)
+    return st.floats(low, high, exclude_max=True) | st.floats(-high, -low, exclude_min=True)
+
+
+# Values that leave a block's common decade: decade boundaries and the
+# doubles next to them, 17th-digit ties, signed zeros, subnormals, the ends
+# of the kernel's range and non-finite values.
+_STRAYS = (kernel_edges() + halfway_values(40, 2) + [0.0, -0.0, 5e-324, -2.5e-320, 1e-310]
+           + [np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def decade_blocks(draw):
+    """(m, rows per block): 2 to 4 blocks of whole rows, each dominated by
+    its own decimal exponent from -5 to 14, with values of other decades
+    and strays put in."""
+    cols, rows = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    blocks = []
+    for decade in draw(st.lists(st.integers(-5, 14), min_size=2, max_size=4)):
+        odd = st.floats(1e-5, 1e15, exclude_max=True) | st.sampled_from(_STRAYS)
+        values = draw(st.lists(_mostly(decade_values(decade), odd), min_size=rows * cols,
+                               max_size=rows * cols))
+        blocks.append(np.array(values).reshape(rows, cols))
+    return np.concatenate(blocks), rows
+
+
+def _mostly(common, rare):
+    """common, and one draw in four rare."""
+    return st.one_of(common, common, common, rare)
+
+
+@given(decade_blocks())
+@settings(max_examples=300, deadline=None)
+def test_common_decade_blocks_match_per_element_format(case):
+    m, rows = case
+    with mock.patch.object(serialize, "_BLOCK", rows * m.shape[1]):
+        assert len(list(serialize._row_blocks(m))) == len(m) // rows
+        text = matrix_to_csv(m)
+        assert text == csv_reference(m)
+        assert b"".join(serialize.matrix_chunks(m, "rl", "csv")) == (text + "\n").encode()
+
+
+@given(st.lists(st.floats() | decade_values(-2), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_spectrum_and_eta_rows_match_the_per_value_join(values):
+    joined = ",".join(format_float(v) for v in values)
+    assert spectrum_to_csv(Spectrum(np.array(values, dtype=float))) == joined
+    report = resistance_laplacian_energy(generate(FamilySpec.cycle(4)))
+    text = energy_report_to_csv(dataclasses.replace(report, eta=np.array(values, dtype=float)), "g")
+    assert text.splitlines()[3] == "eta," + joined
 
 
 def test_matrix_json_schema_and_roundtrip():
     m = np.array([[0.0, 2.0 / 3.0], [2.0 / 3.0, 0.0]])
-    payload = json.loads("".join(serialize.matrix_chunks(m, "resistance", "json")))
+    payload = json.loads(b"".join(serialize.matrix_chunks(m, "resistance", "json")))
     assert payload["n"] == 2
     assert payload["kind"] == "resistance"
     assert payload["data"] == m.ravel().tolist()  # exact float round-trip
@@ -177,7 +234,7 @@ def test_matrix_json_schema_and_roundtrip():
 def test_json_lists_print_as_per_element_floats():
     m = np.array([[-0.0, 5e-324, 1e300], [0.1, -1.2345678901234567e-100, 2.0 / 3.0]])
     expected = {"n": 2, "kind": "rl", "data": [float(x) for x in m.ravel()]}
-    assert "".join(serialize.matrix_chunks(m, "rl", "json")) == dumps(expected) + "\n"
+    assert b"".join(serialize.matrix_chunks(m, "rl", "json")) == (dumps(expected) + "\n").encode()
     s = Spectrum.from_values(m.ravel())
     assert dumps(spectrum_to_json(s)["values"]) == dumps([float(v) for v in s.values])
     g = generate(FamilySpec.cycle(5))
