@@ -33,7 +33,7 @@ EXIT_VERIFY = 4
 COMPUTE_TARGETS = ("resistance", "rl", "rq", "spectrum-rl", "spectrum-rq", "energy")
 
 # Largest --max-n of resq verify: family instances grow as max_n^2 and their
-# edges as max_n^4; the families scope takes about 11 s at 150 on one core.
+# edges as max_n^4; the families scope takes about 8 s at 150 on one core.
 VERIFY_MAX_N = 150
 
 

@@ -24,12 +24,12 @@ matrices. Shifting by J/n instead, as in inv(L + J/n) - J/n, would put dense
 blocks into the elimination whose contributions cancel in the Schur
 complements and cost accuracy. At n = 1, L_g is empty and pinv(L) is [[0]].
 
-All of it runs in the memory of L (of a copy, for laplacian_pseudoinverse
-and for the stacks of resq verify): L_g is inverted in place, one strip of
-each block product at a time, and R follows in one pass over pairs of tiles;
-only laplacian_pseudoinverse centres and symmetrises X. So the peak is one
-n x n array plus O(n _TILE) entries: 113 MB for resq compute --what energy
-on C_3000, against 130 MB with a block product of n^2 / 4 entries.
+All of it runs in the memory of L (of a copy, for laplacian_pseudoinverse):
+L_g is inverted in place, one strip of each block product at a time, and R
+follows in one pass over pairs of tiles; only laplacian_pseudoinverse
+centres and symmetrises X. So the peak is one n x n array plus O(n _TILE)
+entries: 113 MB for resq compute --what energy on C_3000, against 130 MB
+with a block product of n^2 / 4 entries.
 
 X is checked against the Penrose identity L X L = L applied to one fixed
 probe vector v, |L(X(Lv)) - Lv|, which costs O(n^2) instead of a second
@@ -243,7 +243,7 @@ def resistance_bundle(g: Graph) -> ResistanceBundle:
 def _stacked_bundle(laps: np.ndarray) -> ResistanceBundle:
     """resistance_bundle of the graphs of a stack of Laplacians of one order,
     shape (k, n, n), as one bundle of stacks: r and rl of shape (k, n, n),
-    rtr of shape (k, n), in a plain copy of laps (resq builds them exactly
+    rtr of shape (k, n). r is laps, overwritten (resq builds them exactly
     symmetric). Equal to the per-graph bundles bit for bit. Raises
     Disconnected if any graph is disconnected."""
-    return _bundle(_resistance(_generalized_inverse_in_place(laps.copy())))
+    return _bundle(_resistance(_generalized_inverse_in_place(laps)))

@@ -8,24 +8,23 @@ is a skip. The family checks compare the closed forms of K_n, C_n and
 K_{p,q} against the numeric pipeline; the random checks exercise the
 order-independent properties (positive semidefiniteness, monotonicity under
 edge addition, metric axioms, energy identities and bounds) on seeded
-corpora. All of them read one pass of one engine, _measures. It groups
-each of its sources (family instances, the random corpus, the trees, the
-edge-addition pairs) by order n, and each order is one (k, n, n) stack of
-Laplacians: one stacked computation gives R, RTr, R^L and the R^L spectra
-of all of them, and R^Q with its spectra for the family slice. Every
-measure is an array reduction over its source's slice of the stack while
-the stack is alive: each family check's over the instances it examines,
-with their closed forms stacked, and the quotient
-check's from one quotient_matrix call and one eigvals on the (k, 3, n, n)
-stack of L, R^L and R^Q of the order's K_{p,q}; only E_R is one Perron root
-per transmission-regular instance.
+corpora. All of them read one pass of one engine, _measures, over five
+sources: the family instances, the K_{p,q} of the quotient checks, the
+random corpus, the trees and the edge-addition pairs. Each source is
+grouped by order n, and each order is one (k, n, n) stack of Laplacians:
+one stacked computation gives R, RTr, R^L and the R^L spectra of all of
+them. Each source gets back one row per member, in input order, with one
+column per check (_FAMILY_CHECKS, _CORPUS_CHECKS), and _judge runs _check
+on each column. A family row is one instance's, from its closed form, built
+for the row and dropped with it; the quotient rows come from one
+quotient_matrix call and one eigvals on the (k, 3, n, n) stack of L, R^L
+and R^Q of the order's K_{p,q}.
 The random graphs are drawn first, under the random_corpus timer, the
 corpus and the pairs from one tuple of vertex pairs per order for the run
 (_vertex_pairs); each g + uv enters the stack as a second copy of g with
-uv's entries added. The pass runs under the first check of the run
-(closed_form_matrices, or random_corpus in the random scope), whose elapsed
-time therefore carries the engine's; the checks after it only take the
-worst of values already computed.
+uv's entries added. The pass's time is added to the first check of the run
+(closed_form_matrices, or random_corpus in the random scope); the checks
+after it only take the worst of values already computed.
 """
 
 from __future__ import annotations
@@ -98,14 +97,14 @@ class VerifyOutcome:
 
 
 def _check(name, tol, measured) -> VerifyOutcome:
-    """Time measured(), an iterable of (value, instance) pairs, and judge its
+    """Time measured, an iterable of (value, instance) pairs, and judge its
     worst value against tol; the first NaN counts as worst, so it fails. The
     instance is the graph examined, the FamilySpec it was built from, or
     None. A failure serializes the worst graph and names a family instance;
     no pair at all is a skip."""
     start = time.perf_counter()
     worst, worst_instance = -math.inf, None
-    for value, instance in measured():
+    for value, instance in measured:
         if not (math.isnan(worst) or value <= worst):
             worst, worst_instance = value, instance
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -120,6 +119,15 @@ def _check(name, tol, measured) -> VerifyOutcome:
     return VerifyOutcome(name, "fail", float(worst), float(tol), elapsed_ms, detail, failing)
 
 
+def _judge(checks, tol, rows, members) -> list[VerifyOutcome]:
+    """_check of each column of rows, one row per member, in the order of
+    checks, (name, tolerance) pairs whose None stands for tol. A member whose
+    value in a column is None is not one the column's check examines."""
+    return [_check(name, tol if check_tol is None else check_tol,
+                   ((row[j], m) for row, m in zip(rows, members) if row[j] is not None))
+            for j, (name, check_tol) in enumerate(checks)]
+
+
 def family_specs(max_n: int) -> list[FamilySpec]:
     """Complete, cycle and bipartite instances of order at most max_n."""
     specs = [FamilySpec.complete(n) for n in range(2, max_n + 1)]
@@ -128,52 +136,31 @@ def family_specs(max_n: int) -> list[FamilySpec]:
     return specs
 
 
-class _FamilyOrder:
-    """The family instances of one order as the family checks read them:
-    their specs and their slices of the order's stacks, L, the bundle b and
-    the descending R^L values. The R^Q spectra and LE_R of the whole slice
-    are computed on first read, and each instance's closed form once. Each
-    family measure below takes one and the instances idx it examines there
-    (a non-empty list of indices) and returns their measures, one array
-    reduction over their stacks."""
-
-    def __init__(self, specs, lap, b, rl_values):
-        self.specs, self.lap, self.b, self.rl_values = specs, lap, b, rl_values
-        self.closed_form = functools.cache(lambda k: cf.closed_form(specs[k]))  # by index
-
-    @functools.cached_property
-    def rq_values(self) -> np.ndarray:
-        return spectral._eigenvalues_in_place(self.b.rq)
-
-    @functools.cached_property
-    def le_r(self) -> np.ndarray:
-        return energy_mod._eta(self.rl_values, self.b.rtr)[2]
-
-    def closed(self, idx, read) -> np.ndarray:
-        """read(closed form) of the instances idx, stacked."""
-        return np.stack([read(self.closed_form(k)) for k in idx])
+def _largest_error(*pairs) -> float:
+    """max |x - y| over the entries of every pair (x, y); NaN if one is NaN."""
+    return float(np.max([np.abs(x - y).max() for x, y in pairs]))
 
 
-def _closed_matrix_errors(f: _FamilyOrder, idx) -> list:
-    rl, rq = f.closed(idx, lambda c: c.rl_matrix), f.closed(idx, lambda c: c.rq_matrix)
-    return np.maximum(np.abs(rl - f.b.rl[idx]).max(axis=(-2, -1)),
-                      np.abs(rq - f.b.rq[idx]).max(axis=(-2, -1))).tolist()
+def _family_rows(specs, b, rl_values) -> list[tuple]:
+    """The _FAMILY_CHECKS row of each family instance of one order, from its
+    slices of the order's stacks, the bundle b and the descending R^L values:
+    the largest entry error of the closed-form R^L and R^Q, that of their
+    spectra, |LE_R - 4(1 - 1/n)| on K_n and |LE_R - E_R| on the
+    transmission-regular K_n, C_n and K_{p,p}, None where a check does not
+    examine the instance. Each closed form is built for its row and dropped
+    with it, so one is alive at a time."""
+    rq_values = spectral._eigenvalues_in_place(b.rq)
+    le_r, n = energy_mod._eta(rl_values, b.rtr)[2].tolist(), b.r.shape[-1]
 
+    def row(k, spec, c):
+        return (_largest_error((c.rl_matrix, b.rl[k]), (c.rq_matrix, b.rq[k])),
+                _largest_error((c.rl_spectrum.values, rl_values[k]),
+                               (c.rq_spectrum.values, rq_values[k])),
+                abs(le_r[k] - 4.0 * (1.0 - 1.0 / n)) if spec.kind == "complete" else None,
+                abs(le_r[k] - 2.0 * energy_mod._perron_root(b.r[k]))
+                if spec.kind != "bipartite" or spec.params[0] == spec.params[1] else None)
 
-def _closed_spectrum_errors(f: _FamilyOrder, idx) -> list:
-    rl = f.closed(idx, lambda c: c.rl_spectrum.values)
-    rq = f.closed(idx, lambda c: c.rq_spectrum.values)
-    return np.maximum(np.abs(rl - f.rl_values[idx]).max(axis=-1),
-                      np.abs(rq - f.rq_values[idx]).max(axis=-1)).tolist()
-
-
-def _complete_energy_errors(f: _FamilyOrder, idx) -> list:
-    return np.abs(f.le_r[idx] - 4.0 * (1.0 - 1.0 / f.lap.shape[-1])).tolist()
-
-
-def _energy_equality_errors(f: _FamilyOrder, idx) -> list:
-    e_r = [2.0 * energy_mod._perron_root(f.b.r[k]) for k in idx]
-    return np.abs(f.le_r[idx] - e_r).tolist()
+    return [row(k, spec, cf.closed_form(spec)) for k, spec in enumerate(specs)]
 
 
 def _containment_error(parent: np.ndarray, candidates: np.ndarray):
@@ -182,30 +169,26 @@ def _containment_error(parent: np.ndarray, candidates: np.ndarray):
     return np.abs(parent[..., :, None] - candidates[..., None, :]).min(axis=-2).max(axis=-1)
 
 
-def _quotient_containment_errors(f: _FamilyOrder, idx) -> list:
-    """Worst containment of the (p, q) quotient spectrum of each K_{p,q} in
-    the spectra of its L, R^L and R^Q, all of them stacked as (k, 3, n, n)
-    for one quotient_matrix call, one eigvals and one eigensolve of L; inf
-    where a partition is not equitable."""
-    lap = f.lap[idx]
+def _quotient_rows(specs, lap, b, rl_values) -> list[tuple]:
+    """The row of each K_{p,q} of one order, from its L and its slices of the
+    order's stacks: the worst containment of its (p, q) quotient spectrum in
+    the spectra of its L, R^L and R^Q (inf where a partition is not
+    equitable), and its rq_quotient_report row, with both routes' pairs and
+    their containment in its R^Q spectrum. The L, R^L and R^Q of all of them
+    go as one (k, 3, n, n) stack into one quotient_matrix call and one
+    eigvals, with one eigensolve of the L. The specs were validated when
+    their graphs were built."""
+    rq_values = spectral._eigenvalues_in_place(b.rq)
+    params = [spec.params for spec in specs]
     quotients, equitable = spectral.quotient_matrix(
-        np.stack([lap, f.b.rl[idx], f.b.rq[idx]], axis=1),
-        [spectral.Partition.from_sizes(*f.specs[k].params) for k in idx])
-    parents = np.stack([spectral._eigenvalues_in_place(lap), f.rl_values[idx], f.rq_values[idx]],
-                       axis=1)
+        np.stack([lap, b.rl, b.rq], axis=1), [spectral.Partition.from_sizes(*p) for p in params])
+    parents = np.stack([spectral._eigenvalues_in_place(lap), rl_values, rq_values], axis=1)
     err = _containment_error(parents, np.linalg.eigvals(quotients).real)
-    return np.where(equitable, err, math.inf).max(axis=-1).tolist()
-
-
-def _rq_quotient_rows(f: _FamilyOrder, idx) -> list[dict]:
-    """The rq_quotient_report row of each K_{p,q}: both routes' pairs and
-    their containment in its R^Q spectrum, from one reduction. The specs
-    were validated when their graphs were built."""
-    params = [f.specs[k].params for k in idx]
+    containment = np.where(equitable, err, math.inf).max(axis=-1).tolist()
     pairs = [(cf._rq_quotient_eigenvalues(p, q), cf.bipartite_rq_pm_formula.__wrapped__(p, q))
              for p, q in params]
-    errors = _containment_error(f.rq_values[idx, None, :], np.array(pairs)).tolist()
-    return [{
+    errors = _containment_error(rq_values[:, None, :], np.array(pairs)).tolist()
+    return [(worst, {
         "p": p,
         "q": q,
         "quotient": [float(v) for v in quotient_pair],
@@ -213,7 +196,8 @@ def _rq_quotient_rows(f: _FamilyOrder, idx) -> list[dict]:
         "pm": [float(v) for v in pm_pair],
         "pm_err": pm_err,
         "pm_matches": bool(pm_err <= SPECTRUM_TOL),
-    } for (p, q), (quotient_pair, pm_pair), (quotient_err, pm_err) in zip(params, pairs, errors)]
+    }) for worst, (p, q), (quotient_pair, pm_pair), (quotient_err, pm_err)
+        in zip(containment, params, pairs, errors)]
 
 
 def _bipartite_specs(max_pq: int) -> list[FamilySpec]:
@@ -229,26 +213,7 @@ def rq_quotient_report(max_pq: int = 8) -> list[dict]:
     general (already at p = q = 2) and its disagreement is reported, not
     treated as a failure.
     """
-    specs = _bipartite_specs(_read("max_pq", max_pq))
-    rows = _measures([(specs, _rq_quotient_rows)])[0][0]
-    return [rows[spec] for spec in specs]
-
-
-def _check_rq_quotient_vs_pm(rows) -> VerifyOutcome:
-    lines = []
-
-    def measured():
-        for row in rows():
-            pm_note = "matches" if row["pm_matches"] else (
-                f"MISMATCH (err={row['pm_err']:.3g}; expected, reported only)")
-            lines.append("K_{%d,%d}: quotient=(%.12g, %.12g) err=%.3g; pm=(%.12g, %.12g) %s" % (
-                row["p"], row["q"], *row["quotient"], row["quotient_err"], *row["pm"], pm_note))
-            yield row["quotient_err"], None
-
-    outcome = _check("rq_bipartite_quotient_report", SPECTRUM_TOL, measured)
-    if lines:
-        outcome.detail = "\n".join(lines)
-    return outcome
+    return [row for _, row in _measures(bipartite=_bipartite_specs(_read("max_pq", max_pq)))[1]]
 
 
 def _vertex_pairs():
@@ -286,68 +251,79 @@ def _random_trees(count, max_n, seed) -> list[Graph]:
                               for _ in range(count)])
 
 
-def _measures(jobs, corpus=(), pairs=(), trees=()) -> tuple[list, list, list, list]:
-    """One pass over every graph the run examines. Returns, for each (specs,
-    measure) job, a map from each of its specs to its measure (a family
-    measure above), the _corpus_measures row of each corpus graph, the
-    distance error of each tree and the monotonicity error of each
-    edge-addition pair (g, uv) from g to g + uv, each in input order. The
-    four sources are grouped by order into one map n -> the indices of each
-    source's members of order n. Per order: one (k, n, n) stack of
-    Laplacians, [family | corpus | trees | g | g + uv], one stacked bundle
-    and one R^L eigensolve for all of them, one distance sweep for the
-    corpus and the trees, and one call of each job's measure on the family
-    instances of the order it examines; each source's results go back to
-    its indices. g is assembled twice, and its second copy gets the edge uv
-    added in place, exactly. Every measure is taken while its order's stacks
-    are alive, so no n x n array (and no family graph) outlives its order."""
-    wanted = list(dict.fromkeys(spec for specs, _ in jobs for spec in specs))
-    at = {spec: i for i, spec in enumerate(wanted)}
-    jobs = [({at[spec] for spec in specs}, measure) for specs, measure in jobs]
+def _measures(families=(), bipartite=(), corpus=(), trees=(), pairs=()) -> tuple[list, ...]:
+    """One pass over every graph the run examines. Returns the rows of its
+    five sources, each in input order: the _family_rows row of each family
+    instance, the _quotient_rows row of each K_{p,q} of the quotient checks,
+    the _corpus_measures row of each corpus graph, the distance error of
+    each tree and the monotonicity error of each edge-addition pair (g, uv)
+    from g to g + uv. The sources are grouped by order into one map n -> the
+    indices of each source's members of order n. Per order: one (k, n, n)
+    stack of Laplacians, [family | quotient | corpus | trees | g | g + uv],
+    one stacked bundle in its memory and one R^L eigensolve for all of them,
+    and one row function per source on its slice. What is read of the
+    Laplacians themselves, the distance sweep of the corpus and the trees
+    and a copy of the quotient slice, is read before the bundle overwrites
+    them. g is assembled twice, and its second copy gets the edge uv added
+    in place, exactly. A K_{p,q} that is also a family instance sits in the
+    stack twice. Every measure is taken while its order's stacks are alive,
+    so no n x n array (and no family graph) outlives its order."""
     orders: dict[int, tuple[list[int], ...]] = {}
-    for s, ns in enumerate(([spec.order for spec in wanted], [g.n for g in corpus],
-                            [g.n for g in trees], [g.n for g, _ in pairs])):
+    for s, ns in enumerate(([spec.order for spec in families], [spec.order for spec in bipartite],
+                            [g.n for g in corpus], [g.n for g in trees], [g.n for g, _ in pairs])):
         for i, n in enumerate(ns):
-            orders.setdefault(n, ([], [], [], []))[s].append(i)
-    table = [{} for _ in jobs]
-    rows, tree_errors, edge_errors = {}, {}, {}  # by input index
-    for n, (fam, corp, tree, pair) in orders.items():
-        specs, smaller = [wanted[i] for i in fam], [pairs[i][0] for i in pair]
+            orders.setdefault(n, ([], [], [], [], []))[s].append(i)
+    rows = tuple({} for _ in range(5))  # by input index
+    for n, (fam, bip, corp, tree, pair) in orders.items():
+        specs, quotient_specs = [families[i] for i in fam], [bipartite[i] for i in bip]
+        smaller = [pairs[i][0] for i in pair]
         lap = graph_mod._laplacians(
-            [graph_mod.generate(spec) for spec in specs] + [corpus[i] for i in corp]
-            + [trees[i] for i in tree] + smaller + smaller, n)
-        cuts = [0, *accumulate(map(len, (fam, corp, tree, pair, pair)))]
-        fs, cs, ts, small, big = map(slice, cuts, cuts[1:])
+            [graph_mod.generate(spec) for spec in specs + quotient_specs]
+            + [corpus[i] for i in corp] + [trees[i] for i in tree] + smaller + smaller, n)
+        cuts = [0, *accumulate(map(len, (fam, bip, corp, tree, pair, pair)))]
+        fs, qs, cs, ts, small, big = map(slice, cuts, cuts[1:])
         if pair:  # g + uv: g's rows with the entries of the edge uv added, exact integers
             k, (u, v) = np.arange(big.start, big.stop), np.array([pairs[i][1] for i in pair]).T
             lap[k, u, v] = lap[k, v, u] = -1.0
             lap[k, u, u] += 1.0
             lap[k, v, v] += 1.0
+        # one distance sweep serves the corpus and the trees, and none runs without them
+        dist, d = np.split(graph_mod._distances(lap[cs.start:ts.stop]), [len(corp)]) \
+            if corp or tree else (None, None)
+        quotient_lap = lap[qs].copy()
         b = resistance._stacked_bundle(lap)
         values = spectral._eigenvalues_in_place(b.rl)
 
         def part(s):  # the bundle of one source's slice
             return resistance.ResistanceBundle(b.r[s], b.rtr[s], b.rl[s])
 
-        family = _FamilyOrder(specs, lap[fs], part(fs), values[fs])
-        for measured, (subset, measure) in zip(table, jobs):
-            idx = [k for k, i in enumerate(fam) if i in subset]
-            if idx:
-                measured.update(zip([specs[k] for k in idx], measure(family, idx)))
-        if corp or tree:  # one distance sweep serves both, and none runs without them
-            dist, d = np.split(graph_mod._distances(lap[cs.start:ts.stop]), [len(corp)])
-            if corp:  # the bounds reject an empty stack
-                rows.update(zip(corp, _corpus_measures(part(cs), values[cs], dist).tolist()))
-            tree_errors.update(zip(tree, np.maximum(  # a tree's R is its D, so its RTr is DTr
+        if fam:
+            rows[0].update(zip(fam, _family_rows(specs, part(fs), values[fs])))
+        if bip:
+            rows[1].update(zip(bip, _quotient_rows(quotient_specs, quotient_lap, part(qs),
+                                                   values[qs])))
+        if corp:  # the bounds reject an empty stack
+            rows[2].update(zip(corp, _corpus_measures(part(cs), values[cs], dist).tolist()))
+        if tree:  # a tree's R is its D, so its RTr is DTr
+            rows[3].update(zip(tree, np.maximum(
                 np.abs(b.r[ts] - d).max(axis=(-2, -1)),
                 np.abs(b.rtr[ts] - d.sum(axis=-2)).max(axis=-1)).tolist()))
-            del dist, d
         if pair:
-            edge_errors.update(zip(pair, np.maximum(
+            rows[4].update(zip(pair, np.maximum(
                 (b.r[big] - b.r[small]).max(axis=(-2, -1)),
                 (values[big] - values[small]).max(axis=-1)).tolist()))
-        del lap, b, values, family  # this order's stacks go before the next order's come
-    return table, *([o[i] for i in range(len(o))] for o in (rows, tree_errors, edge_errors))
+        del lap, b, values, dist, d, quotient_lap  # this order's stacks go before the next order's
+    return tuple([o[i] for i in range(len(o))] for o in rows)
+
+
+#: The family checks, in the column order of _family_rows, with their
+#: tolerance; None stands for the tol argument of run_verify.
+_FAMILY_CHECKS = (
+    ("closed_form_matrices", None),
+    ("closed_form_spectra", SPECTRUM_TOL),
+    ("complete_energy_formula", None),
+    ("transmission_regular_energy", ENERGY_EQUALITY_TOL),
+)
 
 
 #: The corpus checks, in the column order of _corpus_measures, with their
@@ -391,7 +367,7 @@ def _corpus_measures(b, values, dist) -> np.ndarray:
         2.0 - values[:, 0],
         (r - dist).max(axis=(-2, -1)),
         (r - shortest).max(axis=(-2, -1)),
-        np.abs(np.trace(b.rl, axis1=-2, axis2=-1) - total) / np.maximum(1.0, total),
+        np.abs(values.sum(axis=-1) - total) / np.maximum(1.0, total),
         np.abs(eta.sum(axis=-1)) / n,
         np.abs((eta**2).sum(axis=-1) - 2.0 * big_f) / np.maximum(2.0 * big_f, 1e-300),
         np.max([lower - le_r, *(le_r - u for u in uppers)], axis=0),
@@ -432,39 +408,34 @@ def run_verify(
     pairs = _edge_pairs(pair_count, max_n, seed + 1, vertex_pairs) if randoms else []
     trees = _random_trees(tree_count, max_tree_n, seed + 2) if randoms else []
     draw_ms = (time.perf_counter() - start) * 1000.0
-    checks = ()
+    families = family_specs(max_n) if scope != "random" else []
+    bipartite = _bipartite_specs(max_pq) if scope != "random" else []
+    start = time.perf_counter()
+    family_rows, quotient_rows, rows, tree_errors, edge_errors = _measures(
+        families, bipartite, corpus, trees, pairs)
+    pass_ms = (time.perf_counter() - start) * 1000.0
+    outcomes = []
     if scope != "random":
-        specs, bipartite = family_specs(max_n), _bipartite_specs(max_pq)
-        complete = [s for s in specs if s.kind == "complete"]
-        # transmission-regular: K_n, C_n and K_{p,p}
-        regular = [s for s in specs if s.kind != "bipartite" or s.params[0] == s.params[1]]
-        checks = (
-            ("closed_form_matrices", specs, _closed_matrix_errors, tol),
-            ("closed_form_spectra", specs, _closed_spectrum_errors, SPECTRUM_TOL),
-            ("complete_energy_formula", complete, _complete_energy_errors, tol),
-            ("transmission_regular_energy", regular, _energy_equality_errors, ENERGY_EQUALITY_TOL),
-            ("quotient_containment", bipartite, _quotient_containment_errors, CONTAINMENT_TOL),
-            ("rq_bipartite_quotient_report", bipartite, _rq_quotient_rows, SPECTRUM_TOL),
-        )
-    # the one pass, run by the first check that reads it, which is charged its time
-    table = functools.cache(
-        lambda: _measures([(s, m) for _, s, m, _ in checks], corpus, pairs, trees))
-    outcomes = [_check(name, check_tol, lambda: ((table()[0][j][spec], spec) for spec in subset))
-                for j, (name, subset, _, check_tol) in enumerate(checks[:-1])]  # report: own runner
-    if checks:
-        outcomes.append(
-            _check_rq_quotient_vs_pm(lambda: [table()[0][-1][spec] for spec in bipartite]))
+        outcomes += _judge(_FAMILY_CHECKS, tol, family_rows, families)
+        outcomes += _judge((("quotient_containment", CONTAINMENT_TOL),), tol, quotient_rows,
+                           bipartite)
+        report = [row for _, row in quotient_rows]  # its failure names no graph
+        outcomes.append(_check("rq_bipartite_quotient_report", SPECTRUM_TOL,
+                               ((row["quotient_err"], None) for row in report)))
+        if report:
+            outcomes[-1].detail = "\n".join(
+                "K_{%d,%d}: quotient=(%.12g, %.12g) err=%.3g; pm=(%.12g, %.12g) %s" % (
+                    row["p"], row["q"], *row["quotient"], row["quotient_err"], *row["pm"],
+                    "matches" if row["pm_matches"] else
+                    f"MISMATCH (err={row['pm_err']:.3g}; expected, reported only)")
+                for row in report)
     if randoms:
-        start = time.perf_counter()
-        _, rows, tree_errors, edge_errors = table()
         outcomes.append(VerifyOutcome(
-            "random_corpus", "pass" if corpus else "skip", float(len(corpus)), None,
-            draw_ms + (time.perf_counter() - start) * 1000.0,
+            "random_corpus", "pass" if corpus else "skip", float(len(corpus)), None, draw_ms,
             f"{len(corpus)} connected graphs, 2 <= n <= {max_n}, seed {seed}"))
-        outcomes += [_check(name, tol if check_tol is None else check_tol,
-                            lambda: ((row[j], g) for row, g in zip(rows, corpus)))
-                     for j, (name, check_tol) in enumerate(_CORPUS_CHECKS)]
+        outcomes += _judge(_CORPUS_CHECKS, tol, rows, corpus)
         outcomes.append(_check("edge_addition_monotonicity", tol,
-                               lambda: zip(edge_errors, (g for g, _ in pairs))))
-        outcomes.append(_check("tree_distance_equality", tol, lambda: zip(tree_errors, trees)))
+                               zip(edge_errors, (g for g, _ in pairs))))
+        outcomes.append(_check("tree_distance_equality", tol, zip(tree_errors, trees)))
+    outcomes[0].elapsed_ms += pass_ms  # the first check of the run carries the pass
     return outcomes

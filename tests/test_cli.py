@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import resq.closed_forms
 import resq.resistance
 import resq.spectral
-import resq.verify
 from resq.cli import COMPUTE_TARGETS, main
 from resq.energy import resistance_laplacian_energy
 from resq.graph import format_edge_list, parse_edge_list, random_connected_graph
@@ -324,8 +325,9 @@ class TestVerify:
                                 lambda m, partition: (quotient(m, partition)[0], False))
             name, token = "quotient_containment", "inf"
         else:
-            monkeypatch.setattr(resq.verify, "_closed_matrix_errors",
-                                lambda family, idx: [math.nan] * len(idx))
+            closed_form = resq.closed_forms.closed_form
+            monkeypatch.setattr(resq.closed_forms, "closed_form", lambda spec: dataclasses.replace(
+                closed_form(spec), rl_matrix=np.full((spec.order, spec.order), math.nan)))
             name, token = "closed_form_matrices", "nan"
         assert main(["verify", "--scope", "families", "--max-n", "4", "--jsonl"]) == 4
 

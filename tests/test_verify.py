@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -27,15 +28,11 @@ from resq.resistance import (
 from resq.spectral import Partition, eigenvalues_symmetric, quotient_matrix
 from resq.verify import (
     _CORPUS_CHECKS,
+    _FAMILY_CHECKS,
     VerifyOutcome,
     _check,
-    _closed_matrix_errors,
-    _closed_spectrum_errors,
-    _complete_energy_errors,
-    _energy_equality_errors,
     _measures,
     _edge_pairs,
-    _quotient_containment_errors,
     _random_graphs,
     _random_trees,
     _vertex_pairs,
@@ -177,38 +174,48 @@ class TestRunVerify:
                 "rl_spectral_radius_at_least_2": 2.0 - float(values[0]),
                 "resistance_below_distance": float((b.r - classical_distance_matrix(g)).max()),
                 "resistance_triangle_inequality": float((b.r - sums.min(axis=1)).max()),
-                "rl_trace_identity": abs(float(np.trace(b.rl)) - total) / max(1.0, total),
+                "rl_trace_identity": abs(float(values.sum()) - total) / max(1.0, total),
                 "eta_sum_zero": abs(float(report.eta.sum())) / g.n,
                 "eta_square_sum_2F":
                     abs(float((report.eta**2).sum()) - two_f) / max(two_f, 1e-300),
                 "energy_bounds": max(-c.slack for c in report.bounds.values()),
             })
-        rows = _measures([], corpus=graphs)[1]
+        rows = _measures(corpus=graphs)[2]
         assert [dict(zip(names, row)) for row in rows] == expected
         worst = {name: max(e[name] for e in expected) for name in names}
         outcomes = {o.name: o for o in run_verify(scope="random", seed=seed, max_n=12, count=80,
                                                   tree_count=0, pair_count=0)}
         assert {name: outcomes[name].measured for name in names} == worst
         # A measure that reads 0.0 on every graph could match by accident.
-        # Only rl_trace_identity does, because the diagonal of R^L is RTr.
-        nonzero = {name for name in names if any(e[name] != 0.0 for e in expected)}
-        assert nonzero == set(names) - {"rl_trace_identity"}
+        assert all(any(e[name] != 0.0 for e in expected) for name in names)
+
+    def test_trace_identity_sees_a_shifted_eigenvalue(self, monkeypatch):
+        # sum lambda(R^L) = trace R^L = sum RTr: a wrong eigenvalue breaks it,
+        # where trace R^L, read off the diagonal RTr, could not
+        solve = resq.spectral._eigenvalues_in_place
+
+        def shifted(m):
+            values = solve(m)
+            values[..., 0] += 1e-4
+            return values
+
+        monkeypatch.setattr(resq.spectral, "_eigenvalues_in_place", shifted)
+        outcomes = {o.name: o for o in run_verify(scope="random", seed=3, max_n=12, count=40,
+                                                  tree_count=0, pair_count=0)}
+        trace = outcomes["rl_trace_identity"]
+        assert trace.status == "fail" and trace.measured > trace.tolerance
+        assert parse_edge_list(trace.failing_graph).n >= 2
 
     def test_each_family_measure_matches_per_graph_functions(self):
         # The five family measures, recomputed here per instance from the
         # public functions behind `resq compute --what rl|rq|energy`, equal
-        # the stacked engine's value for that instance, and each family
-        # outcome's measured value is their worst, all bit for bit.
+        # the row of that instance from the stacked engine (None where a
+        # check does not examine it), and each family outcome's measured
+        # value is their worst, all bit for bit.
         specs = family_specs(12)
         bipartite = [FamilySpec.bipartite(p, q) for p in range(1, 9) for q in range(p, 9)]
-        measures = {
-            "closed_form_matrices": _closed_matrix_errors,
-            "closed_form_spectra": _closed_spectrum_errors,
-            "complete_energy_formula": _complete_energy_errors,
-            "transmission_regular_energy": _energy_equality_errors,
-            "quotient_containment": _quotient_containment_errors,
-        }
-        expected = {name: {} for name in measures}
+        names = [name for name, _ in _FAMILY_CHECKS] + ["quotient_containment"]
+        expected = {name: {} for name in names}
         report_errors = {}  # the quotient and +/- pairs' containment in the R^Q spectrum
         for spec in dict.fromkeys(specs + bipartite):
             g = generate(spec)
@@ -244,17 +251,37 @@ class TestRunVerify:
                     float(np.abs(rq_values[:, None] - np.array(pair)).min(axis=0).max())
                     for pair in (_rq_quotient_eigenvalues(*spec.params),
                                  bipartite_rq_pm_formula(*spec.params))]
-        table = _measures([(list(expected[name]), measures[name]) for name in measures])[0]
-        for j, (name, values) in enumerate(expected.items()):
-            assert table[j] == values, name
+        family_rows, quotient_rows = _measures(specs, bipartite)[:2]
+        assert family_rows == [tuple(expected[name].get(spec) for name in names[:-1])
+                               for spec in specs]
+        assert [worst for worst, _ in quotient_rows] == [
+            expected["quotient_containment"][spec] for spec in bipartite]
         rows = rq_quotient_report(max_pq=8)
+        assert [row for _, row in quotient_rows] == rows
         assert [[row["quotient_err"], row["pm_err"]] for row in rows] == [
             report_errors[spec] for spec in bipartite]
         outcomes = {o.name: o for o in run_verify(scope="families", max_n=12, max_pq=8)}
         worst = {name: max(values.values()) for name, values in expected.items()}
-        assert {name: outcomes[name].measured for name in measures} == worst
+        assert {name: outcomes[name].measured for name in names} == worst
         # A measure that reads 0.0 on every instance could match by accident.
         assert all(value > 0.0 for value in worst.values()), worst
+
+    def test_one_closed_form_alive_at_a_time(self, monkeypatch):
+        # each instance's closed form serves its matrix and spectrum errors
+        # and goes with its row, not with its order
+        build, alive, most = resq.closed_forms.closed_form, [0], [0]
+
+        def counted(spec):
+            c = build(spec)
+            alive[0] += 1
+            most[0] = max(most[0], alive[0])
+            weakref.finalize(c, lambda: alive.__setitem__(0, alive[0] - 1))
+            return c
+
+        monkeypatch.setattr(resq.closed_forms, "closed_form", counted)
+        outcomes = run_verify(scope="families", max_n=20)
+        assert all(o.passed for o in outcomes)
+        assert (most[0], alive[0]) == (1, 0)
 
     def test_every_check_kind_reports_failures(self):
         # At a tolerance below rounding, family, corpus, edge-addition and
@@ -376,7 +403,7 @@ class TestRandomDraws:
         monkeypatch.setattr(resq.resistance, "_stacked_bundle", captured)
         corpus = [random_connected_graph(2, 0.5, 0), random_connected_graph(14, 0.5, 1)]
         pairs = _edge_pairs(40, 14, 3)
-        _measures([], corpus=corpus, pairs=pairs)
+        _measures(corpus=corpus, pairs=pairs)
         assert max(g.n for g, _ in pairs) == 14  # the largest order has pairs
         assert stacks[2].tobytes() == laplacian(corpus[0]).tobytes()  # an order with no pair
         for n, lap in stacks.items():
@@ -442,13 +469,13 @@ class TestCheckRunner:
         # NaN compares false with everything, so a plain maximum would skip it
         clean, bad = self.graphs()
         pairs = [(v, bad if math.isnan(v) else clean) for v in values]
-        outcome = _check("probe", 1e-9, lambda: iter(pairs))
+        outcome = _check("probe", 1e-9, pairs)
         assert outcome.status == "fail"
         assert math.isnan(outcome.measured)
         assert outcome.failing_graph == format_edge_list(bad)
 
     def test_first_of_equal_worst_values_is_named(self):
         first, second = self.graphs()
-        outcome = _check("probe", 1.0, lambda: iter([(0.5, first), (2.0, first), (2.0, second)]))
+        outcome = _check("probe", 1.0, [(0.5, first), (2.0, first), (2.0, second)])
         assert (outcome.status, outcome.measured) == ("fail", 2.0)
         assert outcome.failing_graph == format_edge_list(first)
