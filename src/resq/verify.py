@@ -15,10 +15,13 @@ grouped by order n, and each order is one (k, n, n) stack of Laplacians:
 one stacked computation gives R, RTr, R^L and the R^L spectra of all of
 them. Each source gets back one row per member, in input order, with one
 column per check (_FAMILY_CHECKS, _CORPUS_CHECKS), and _judge runs _check
-on each column. A family row is one instance's, from its closed form, built
-for the row and dropped with it; the quotient rows come from one
-quotient_matrix call and one eigvals on the (k, 3, n, n) stack of L, R^L
-and R^Q of the order's K_{p,q}.
+on each column. The family and quotient instances enter each order's stack
+once, their Laplacians written by formula, and their rows compare the
+numeric slices with the closed forms' parameters (closed_forms, one call
+per kind for the run, C_n's one per order) by broadcasting, a chunk of
+instances at a time; no Graph, ClosedForm or Spectrum is built for an
+instance. The quotient rows come from one quotient_matrix call and one
+eigvals on the (k, 3, n, n) stack of L, R^L and R^Q of the order's K_{p,q}.
 The random graphs are drawn first, under the random_corpus timer, the
 corpus and the pairs from one tuple of vertex pairs per order for the run
 (_vertex_pairs); each g + uv enters the stack as a second copy of g with
@@ -33,6 +36,7 @@ import functools
 import math
 import random
 import time
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import accumulate, combinations, filterfalse
 
@@ -43,7 +47,7 @@ from . import energy as energy_mod
 from . import graph as graph_mod
 from . import resistance
 from . import spectral
-from .graph import Edge, FamilySpec, Graph, format_edge_list
+from .graph import FAMILY_KINDS, Edge, FamilySpec, Graph, format_edge_list
 
 #: The values of run_verify's scope, and of resq verify --scope.
 SCOPES = ("families", "random", "all")
@@ -53,6 +57,10 @@ CONTAINMENT_TOL = 1e-7
 ENERGY_EQUALITY_TOL = 1e-8
 ETA_SUM_TOL = 1e-8  # scaled by n
 ETA_SQUARE_RTOL = 1e-7
+
+#: Bytes of closed-form matrices the family rows expand at once: a chunk of
+#: the instances of one order, or one instance where it alone is larger.
+_CHUNK_BYTES = 1 << 18
 
 
 def _as_tol(x) -> float | None:
@@ -64,7 +72,12 @@ def _as_tol(x) -> float | None:
     return tol if 0.0 <= tol < math.inf else None
 
 
-def _read(name: str, x, read=graph_mod._as_int, rule: str = "an integer"):
+def _as_size(x) -> int | None:
+    """x by _as_int if an integer >= 0, else None: the rule for orders and counts."""
+    return value if (value := graph_mod._as_int(x)) is not None and value >= 0 else None
+
+
+def _read(name: str, x, read=_as_size, rule: str = "an integer >= 0"):
     """x by read; ValueError naming the argument and rule where read gives None."""
     value = read(x)
     if value is None:
@@ -136,31 +149,51 @@ def family_specs(max_n: int) -> list[FamilySpec]:
     return specs
 
 
-def _largest_error(*pairs) -> float:
-    """max |x - y| over the entries of every pair (x, y); NaN if one is NaN."""
-    return float(np.max([np.abs(x - y).max() for x, y in pairs]))
+def _chunks(groups, n) -> list[tuple]:
+    """The closed forms of one order's instances, groups of consecutive ones
+    of one layout, in chunks of at most _CHUNK_BYTES of n x n matrices (or
+    one instance): a (slice of the instances, [forms in it]) pair each."""
+    step, ends = max(1, _CHUNK_BYTES // (8 * n * n)), [0, *accumulate(len(f.lap) for f in groups)]
+    return [(slice(a, min(a + step, ends[-1])), [
+        f.take(slice(max(a - start, 0), a + step - start))
+        for f, start, stop in zip(groups, ends, ends[1:]) if start < a + step and a < stop])
+        for a in range(0, ends[-1], step)]
 
 
-def _family_rows(specs, b, rl_values) -> list[tuple]:
-    """The _FAMILY_CHECKS row of each family instance of one order, from its
-    slices of the order's stacks, the bundle b and the descending R^L values:
-    the largest entry error of the closed-form R^L and R^Q, that of their
-    spectra, |LE_R - 4(1 - 1/n)| on K_n and |LE_R - E_R| on the
-    transmission-regular K_n, C_n and K_{p,p}, None where a check does not
-    examine the instance. Each closed form is built for its row and dropped
-    with it, so one is alive at a time."""
-    rq_values = spectral._eigenvalues_in_place(b.rq)
-    le_r, n = energy_mod._eta(rl_values, b.rtr)[2].tolist(), b.r.shape[-1]
+def _largest_error(closed, numeric):
+    """max |closed - numeric| of each matrix of a stack, in closed's memory;
+    NaN where an entry is NaN."""
+    return np.abs(np.subtract(closed, numeric, out=closed), out=closed).max(axis=(-2, -1))
 
-    def row(k, spec, c):
-        return (_largest_error((c.rl_matrix, b.rl[k]), (c.rq_matrix, b.rq[k])),
-                _largest_error((c.rl_spectrum.values, rl_values[k]),
-                               (c.rq_spectrum.values, rq_values[k])),
-                abs(le_r[k] - 4.0 * (1.0 - 1.0 / n)) if spec.kind == "complete" else None,
-                abs(le_r[k] - 2.0 * energy_mod._perron_root(b.r[k]))
-                if spec.kind != "bipartite" or spec.params[0] == spec.params[1] else None)
 
-    return [row(k, spec, cf.closed_form(spec)) for k, spec in enumerate(specs)]
+def _family_rows(keys, chunks, b, rl_values) -> tuple[list[tuple], np.ndarray]:
+    """The _FAMILY_CHECKS row of each family instance of one order, by keys
+    (n, FAMILY_KINDS index, parameters), and its descending R^Q values, from
+    the _chunks of their closed forms and their slices of the bundle b and of
+    the descending R^L values: the largest entry error of the closed-form
+    R^L and R^Q, that of their spectra, |LE_R - 4(1 - 1/n)| on K_n and
+    |LE_R - E_R| on the transmission-regular K_n, C_n and K_{p,p}, None where
+    a check does not examine the instance. Each chunk is compared by
+    broadcasting, one reduction per check, with its closed forms and R^Q
+    made for it."""
+    n = b.r.shape[-1]
+    matrix_err, spectra_err = np.empty(len(keys)), np.empty(len(keys))
+    rq_values = np.empty(b.rtr.shape)
+    for s, parts in chunks:
+        chunk = resistance.ResistanceBundle(b.r[s], b.rtr[s], b.rl[s])
+        rq_values[s] = spectral._eigenvalues_in_place(chunk.rq)
+        matrix_err[s] = np.maximum(_largest_error(cf._matrices(parts, "rl", n), chunk.rl),
+                                   _largest_error(cf._matrices(parts, "rq", n), chunk.rq))
+        rl, rq = cf._spectra(parts)
+        spectra_err[s] = np.maximum(np.abs(rl - rl_values[s]).max(axis=-1),
+                                    np.abs(rq - rq_values[s]).max(axis=-1))
+    errors = np.column_stack([matrix_err, spectra_err]).tolist()
+    le_r = energy_mod._eta(rl_values, b.rtr)[2].tolist()
+    return [(*errors[k],
+             abs(le_r[k] - 4.0 * (1.0 - 1.0 / n)) if FAMILY_KINDS[kind] == "complete" else None,
+             abs(le_r[k] - 2.0 * energy_mod._perron_root(b.r[k]))
+             if FAMILY_KINDS[kind] != "bipartite" or params[0] == params[1] else None)
+            for k, (_, kind, params) in enumerate(keys)], rq_values
 
 
 def _containment_error(parent: np.ndarray, candidates: np.ndarray):
@@ -169,35 +202,29 @@ def _containment_error(parent: np.ndarray, candidates: np.ndarray):
     return np.abs(parent[..., :, None] - candidates[..., None, :]).min(axis=-2).max(axis=-1)
 
 
-def _quotient_rows(specs, lap, b, rl_values) -> list[tuple]:
-    """The row of each K_{p,q} of one order, from its L and its slices of the
-    order's stacks: the worst containment of its (p, q) quotient spectrum in
-    the spectra of its L, R^L and R^Q (inf where a partition is not
-    equitable), and its rq_quotient_report row, with both routes' pairs and
-    their containment in its R^Q spectrum. The L, R^L and R^Q of all of them
-    go as one (k, 3, n, n) stack into one quotient_matrix call and one
-    eigvals, with one eigensolve of the L. The specs were validated when
-    their graphs were built."""
-    rq_values = spectral._eigenvalues_in_place(b.rq)
-    params = [spec.params for spec in specs]
+def _quotient_rows(sizes, pairs, lap, b, rl_values, rq_values) -> list[tuple]:
+    """The row of each K_{p,q} of one order, from its (p, q), its two pairs
+    (k, 2, 2) of closed-form R^Q quotient eigenvalues (the block quotient
+    route and bipartite_rq_pm_formula), its L and its slices of the order's
+    stacks: the bundle b and the descending R^L and R^Q values. A row holds
+    the worst containment of its (p, q) quotient spectrum in the spectra of
+    its L, R^L and R^Q (inf where a partition is not equitable), and its
+    rq_quotient_report row, with both pairs and their containment in its
+    R^Q spectrum. The L, R^L and R^Q of all of them go as one (k, 3, n, n)
+    stack into one quotient_matrix call and one eigvals, with one
+    eigensolve of the L."""
     quotients, equitable = spectral.quotient_matrix(
-        np.stack([lap, b.rl, b.rq], axis=1), [spectral.Partition.from_sizes(*p) for p in params])
-    parents = np.stack([spectral._eigenvalues_in_place(lap), rl_values, rq_values], axis=1)
-    err = _containment_error(parents, np.linalg.eigvals(quotients).real)
-    containment = np.where(equitable, err, math.inf).max(axis=-1).tolist()
-    pairs = [(cf._rq_quotient_eigenvalues(p, q), cf.bipartite_rq_pm_formula.__wrapped__(p, q))
-             for p, q in params]
-    errors = _containment_error(rq_values[:, None, :], np.array(pairs)).tolist()
-    return [(worst, {
-        "p": p,
-        "q": q,
-        "quotient": [float(v) for v in quotient_pair],
-        "quotient_err": quotient_err,
-        "pm": [float(v) for v in pm_pair],
-        "pm_err": pm_err,
-        "pm_matches": bool(pm_err <= SPECTRUM_TOL),
-    }) for worst, (p, q), (quotient_pair, pm_pair), (quotient_err, pm_err)
-        in zip(containment, params, pairs, errors)]
+        np.stack([lap, b.rl, b.rq], axis=1), [spectral.Partition.from_sizes(*pq) for pq in sizes])
+    # the quotient spectra of L, R^L and R^Q and both pairs, each in its parent spectrum
+    err = _containment_error(
+        np.stack([spectral._eigenvalues_in_place(lap), rl_values, rq_values, rq_values, rq_values],
+                 axis=1), np.concatenate([np.linalg.eigvals(quotients).real, pairs], axis=1))
+    containment = np.where(equitable, err[:, :3], math.inf).max(axis=-1).tolist()
+    errors = err[:, 3:].tolist()
+    return [(worst, dict(p=p, q=q, quotient=quotient_pair, quotient_err=quotient_err, pm=pm_pair,
+                         pm_err=pm_err, pm_matches=bool(pm_err <= SPECTRUM_TOL)))
+            for worst, (p, q), (quotient_pair, pm_pair), (quotient_err, pm_err)
+            in zip(containment, sizes, pairs.tolist(), errors)]
 
 
 def _bipartite_specs(max_pq: int) -> list[FamilySpec]:
@@ -257,31 +284,55 @@ def _measures(families=(), bipartite=(), corpus=(), trees=(), pairs=()) -> tuple
     instance, the _quotient_rows row of each K_{p,q} of the quotient checks,
     the _corpus_measures row of each corpus graph, the distance error of
     each tree and the monotonicity error of each edge-addition pair (g, uv)
-    from g to g + uv. The sources are grouped by order into one map n -> the
-    indices of each source's members of order n. Per order: one (k, n, n)
-    stack of Laplacians, [family | quotient | corpus | trees | g | g + uv],
-    one stacked bundle in its memory and one R^L eigensolve for all of them,
-    and one row function per source on its slice. What is read of the
-    Laplacians themselves, the distance sweep of the corpus and the trees
-    and a copy of the quotient slice, is read before the bundle overwrites
-    them. g is assembled twice, and its second copy gets the edge uv added
-    in place, exactly. A K_{p,q} that is also a family instance sits in the
-    stack twice. Every measure is taken while its order's stacks are alive,
-    so no n x n array (and no family graph) outlives its order."""
+    from g to g + uv. The instances (each once, though a K_{p,q} may be a
+    family and a quotient instance) and the graphs are grouped by order into
+    one map n -> the indices of each source's members of order n. Per
+    order, from the largest down so that each order's arrays fit in the
+    memory the one before freed: one (k, n, n) stack of Laplacians,
+    [instances, by key | corpus | trees | g | g + uv], one stacked bundle in
+    its memory and one R^L eigensolve for all of them, and one row function
+    per source on its slice. What is read of the Laplacians themselves, the
+    distance sweep of the corpus and the trees and a copy of the quotient
+    instances' L, is read before the bundle overwrites them. g is assembled
+    twice, and its second copy gets the edge uv added in place, exactly.
+    Every measure is taken while its order's stacks are alive, so no n x n
+    array outlives its order."""
+    # each instance once, keyed (order, kind, parameters), in key order
+    keys = [(spec.order, FAMILY_KINDS.index(spec.kind), spec.params)
+            for spec in (*families, *bipartite)]
+    unique = sorted(set(keys))
+    blocks = [key for key in unique if FAMILY_KINDS[key[1]] != "cycle"]
+    cycles = {key[0] for key in unique if FAMILY_KINDS[key[1]] == "cycle"}
+    # the closed forms of every K_n and K_{p,q}, from one call per kind, in the order of blocks
+    forms = cf._Forms(*map(np.concatenate, zip(
+        cf._complete(np.array([n for n, kind, _ in blocks if kind == 0], dtype=int)),
+        cf._bipartite(*np.array([pq for _, kind, pq in blocks if kind == 1], dtype=int)
+                      .reshape(-1, 2).T)))).take(
+        np.argsort(np.argsort([kind for _, kind, _ in blocks], kind="stable")))
+    quotients = sorted(set(keys[len(families):]))
+    if quotients:  # both routes' R^Q quotient pairs (k, 2, 2)
+        p, q = np.array([key[2] for key in quotients]).T
+        routes = np.stack([np.column_stack(cf._rq_quotient_eigenvalues(p, q)),
+                           np.column_stack(cf._rq_pm_pair(p, q))], axis=1)
     orders: dict[int, tuple[list[int], ...]] = {}
-    for s, ns in enumerate(([spec.order for spec in families], [spec.order for spec in bipartite],
-                            [g.n for g in corpus], [g.n for g in trees], [g.n for g, _ in pairs])):
+    for s, ns in enumerate(([key[0] for key in unique], [g.n for g in corpus],
+                            [g.n for g in trees], [g.n for g, _ in pairs])):
         for i, n in enumerate(ns):
-            orders.setdefault(n, ([], [], [], [], []))[s].append(i)
-    rows = tuple({} for _ in range(5))  # by input index
-    for n, (fam, bip, corp, tree, pair) in orders.items():
-        specs, quotient_specs = [families[i] for i in fam], [bipartite[i] for i in bip]
-        smaller = [pairs[i][0] for i in pair]
-        lap = graph_mod._laplacians(
-            [graph_mod.generate(spec) for spec in specs + quotient_specs]
-            + [corpus[i] for i in corp] + [trees[i] for i in tree] + smaller + smaller, n)
-        cuts = [0, *accumulate(map(len, (fam, bip, corp, tree, pair, pair)))]
-        fs, qs, cs, ts, small, big = map(slice, cuts, cuts[1:])
+            orders.setdefault(n, ([], [], [], []))[s].append(i)
+    rows = ({}, {}, {}, {}, {})  # by key for the instances, by input index for the graphs
+    for n, (inst, corp, tree, pair) in sorted(orders.items(), reverse=True):
+        instances, smaller = [unique[i] for i in inst], [pairs[i][0] for i in pair]
+        graphs = [corpus[i] for i in corp] + [trees[i] for i in tree] + smaller + smaller
+        lap = np.zeros((len(inst) + len(graphs), n, n))
+        lo, hi = bisect_left(blocks, (n,)), bisect_left(blocks, (n + 1,))
+        cycle = [cf._cycle(np.array([n]))] if n in cycles else []  # C_n's forms, for this order
+        chunks = _chunks([forms.take(slice(lo, hi)), *cycle], n)
+        for s, parts in chunks:  # L by formula
+            lap[s] = cf._matrices(parts, "lap", n)
+        if graphs:
+            lap[len(inst):] = graph_mod._laplacians(graphs, n)
+        cuts = [0, *accumulate(map(len, (inst, corp, tree, pair, pair)))]
+        us, cs, ts, small, big = map(slice, cuts, cuts[1:])
         if pair:  # g + uv: g's rows with the entries of the edge uv added, exact integers
             k, (u, v) = np.arange(big.start, big.stop), np.array([pairs[i][1] for i in pair]).T
             lap[k, u, v] = lap[k, v, u] = -1.0
@@ -290,18 +341,22 @@ def _measures(families=(), bipartite=(), corpus=(), trees=(), pairs=()) -> tuple
         # one distance sweep serves the corpus and the trees, and none runs without them
         dist, d = np.split(graph_mod._distances(lap[cs.start:ts.stop]), [len(corp)]) \
             if corp or tree else (None, None)
-        quotient_lap = lap[qs].copy()
+        qs = slice(bisect_left(quotients, (n,)), bisect_left(quotients, (n + 1,)))
+        quotient = [bisect_left(instances, key) for key in quotients[qs]]  # their stack rows
+        quotient_lap = lap[quotient]
         b = resistance._stacked_bundle(lap)
         values = spectral._eigenvalues_in_place(b.rl)
 
-        def part(s):  # the bundle of one source's slice
+        def part(s):  # the bundle of one source's slice, or of the rows s
             return resistance.ResistanceBundle(b.r[s], b.rtr[s], b.rl[s])
 
-        if fam:
-            rows[0].update(zip(fam, _family_rows(specs, part(fs), values[fs])))
-        if bip:
-            rows[1].update(zip(bip, _quotient_rows(quotient_specs, quotient_lap, part(qs),
-                                                   values[qs])))
+        if inst:
+            family, rq_values = _family_rows(instances, chunks, part(us), values[us])
+            rows[0].update(zip(instances, family))
+        if quotient:
+            rows[1].update(zip(quotients[qs], _quotient_rows(
+                [key[2] for key in quotients[qs]], routes[qs], quotient_lap, part(quotient),
+                values[quotient], rq_values[quotient])))
         if corp:  # the bounds reject an empty stack
             rows[2].update(zip(corp, _corpus_measures(part(cs), values[cs], dist).tolist()))
         if tree:  # a tree's R is its D, so its RTr is DTr
@@ -312,8 +367,10 @@ def _measures(families=(), bipartite=(), corpus=(), trees=(), pairs=()) -> tuple
             rows[4].update(zip(pair, np.maximum(
                 (b.r[big] - b.r[small]).max(axis=(-2, -1)),
                 (values[big] - values[small]).max(axis=-1)).tolist()))
-        del lap, b, values, dist, d, quotient_lap  # this order's stacks go before the next order's
-    return tuple([o[i] for i in range(len(o))] for o in rows)
+        del lap, b, values, dist, d, quotient_lap, chunks  # before the next order's stacks
+    return ([rows[0][key] for key in keys[:len(families)]],
+            [rows[1][key] for key in keys[len(families):]],
+            *([o[i] for i in range(len(o))] for o in rows[2:]))
 
 
 #: The family checks, in the column order of _family_rows, with their
@@ -389,14 +446,16 @@ def run_verify(
 
     scope "families" runs the closed-form and quotient checks, "random"
     runs the seeded-corpus property checks, "all" runs both (SCOPES).
-    Results are deterministic for a fixed seed. ValueError unless the other
-    arguments are integers, tol is a finite number >= 0 and, for the random
-    scope, max_n >= 2 and max_tree_n >= 2.
+    Results are deterministic for a fixed seed. ValueError unless seed is
+    an integer, the other orders and counts are integers >= 0, tol is a
+    finite number >= 0 and, for the random scope, max_n >= 2 and
+    max_tree_n >= 2.
     """
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {', '.join(SCOPES)}, got {scope!r}")
-    seed, max_n, count, tree_count, max_tree_n, pair_count, max_pq = (_read(*arg) for arg in (
-        ("seed", seed), ("max_n", max_n), ("count", count), ("tree_count", tree_count),
+    seed = _read("seed", seed, graph_mod._as_int, "an integer")
+    max_n, count, tree_count, max_tree_n, pair_count, max_pq = (_read(*arg) for arg in (
+        ("max_n", max_n), ("count", count), ("tree_count", tree_count),
         ("max_tree_n", max_tree_n), ("pair_count", pair_count), ("max_pq", max_pq)))
     tol = _read("tol", tol, _as_tol, "a finite number >= 0")
     randoms = scope != "families"

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -325,9 +324,10 @@ class TestVerify:
                                 lambda m, partition: (quotient(m, partition)[0], False))
             name, token = "quotient_containment", "inf"
         else:
-            closed_form = resq.closed_forms.closed_form
-            monkeypatch.setattr(resq.closed_forms, "closed_form", lambda spec: dataclasses.replace(
-                closed_form(spec), rl_matrix=np.full((spec.order, spec.order), math.nan)))
+            def complete(n, build=resq.closed_forms._complete):  # a closed-form R^L of NaN entries
+                return build(n)._replace(rl=np.full_like(build(n).rl, math.nan))
+
+            monkeypatch.setattr(resq.closed_forms, "_complete", complete)
             name, token = "closed_form_matrices", "nan"
         assert main(["verify", "--scope", "families", "--max-n", "4", "--jsonl"]) == 4
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from resq.closed_forms import (
+    _FORMS,
     ClosedForm,
+    _bipartite,
+    _matrices,
     _rq_quotient_eigenvalues,
     bipartite_rl,
     bipartite_rl_spectrum,
@@ -21,9 +24,10 @@ from resq.closed_forms import (
     cycle_spectra,
 )
 from resq.errors import InvalidFamilyParams
-from resq.graph import FamilySpec, generate
+from resq.graph import FamilySpec, generate, laplacian
 from resq.resistance import resistance_laplacian, resistance_matrix, resistance_signless_laplacian
 from resq.spectral import Partition, eigenvalues_symmetric, quotient_matrix
+from resq.verify import family_specs
 
 
 class TestCompleteForms:
@@ -279,6 +283,22 @@ class TestClosedFormDispatcher:
                 builder(*params)
         with pytest.raises(TypeError):
             bipartite_rl(2)  # a missing parameter, as for any function
+
+    def test_laplacian_tables_lay_out_as_the_generated_graphs_laplacians(self):
+        # verify writes each instance's L into its stack from these tables
+        for spec in family_specs(40):
+            forms = _FORMS[spec.kind](*np.array(spec.params)[:, None])
+            lap = _matrices([forms], "lap", spec.order)[0]
+            assert lap.tobytes() == laplacian(generate(spec)).tobytes(), spec
+
+    def test_forms_of_an_order_equal_those_of_each_instance(self):
+        # one call for every K_{p,q} of an order gives each one's bits
+        p = np.arange(1, 9)
+        many = _bipartite(p, 17 - p)
+        for k in range(len(p)):
+            one = _bipartite(p[k:k + 1], 17 - p[k:k + 1])
+            assert all(np.array_equal(x[k:k + 1], y) for x, y in zip(many, one))
+            assert np.array_equal(_matrices([many], "rq", 17)[k], _matrices([one], "rq", 17)[0])
 
     def test_path_has_no_closed_form(self):
         with pytest.raises(InvalidFamilyParams):

@@ -1,7 +1,7 @@
 import hashlib
 import math
 import random
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,11 +208,13 @@ class TestRunVerify:
 
     def test_each_family_measure_matches_per_graph_functions(self):
         # The five family measures, recomputed here per instance from the
-        # public functions behind `resq compute --what rl|rq|energy`, equal
-        # the row of that instance from the stacked engine (None where a
-        # check does not examine it), and each family outcome's measured
-        # value is their worst, all bit for bit.
-        specs = family_specs(12)
+        # public functions behind `resq compute --what rl|rq|energy` and the
+        # public closed_form, equal the row of that instance from the
+        # stacked engine, which compares the closed forms' parameters by
+        # broadcasting (None where a check does not examine it), and each
+        # family outcome's measured value is their worst, all bit for bit,
+        # for every family instance up to order 40.
+        specs = family_specs(40)
         bipartite = [FamilySpec.bipartite(p, q) for p in range(1, 9) for q in range(p, 9)]
         names = [name for name, _ in _FAMILY_CHECKS] + ["quotient_containment"]
         expected = {name: {} for name in names}
@@ -260,28 +262,63 @@ class TestRunVerify:
         assert [row for _, row in quotient_rows] == rows
         assert [[row["quotient_err"], row["pm_err"]] for row in rows] == [
             report_errors[spec] for spec in bipartite]
-        outcomes = {o.name: o for o in run_verify(scope="families", max_n=12, max_pq=8)}
+        outcomes = {o.name: o for o in run_verify(scope="families", max_n=40, max_pq=8)}
         worst = {name: max(values.values()) for name, values in expected.items()}
         assert {name: outcomes[name].measured for name in names} == worst
         # A measure that reads 0.0 on every instance could match by accident.
         assert all(value > 0.0 for value in worst.values()), worst
 
-    def test_one_closed_form_alive_at_a_time(self, monkeypatch):
-        # each instance's closed form serves its matrix and spectrum errors
-        # and goes with its row, not with its order
-        build, alive, most = resq.closed_forms.closed_form, [0], [0]
+    def test_families_scope_peak_is_at_most_the_per_instance_engines(self):
+        # The closed forms go a chunk at a time, so no (k, n, n) stack of
+        # them is built. The bound is the tracemalloc peak of the same
+        # second run of the engine that built one ClosedForm per instance
+        # and compared it alone (numpy 2.4, Python 3.11).
+        run_verify(scope="families", max_n=60)
+        tracemalloc.start()
+        try:
+            outcomes = run_verify(scope="families", max_n=60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(o.status == "pass" for o in outcomes)
+        assert peak <= 3_280_828
 
-        def counted(spec):
-            c = build(spec)
-            alive[0] += 1
-            most[0] = max(most[0], alive[0])
-            weakref.finalize(c, lambda: alive.__setitem__(0, alive[0] - 1))
-            return c
+    def test_each_instance_is_stacked_once_and_its_forms_made_once_a_run(self, monkeypatch):
+        # A K_{p,q} that is both a family and a quotient instance enters its
+        # order's stack once; the closed forms of all K_{p,q} come from one
+        # call a run, and no run reuses another's.
+        rows, calls = [], []
+        bundle, bipartite = resq.resistance._stacked_bundle, resq.closed_forms._bipartite
+        monkeypatch.setattr(resq.resistance, "_stacked_bundle",
+                            lambda laps: rows.append(len(laps)) or bundle(laps))
+        monkeypatch.setattr(resq.closed_forms, "_bipartite",
+                            lambda p, q: calls.append(len(p)) or bipartite(p, q))
+        for _ in range(2):
+            run_verify(scope="families", max_n=12, max_pq=8)
+        specs = set(family_specs(12)) | {FamilySpec.bipartite(p, q)
+                                         for p in range(1, 9) for q in range(p, 9)}
+        assert sum(rows) == 2 * len(specs) and len(specs) < len(family_specs(12)) + 36
+        assert calls == [sum(s.kind == "bipartite" for s in specs)] * 2
 
-        monkeypatch.setattr(resq.closed_forms, "closed_form", counted)
-        outcomes = run_verify(scope="families", max_n=20)
-        assert all(o.passed for o in outcomes)
-        assert (most[0], alive[0]) == (1, 0)
+    def test_a_wrong_closed_form_parameter_fails_and_names_its_instance(self, monkeypatch):
+        # The across-part constant of K_{3,5}'s R^L and R^Q, off by 1e-6: the
+        # matrix check fails on that instance alone, the spectra check passes.
+        bipartite = resq.closed_forms._bipartite
+
+        def wrong(p, q):
+            forms = bipartite(p, q)
+            off = 1e-6 * ((p == 3) & (q == 5))
+            forms.rl[:, 4] -= off
+            forms.rq[:, 4] += off
+            return forms
+
+        monkeypatch.setattr(resq.closed_forms, "_bipartite", wrong)
+        outcomes = {o.name: o for o in run_verify(scope="families", max_n=10, max_pq=4)}
+        matrices = outcomes["closed_form_matrices"]
+        assert matrices.status == "fail" and matrices.measured > 1e-7
+        assert matrices.detail == "worst instance K_{3,5}"
+        assert matrices.failing_graph == format_edge_list(generate(FamilySpec.bipartite(3, 5)))
+        assert outcomes["closed_form_spectra"].status == "pass"
 
     def test_every_check_kind_reports_failures(self):
         # At a tolerance below rounding, family, corpus, edge-addition and
@@ -338,6 +375,12 @@ class TestRunVerify:
         (run_verify, {"tol": 10**400, "scope": "families", "max_n": 3}, "tol"),
         (rq_quotient_report, {"max_pq": 2.5}, "max_pq"),
         (rq_quotient_report, {"max_pq": None}, "max_pq"),
+        (run_verify, {"count": -5, "scope": "random", "max_n": 4}, "count"),
+        (run_verify, {"max_pq": -2, "scope": "families", "max_n": 3}, "max_pq"),
+        (run_verify, {"tree_count": -3, "scope": "random", "max_n": 4, "count": 3}, "tree_count"),
+        (run_verify, {"pair_count": -1, "scope": "random", "max_n": 4, "count": 3}, "pair_count"),
+        (run_verify, {"max_n": -1, "scope": "families"}, "max_n"),
+        (rq_quotient_report, {"max_pq": -1}, "max_pq"),
     ])
     def test_arguments_from_outside_raise_value_error_naming_them(self, call, kwargs, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
