@@ -52,44 +52,3 @@ from .spectral import (
 from .verify import VerifyOutcome, rq_quotient_report, run_verify
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundCheck",
-    "ClosedForm",
-    "Disconnected",
-    "DuplicateEdge",
-    "EnergyReport",
-    "FamilySpec",
-    "Graph",
-    "GraphInputError",
-    "InvalidFamilyParams",
-    "InvalidPartition",
-    "MalformedLine",
-    "NegativeRadicand",
-    "NotSymmetric",
-    "Partition",
-    "ResqError",
-    "SelfLoop",
-    "Spectrum",
-    "VertexOutOfRange",
-    "VerifyOutcome",
-    "classical_distance_matrix",
-    "closed_form",
-    "eigenvalues_symmetric",
-    "format_edge_list",
-    "generate",
-    "is_connected",
-    "laplacian",
-    "laplacian_pseudoinverse",
-    "parse_edge_list",
-    "quotient_matrix",
-    "random_connected_graph",
-    "random_tree",
-    "resistance_bundle",
-    "resistance_laplacian",
-    "resistance_laplacian_energy",
-    "resistance_matrix",
-    "resistance_signless_laplacian",
-    "rq_quotient_report",
-    "run_verify",
-]

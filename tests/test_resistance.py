@@ -305,6 +305,79 @@ class TestBlockPseudoinverse:
             laplacian_pseudoinverse(lap)
 
 
+class TestSparseFirstProducts:
+    """On the left spine of the elimination, W = inv(A11) B and S = A22 - B^T W
+    go by B's nonzero rows for members whose B is sparse enough."""
+
+    @staticmethod
+    def inverse(lap, monkeypatch=None, sparse=None):
+        """X of lap, with the density rule left alone or forced to sparse or
+        dense through its cost per multiply-add kept."""
+        if sparse is None:
+            return resistance._generalized_inverse_in_place(lap.copy())
+        with monkeypatch.context() as patch:
+            patch.setattr(resistance, "_SPARSE_MADD", 0 if sparse else 10**9)
+            patch.setattr(resistance, "_SPARSE_BLOCK", 0)
+            return resistance._generalized_inverse_in_place(lap.copy())
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The members that took the compressed products, split by split."""
+        outcomes, rule = [], resistance._sparse_members
+        monkeypatch.setattr(resistance, "_sparse_members",
+                            lambda bt, n: outcomes.append(rule(bt, n)) or outcomes[-1])
+        return outcomes
+
+    @pytest.mark.parametrize("graph", [
+        *(random_connected_graph(n, 10.0 / n, seed=n) for n in (129, 300, 1000)),
+        generate(FamilySpec.cycle(1200)),
+        generate(FamilySpec.path(1000)),
+    ], ids=["G129", "G300", "G1000", "C1200", "P1000"])
+    def test_sparse_and_dense_products_agree(self, graph, monkeypatch):
+        # the two compute the same products in different orders; the largest
+        # difference read 0.011 n u max |X| (on C_1200)
+        lap = laplacian(graph)
+        sparse = self.inverse(lap, monkeypatch, True)
+        dense = self.inverse(lap, monkeypatch, False)
+        assert np.abs(sparse - dense).max() <= graph.n * EPS / 2 * np.abs(dense).max()
+
+    def test_both_branches_run(self, monkeypatch):
+        # G(1000, 10/n) is sparse at orders 999 and 499 and dense at 249; in
+        # the order-140 stack the cycle's B has one nonzero and G(140, 0.08)'s
+        # every block has several
+        outcomes = self.spy(monkeypatch)
+        self.inverse(laplacian(random_connected_graph(1000, 0.01, seed=1)))
+        assert [list(sparse) for sparse in outcomes] == [[], [()], [()]]
+        outcomes.clear()
+        self.inverse(_laplacians([generate(FamilySpec.cycle(140)),
+                                  random_connected_graph(140, 0.08, seed=4)], 140))
+        assert [list(sparse) for sparse in outcomes] == [[(0,)]]
+
+    @pytest.mark.parametrize("graph", [generate(FamilySpec.complete(300)),
+                                       random_connected_graph(300, 0.5, seed=1)],
+                             ids=["K300", "G300_half"])
+    def test_dense_members_take_the_dense_path(self, graph, monkeypatch):
+        lap = laplacian(graph)
+        dense = self.inverse(lap, monkeypatch, False)
+        outcomes = self.spy(monkeypatch)
+        x = self.inverse(lap)
+        assert outcomes == [{}, {}]  # orders 149 and 299
+        assert np.array_equal(x.view(np.int64), dense.view(np.int64))
+
+    def test_components_split_at_the_top_split_raise(self, monkeypatch):
+        # vertices 0..148 and 149..299: the grounded block of order 299 splits
+        # at 149, so B = 0 and the compressed products keep no block. The
+        # singular A11 of G(149, 0.05) is inverted without an error, so the
+        # split runs to its end and the probe flags the result.
+        edges = sorted(random_connected_graph(149, 0.05, seed=0).edges)
+        lap = laplacian(Graph.from_edges(300, edges + [(i, i + 1) for i in range(149, 299)]))
+        assert not lap[:149, 149:].any()
+        outcomes = self.spy(monkeypatch)
+        with pytest.raises(Disconnected, match="Penrose residual"):
+            laplacian_pseudoinverse(lap)
+        assert outcomes[-1] == {(): []}
+
+
 def exact_resistance(g):
     """R in exact rationals: Gauss-Jordan inversion of the Laplacian with its
     last row and column deleted, built from the edge set. That block is
@@ -426,6 +499,23 @@ class TestResistanceMatrix:
         assert np.array_equal(r, r.T)
 
 
+class TestFosterSum:
+    """Foster's theorem, sum over the edges of r(u, v) = n - 1, holds without
+    reference to how R was computed."""
+
+    @pytest.mark.parametrize("graph", [
+        random_connected_graph(200, 10.0 / 200, seed=200),
+        random_connected_graph(1000, 10.0 / 1000, seed=1000),
+        generate(FamilySpec.complete(300)),
+    ], ids=["G200", "G1000", "K300"])
+    def test_edge_resistances_sum_to_n_minus_1(self, graph):
+        # each r(u, v) within n u max r, summed over the m edges
+        r = resistance_matrix(graph)
+        u, v = graph.edge_array.T
+        n, m = graph.n, len(u)
+        assert abs(r[u, v].sum() - (n - 1)) <= n * EPS / 2 * r.max() * m
+
+
 class TestStackedBundles:
     """One stacked computation per order gives the per-graph results bit for bit."""
 
@@ -443,8 +533,9 @@ class TestStackedBundles:
             random_connected_graph(13, 0.4, seed=1),  # the only graph of its order
             random_connected_graph(129, 0.08, seed=2),  # one leaf, a stack of two
             random_connected_graph(129, 0.08, seed=3),
-            random_connected_graph(140, 0.08, seed=4),  # a split stack of two
-            random_connected_graph(140, 0.08, seed=5),
+            random_connected_graph(140, 0.08, seed=4),  # a split stack of three,
+            random_connected_graph(140, 0.08, seed=5),  # two dense members and
+            generate(FamilySpec.cycle(140)),  # one of sparse first products
         ])
 
     def test_bitwise_equal_to_per_graph(self):
