@@ -33,8 +33,8 @@ EXIT_VERIFY = 4
 COMPUTE_TARGETS = ("resistance", "rl", "rq", "spectrum-rl", "spectrum-rq", "energy")
 
 # Largest --max-n of resq verify: family instances grow as max_n^2 and their
-# matrix entries as max_n^4; the families scope takes 10.1-12.1 s at 150 on one
-# core, its peak RSS 42 MB above that of order 2.
+# matrix entries as max_n^4; the families scope takes 11.7-13.0 s at 150 on a
+# 2-core host, its peak RSS 42.2-42.3 MB above that of order 2.
 VERIFY_MAX_N = 150
 
 

@@ -92,7 +92,12 @@ class ResistanceBundle:
 
     @functools.cached_property
     def rq(self) -> np.ndarray:
-        return _set_diagonal(self.r.copy(), self.rtr)
+        return _signless(self.r, self.rtr)
+
+
+def _signless(r: np.ndarray, rtr) -> np.ndarray:
+    """Diag(RTr) + R in a copy of R, or of each matrix in a stack."""
+    return _set_diagonal(r.copy(), rtr)
 
 
 def _set_diagonal(m: np.ndarray, d) -> np.ndarray:
@@ -249,12 +254,6 @@ def _resistance(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _bundle(r: np.ndarray) -> ResistanceBundle:
-    """Transmissions and R^L from R, or from a stack of R."""
-    rtr = r.sum(axis=-2)
-    return ResistanceBundle(r=r, rtr=rtr, rl=_set_diagonal(-r, rtr))
-
-
 def resistance_matrix(g: Graph) -> np.ndarray:
     """Pairwise resistance distances; symmetric with zero diagonal. Built in
     the memory of L."""
@@ -278,13 +277,6 @@ def resistance_signless_laplacian(g: Graph) -> np.ndarray:
 
 def resistance_bundle(g: Graph) -> ResistanceBundle:
     """Compute R once and derive transmissions and both Laplacians from it."""
-    return _bundle(resistance_matrix(g))
-
-
-def _stacked_bundle(laps: np.ndarray) -> ResistanceBundle:
-    """resistance_bundle of the graphs of a stack of Laplacians of one order,
-    shape (k, n, n), as one bundle of stacks: r and rl of shape (k, n, n),
-    rtr of shape (k, n). r is laps, overwritten (resq builds them exactly
-    symmetric). Equal to the per-graph bundles bit for bit. Raises
-    Disconnected if any graph is disconnected."""
-    return _bundle(_resistance(_generalized_inverse_in_place(laps)))
+    r = resistance_matrix(g)
+    rtr = r.sum(axis=-2)
+    return ResistanceBundle(r=r, rtr=rtr, rl=_set_diagonal(-r, rtr))

@@ -214,59 +214,29 @@ class Partition:
         return blocks
 
 
-def _partitions(partition, m: np.ndarray) -> list[Partition]:
-    """partition as a list: [partition] for one Partition, else a list or
-    tuple of them, one per matrix along the first axis of the stack m, each
-    with the same number of blocks; InvalidPartition otherwise."""
-    if isinstance(partition, Partition):
-        return [partition]
-    if not (isinstance(partition, (list, tuple))
-            and all(isinstance(member, Partition) for member in partition)):
-        raise InvalidPartition(f"expected a Partition or a list of them, got {partition!r}")
-    if m.ndim < 3 or len(partition) != m.shape[0]:
-        raise InvalidPartition(f"expected one Partition per matrix along the first axis of a "
-                               f"stack of shape {m.shape}, got {len(partition)}")
-    if len({len(member.blocks) for member in partition}) > 1:
-        raise InvalidPartition("the partitions of a stack must have the same number of blocks")
-    return list(partition)
-
-
-def quotient_matrix(m: np.ndarray, partition) -> tuple[np.ndarray, bool | np.ndarray]:
+def quotient_matrix(m: np.ndarray, partition: Partition) -> tuple[np.ndarray, bool | np.ndarray]:
     """Quotient of a partitioned matrix, or of each matrix of a stack
-    (k, ..., n, n): average row sums of each block. A stack shares one
-    Partition, or takes a list (or tuple) of k of them, one per matrix along
-    its first axis, all with the same number of blocks.
+    (..., n, n) that shares one partition: average row sums of each block.
 
     Returns (Q, equitable) where equitable is True iff every block has constant
     row sums within _EQUITABLE_TOL; then every eigenvalue of Q is one of m. For
-    a stack, Q has shape (k, ..., b, b) for b blocks and equitable is a bool
-    array (k, ...), each matrix's bit for bit as its own call would give: each
+    a stack, Q has shape (..., b, b) for b blocks and equitable is a bool
+    array (...), each matrix's bit for bit as its own call would give: each
     block's rows are summed one at a time in the order the block lists them.
-    Each partition is validated once. Raises NotSymmetric for an empty or
-    non-square array or stack, and InvalidPartition for a partition that is no
-    Partition (or list of them, as above) or that does not partition [0, n).
+    The partition is validated once. Raises NotSymmetric for an empty or
+    non-square array or stack, and InvalidPartition for a partition that is
+    no Partition or that does not partition [0, n).
     """
     m = _square(m, stacks=True)
-    n = m.shape[-1]
-    blocks = [member.validate(n) for member in _partitions(partition, m)]
-    k, b = len(blocks), len(blocks[0])
-    # rows[j, t]: the rows of block t of member j in listed order, padded with
-    # its first row up to the largest block; the sums read -0.0 at the
-    # padding instead, which leaves each of them as it was
-    size = max(len(block) for member_blocks in blocks for block in member_blocks)
-    rows = np.array([[block + block[:1] * (size - len(block)) for block in member_blocks]
-                     for member_blocks in blocks])
-    sizes = np.array([[len(block) for block in member_blocks] for member_blocks in blocks])
-    members = np.arange(k)[:, None, None]
-    indicator = np.zeros((k, n, b))
-    indicator[members, rows, np.arange(b)[:, None]] = 1.0
-    # row_sums[j, ..., i, t]: the sum of row i of a matrix of m[j] over its block t
-    row_sums = (m @ indicator.reshape(k, *(1,) * (m.ndim - 3), n, b)).reshape(k, -1, n, b)
-    listed = row_sums[members, :, rows]  # (k, b, size, ..., b)
-    padding = (np.arange(size) >= sizes[..., None])[..., None, None]
-    q = np.where(padding, -0.0, listed).sum(axis=2) / sizes[..., None, None]
-    spread = listed.max(axis=2) - listed.min(axis=2)
-    shape = m.shape[:-2]
-    q = q.swapaxes(1, 2).reshape(*shape, b, b)
-    equitable = spread.max(axis=(1, 3)) <= _EQUITABLE_TOL
-    return q, equitable.reshape(shape) if m.ndim > 2 else bool(equitable)
+    if not isinstance(partition, Partition):
+        raise InvalidPartition(f"expected a Partition, got {partition!r}")
+    blocks = partition.validate(m.shape[-1])
+    indicator = np.zeros((m.shape[-1], len(blocks)))
+    for t, block in enumerate(blocks):
+        indicator[block, t] = 1.0
+    # by_row[i, ..., t]: the sum of row i of each matrix over block t
+    by_row = np.moveaxis(m @ indicator, -2, 0)
+    listed = [by_row[block] for block in blocks]
+    q = np.stack([rows.sum(axis=0) / len(rows) for rows in listed], axis=-2)
+    spread = np.max([rows.max(axis=0) - rows.min(axis=0) for rows in listed], axis=0).max(axis=-1)
+    return q, spread <= _EQUITABLE_TOL if m.ndim > 2 else bool(spread <= _EQUITABLE_TOL)

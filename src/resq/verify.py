@@ -11,17 +11,19 @@ edge addition, metric axioms, energy identities and bounds) on seeded
 corpora. All of them read one pass of one engine, _measures, over five
 sources: the family instances, the K_{p,q} of the quotient checks, the
 random corpus, the trees and the edge-addition pairs. Each source is
-grouped by order n, and each order is one (k, n, n) stack of Laplacians:
-one stacked computation gives R, RTr, R^L and the R^L spectra of all of
-them. Each source gets back one row per member, in input order, with one
-column per check (_FAMILY_CHECKS, _CORPUS_CHECKS), and _judge runs _check
-on each column. The family and quotient instances enter each order's stack
-once, their Laplacians written by formula, and their rows compare the
-numeric slices with the closed forms' parameters (closed_forms, one call
-per kind for the run, C_n's one per order) by broadcasting, a chunk of
-instances at a time; no Graph, ClosedForm or Spectrum is built for an
-instance. The quotient rows come from one quotient_matrix call and one
-eigvals on the (k, 3, n, n) stack of L, R^L and R^Q of the order's K_{p,q}.
+grouped by order n, and each order is one (k, n, n) stack: the
+Laplacians, then R in their memory, which holds R^L, negated in place, for
+the one eigensolve of all of them, and then R again. Each source gets back
+one row per member, in input order, with one column per check
+(_FAMILY_CHECKS, _CORPUS_CHECKS), and _judge runs _check on each column.
+The family and quotient instances enter each order's stack once, their
+Laplacians written by formula, and their rows compare the numeric slices
+with the closed forms' parameters (closed_forms, one call per kind for the
+run, C_n's one per order) by broadcasting, a chunk of instances at a time,
+with the chunk's R^L and R^Q made for it; no Graph, ClosedForm, Spectrum or
+ResistanceBundle is built for an instance. Each K_{p,q}'s quotients of L,
+R^L and R^Q are masked block sums of its row sums, from the mask of its
+second block, arange(n) >= p, and those of a chunk go to one eigvals.
 The random graphs are drawn first, under the random_corpus timer, the
 corpus and the pairs from one tuple of vertex pairs per order for the run
 (_vertex_pairs); each g + uv enters the stack as a second copy of g with
@@ -166,34 +168,42 @@ def _largest_error(closed, numeric):
     return np.abs(np.subtract(closed, numeric, out=closed), out=closed).max(axis=(-2, -1))
 
 
-def _family_rows(keys, chunks, b, rl_values) -> tuple[list[tuple], np.ndarray]:
+def _family_rows(keys, chunks, r, rtr, rl_values, routes) -> tuple[list[tuple], dict]:
     """The _FAMILY_CHECKS row of each family instance of one order, by keys
-    (n, FAMILY_KINDS index, parameters), and its descending R^Q values, from
-    the _chunks of their closed forms and their slices of the bundle b and of
-    the descending R^L values: the largest entry error of the closed-form
-    R^L and R^Q, that of their spectra, |LE_R - 4(1 - 1/n)| on K_n and
-    |LE_R - E_R| on the transmission-regular K_n, C_n and K_{p,p}, None where
-    a check does not examine the instance. Each chunk is compared by
-    broadcasting, one reduction per check, with its closed forms and R^Q
-    made for it."""
-    n = b.r.shape[-1]
-    matrix_err, spectra_err = np.empty(len(keys)), np.empty(len(keys))
-    rq_values = np.empty(b.rtr.shape)
+    (n, FAMILY_KINDS index, parameters), from the _chunks of their closed
+    forms and their slices of the order's R, RTr and descending R^L values:
+    the largest entry error of the closed-form R^L and R^Q, that of their
+    spectra, |LE_R - 4(1 - 1/n)| on K_n and |LE_R - E_R| on the
+    transmission-regular K_n, C_n and K_{p,p}, None where a check does not
+    examine the instance. Also, by key, the _quotient_rows row of each
+    K_{p,q} that routes maps to its two quotient pairs. Each chunk gets its
+    R^L and R^Q made for it, and its L by formula where it holds such a
+    K_{p,q}, and is compared by broadcasting, one reduction per check."""
+    n = r.shape[-1]
+    matrix_err, spectra_err, quotient = np.empty(len(keys)), np.empty(len(keys)), {}
     for s, parts in chunks:
-        chunk = resistance.ResistanceBundle(b.r[s], b.rtr[s], b.rl[s])
-        rq_values[s] = spectral._eigenvalues_in_place(chunk.rq)
-        matrix_err[s] = np.maximum(_largest_error(cf._matrices(parts, "rl", n), chunk.rl),
-                                   _largest_error(cf._matrices(parts, "rq", n), chunk.rq))
-        rl, rq = cf._spectra(parts)
-        spectra_err[s] = np.maximum(np.abs(rl - rl_values[s]).max(axis=-1),
-                                    np.abs(rq - rq_values[s]).max(axis=-1))
+        rl = resistance._set_diagonal(np.negative(r[s]), rtr[s])
+        rq = resistance._signless(r[s], rtr[s])
+        rq_values = spectral._eigenvalues_in_place(rq)
+        matrix_err[s] = np.maximum(_largest_error(cf._matrices(parts, "rl", n), rl),
+                                   _largest_error(cf._matrices(parts, "rq", n), rq))
+        rl_closed, rq_closed = cf._spectra(parts)
+        spectra_err[s] = np.maximum(np.abs(rl_closed - rl_values[s]).max(axis=-1),
+                                    np.abs(rq_closed - rq_values).max(axis=-1))
+        at = [k for k, key in enumerate(keys[s]) if key in routes]
+        if at:
+            pqs = [keys[s][k] for k in at]
+            quotient.update(zip(pqs, _quotient_rows(
+                [key[2] for key in pqs], np.array([routes[key] for key in pqs]),
+                (cf._matrices(parts, "lap", n)[at], rl[at], rq[at]), rl_values[s][at],
+                rq_values[at])))
     errors = np.column_stack([matrix_err, spectra_err]).tolist()
-    le_r = energy_mod._eta(rl_values, b.rtr)[2].tolist()
+    le_r = energy_mod._eta(rl_values, rtr)[2].tolist()
     return [(*errors[k],
              abs(le_r[k] - 4.0 * (1.0 - 1.0 / n)) if FAMILY_KINDS[kind] == "complete" else None,
-             abs(le_r[k] - 2.0 * energy_mod._perron_root(b.r[k]))
+             abs(le_r[k] - 2.0 * energy_mod._perron_root(r[k]))
              if FAMILY_KINDS[kind] != "bipartite" or params[0] == params[1] else None)
-            for k, (_, kind, params) in enumerate(keys)], rq_values
+            for k, (_, kind, params) in enumerate(keys)], quotient
 
 
 def _containment_error(parent: np.ndarray, candidates: np.ndarray):
@@ -202,23 +212,35 @@ def _containment_error(parent: np.ndarray, candidates: np.ndarray):
     return np.abs(parent[..., :, None] - candidates[..., None, :]).min(axis=-2).max(axis=-1)
 
 
-def _quotient_rows(sizes, pairs, lap, b, rl_values, rq_values) -> list[tuple]:
-    """The row of each K_{p,q} of one order, from its (p, q), its two pairs
-    (k, 2, 2) of closed-form R^Q quotient eigenvalues (the block quotient
-    route and bipartite_rq_pm_formula), its L and its slices of the order's
-    stacks: the bundle b and the descending R^L and R^Q values. A row holds
-    the worst containment of its (p, q) quotient spectrum in the spectra of
-    its L, R^L and R^Q (inf where a partition is not equitable), and its
-    rq_quotient_report row, with both pairs and their containment in its
-    R^Q spectrum. The L, R^L and R^Q of all of them go as one (k, 3, n, n)
-    stack into one quotient_matrix call and one eigvals, with one
-    eigensolve of the L."""
-    quotients, equitable = spectral.quotient_matrix(
-        np.stack([lap, b.rl, b.rq], axis=1), [spectral.Partition.from_sizes(*pq) for pq in sizes])
+def _quotient_rows(sizes, pairs, matrices, rl_values, rq_values) -> list[tuple]:
+    """The row of each of k K_{p,q} of a chunk of one order, from its
+    (p, q), its two pairs (k, 2, 2) of closed-form R^Q quotient eigenvalues
+    (the block quotient route and bipartite_rq_pm_formula), its L, R^L and
+    R^Q (matrices, three (k, n, n) stacks) and its descending R^L and R^Q
+    values. A row holds the worst containment of its (p, q) quotient
+    spectrum in the spectra of its L, R^L and R^Q (inf where a partition is
+    not equitable), and its rq_quotient_report row, with both pairs and
+    their containment in its R^Q spectrum. The quotients come from the
+    (k, n) mask of the second blocks, arange(n) >= p: one m @ indicator per
+    matrix gives each row's sums over the two blocks; the sum over all rows,
+    -0.0 outside the block, gives each block's, adding its rows in order as
+    quotient_matrix does, so bit for bit; and a masked max - min gives the
+    spread of its row sums. One eigvals solves the quotients and one
+    eigensolve the L."""
+    pq = np.array(sizes)
+    second = np.arange(matrices[0].shape[-1]) >= pq[:, :1]
+    blocks = np.stack([~second, second], axis=-1)  # (k, n, 2): row i in block t
+    row_sums = np.stack([m @ blocks.astype(float) for m in matrices], axis=1)[:, :, None]
+    in_block = blocks.swapaxes(-1, -2)[:, None, :, :, None]  # (k, 1, 2, n, 1)
+    quotients = np.where(in_block, row_sums, -0.0).sum(axis=-2) / pq[:, None, :, None]
+    spread = (np.where(in_block, row_sums, -math.inf).max(axis=-2)
+              - np.where(in_block, row_sums, math.inf).min(axis=-2))
+    equitable = spread.max(axis=(-2, -1)) <= spectral._EQUITABLE_TOL
     # the quotient spectra of L, R^L and R^Q and both pairs, each in its parent spectrum
     err = _containment_error(
-        np.stack([spectral._eigenvalues_in_place(lap), rl_values, rq_values, rq_values, rq_values],
-                 axis=1), np.concatenate([np.linalg.eigvals(quotients).real, pairs], axis=1))
+        np.stack([spectral._eigenvalues_in_place(matrices[0]), rl_values, rq_values, rq_values,
+                  rq_values], axis=1),
+        np.concatenate([np.linalg.eigvals(quotients).real, pairs], axis=1))
     containment = np.where(equitable, err[:, :3], math.inf).max(axis=-1).tolist()
     errors = err[:, 3:].tolist()
     return [(worst, dict(p=p, q=q, quotient=quotient_pair, quotient_err=quotient_err, pm=pm_pair,
@@ -288,15 +310,17 @@ def _measures(families=(), bipartite=(), corpus=(), trees=(), pairs=()) -> tuple
     family and a quotient instance) and the graphs are grouped by order into
     one map n -> the indices of each source's members of order n. Per
     order, from the largest down so that each order's arrays fit in the
-    memory the one before freed: one (k, n, n) stack of Laplacians,
-    [instances, by key | corpus | trees | g | g + uv], one stacked bundle in
-    its memory and one R^L eigensolve for all of them, and one row function
-    per source on its slice. What is read of the Laplacians themselves, the
-    distance sweep of the corpus and the trees and a copy of the quotient
-    instances' L, is read before the bundle overwrites them. g is assembled
-    twice, and its second copy gets the edge uv added in place, exactly.
-    Every measure is taken while its order's stacks are alive, so no n x n
-    array outlives its order."""
+    memory the one before freed, there is one (k, n, n) stack: the
+    Laplacians [instances, by key | corpus | trees | g | g + uv], then R in
+    their memory. It holds R^L for one eigensolve of all of them and the
+    corpus's row sums, R^L = Diag(RTr) - R by one negation and RTr on the
+    diagonal, and R again, bit for bit, by a second negation and 0.0 on the
+    diagonal. One row function per source reads its slice; the family and
+    quotient rows form R^L, R^Q and L a chunk at a time. The distance sweep
+    of the corpus and the trees reads the Laplacians before R overwrites
+    them. g is assembled twice, and its second copy gets the edge uv added
+    in place, exactly. Every measure is taken while its order's stack is
+    alive, so no n x n array outlives its order."""
     # each instance once, keyed (order, kind, parameters), in key order
     keys = [(spec.order, FAMILY_KINDS.index(spec.kind), spec.params)
             for spec in (*families, *bipartite)]
@@ -309,11 +333,11 @@ def _measures(families=(), bipartite=(), corpus=(), trees=(), pairs=()) -> tuple
         cf._bipartite(*np.array([pq for _, kind, pq in blocks if kind == 1], dtype=int)
                       .reshape(-1, 2).T)))).take(
         np.argsort(np.argsort([kind for _, kind, _ in blocks], kind="stable")))
-    quotients = sorted(set(keys[len(families):]))
-    if quotients:  # both routes' R^Q quotient pairs (k, 2, 2)
+    quotients, routes = sorted(set(keys[len(families):])), {}
+    if quotients:  # both routes' R^Q quotient pairs (2, 2), by key
         p, q = np.array([key[2] for key in quotients]).T
-        routes = np.stack([np.column_stack(cf._rq_quotient_eigenvalues(p, q)),
-                           np.column_stack(cf._rq_pm_pair(p, q))], axis=1)
+        routes = dict(zip(quotients, np.stack([np.column_stack(cf._rq_quotient_eigenvalues(p, q)),
+                                               np.column_stack(cf._rq_pm_pair(p, q))], axis=1)))
     orders: dict[int, tuple[list[int], ...]] = {}
     for s, ns in enumerate(([key[0] for key in unique], [g.n for g in corpus],
                             [g.n for g in trees], [g.n for g, _ in pairs])):
@@ -341,33 +365,28 @@ def _measures(families=(), bipartite=(), corpus=(), trees=(), pairs=()) -> tuple
         # one distance sweep serves the corpus and the trees, and none runs without them
         dist, d = np.split(graph_mod._distances(lap[cs.start:ts.stop]), [len(corp)]) \
             if corp or tree else (None, None)
-        qs = slice(bisect_left(quotients, (n,)), bisect_left(quotients, (n + 1,)))
-        quotient = [bisect_left(instances, key) for key in quotients[qs]]  # their stack rows
-        quotient_lap = lap[quotient]
-        b = resistance._stacked_bundle(lap)
-        values = spectral._eigenvalues_in_place(b.rl)
-
-        def part(s):  # the bundle of one source's slice, or of the rows s
-            return resistance.ResistanceBundle(b.r[s], b.rtr[s], b.rl[s])
-
+        r = resistance._resistance(resistance._generalized_inverse_in_place(lap))
+        rtr = r.sum(axis=-2)
+        rl = resistance._set_diagonal(np.negative(r, out=r), rtr)  # R^L in R's memory
+        values = spectral._eigenvalues_in_place(rl)
+        row_sums = np.abs(rl[cs].sum(axis=-1)).max(axis=-1)
+        r = resistance._set_diagonal(np.negative(rl, out=rl), 0.0)  # R again, bit for bit
         if inst:
-            family, rq_values = _family_rows(instances, chunks, part(us), values[us])
+            family, quotient = _family_rows(instances, chunks, r[us], rtr[us], values[us], routes)
             rows[0].update(zip(instances, family))
-        if quotient:
-            rows[1].update(zip(quotients[qs], _quotient_rows(
-                [key[2] for key in quotients[qs]], routes[qs], quotient_lap, part(quotient),
-                values[quotient], rq_values[quotient])))
+            rows[1].update(quotient)
         if corp:  # the bounds reject an empty stack
-            rows[2].update(zip(corp, _corpus_measures(part(cs), values[cs], dist).tolist()))
+            rows[2].update(zip(corp, _corpus_measures(r[cs], rtr[cs], values[cs], row_sums,
+                                                      dist).tolist()))
         if tree:  # a tree's R is its D, so its RTr is DTr
             rows[3].update(zip(tree, np.maximum(
-                np.abs(b.r[ts] - d).max(axis=(-2, -1)),
-                np.abs(b.rtr[ts] - d.sum(axis=-2)).max(axis=-1)).tolist()))
+                np.abs(r[ts] - d).max(axis=(-2, -1)),
+                np.abs(rtr[ts] - d.sum(axis=-2)).max(axis=-1)).tolist()))
         if pair:
             rows[4].update(zip(pair, np.maximum(
-                (b.r[big] - b.r[small]).max(axis=(-2, -1)),
+                (r[big] - r[small]).max(axis=(-2, -1)),
                 (values[big] - values[small]).max(axis=-1)).tolist()))
-        del lap, b, values, dist, d, quotient_lap, chunks  # before the next order's stacks
+        del lap, r, rl, values, dist, d, chunks  # before the next order's stack
     return ([rows[0][key] for key in keys[:len(families)]],
             [rows[1][key] for key in keys[len(families):]],
             *([o[i] for i in range(len(o))] for o in rows[2:]))
@@ -398,15 +417,14 @@ _CORPUS_CHECKS = (
 )
 
 
-def _corpus_measures(b, values, dist) -> np.ndarray:
+def _corpus_measures(r, rtr, values, row_sums, dist) -> np.ndarray:
     """The measures of the _CORPUS_CHECKS on connected graphs of one order,
-    from their slices of its stacks: the bundle b, the descending R^L values
-    and the shortest-path distances. One row per graph, one column per
-    check, each the worst violation of its property on that graph (<= 0 when
-    it holds exactly). PSD and zero row sums are relative to max
-    |lambda(R^L)|, the trace identity to max(1, sum RTr) and sum eta^2 = 2F
-    to 2F."""
-    r, rtr = b.r, b.rtr
+    from their slices of its stacks: R, RTr, the descending R^L values,
+    max |row sum| of each R^L and the shortest-path distances. One row per
+    graph, one column per check, each the worst violation of its property
+    on that graph (<= 0 when it holds exactly). PSD and zero row sums are
+    relative to max |lambda(R^L)|, the trace identity to max(1, sum RTr) and
+    sum eta^2 = 2F to 2F."""
     n = r.shape[-1]
     norm = np.maximum(np.abs(values).max(axis=-1), 1e-300)
     # shortest[g, i, j] = min over m of r[g, i, m] + r[g, m, j], one m at a
@@ -420,7 +438,7 @@ def _corpus_measures(b, values, dist) -> np.ndarray:
     lower, *uppers = energy_mod._bound_values(n, mean_u, big_f, eta[:, 0])
     return np.column_stack([
         -values.min(axis=-1) / norm,
-        np.abs(b.rl.sum(axis=-1)).max(axis=-1) / norm,
+        row_sums / norm,
         2.0 - values[:, 0],
         (r - dist).max(axis=(-2, -1)),
         (r - shortest).max(axis=(-2, -1)),

@@ -319,9 +319,7 @@ class TestVerify:
     @pytest.mark.parametrize("fault", ["not equitable", "nan"])
     def test_jsonl_is_strict_json_when_a_measure_is_not_finite(self, capsys, monkeypatch, fault):
         if fault == "not equitable":  # quotient_containment then measures inf
-            quotient = resq.spectral.quotient_matrix
-            monkeypatch.setattr(resq.spectral, "quotient_matrix",
-                                lambda m, partition: (quotient(m, partition)[0], False))
+            monkeypatch.setattr(resq.spectral, "_EQUITABLE_TOL", -1.0)  # no spread is below it
             name, token = "quotient_containment", "inf"
         else:
             def complete(n, build=resq.closed_forms._complete):  # a closed-form R^L of NaN entries
@@ -341,10 +339,10 @@ class TestVerify:
 
     def test_fault_injection_fails_with_named_check(self, capsys, monkeypatch):
         # simulate a build with a broken sign in the signless Laplacian
-        def broken(bundle):
-            return resq.resistance._set_diagonal(-bundle.r, bundle.rtr)  # wrong sign
+        def broken(r, rtr):
+            return resq.resistance._set_diagonal(-r, rtr)  # wrong sign
 
-        monkeypatch.setattr(resq.resistance.ResistanceBundle, "rq", property(broken))
+        monkeypatch.setattr(resq.resistance, "_signless", broken)
         assert main(["verify", "--scope", "families", "--max-n", "5"]) == 4
         out = capsys.readouterr().out
         assert "FAIL closed_form_matrices" in out

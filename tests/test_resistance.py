@@ -39,6 +39,11 @@ from resq.resistance import (
 )
 
 
+def stacked_resistance(laps):
+    """R of each Laplacian of a stack (k, n, n) of one order, in its memory."""
+    return resistance._resistance(resistance._generalized_inverse_in_place(laps))
+
+
 EPS = np.finfo(float).eps
 
 
@@ -452,7 +457,7 @@ class TestExactOracle:
 
     def test_stacked_bundle(self):
         for n, group in TestStackedBundles.by_order(self.graphs()).items():
-            for g, r in zip(group, resistance._stacked_bundle(_laplacians(group, n)).r):
+            for g, r in zip(group, stacked_resistance(_laplacians(group, n))):
                 self.assert_close(r, exact_resistance(g))
 
 
@@ -517,7 +522,9 @@ class TestFosterSum:
 
 
 class TestStackedBundles:
-    """One stacked computation per order gives the per-graph results bit for bit."""
+    """One stacked computation per order gives the per-graph results bit for
+    bit: R in the memory of the Laplacians, R^L in R's memory and R again, as
+    resq verify forms them."""
 
     @staticmethod
     def by_order(graphs):
@@ -542,15 +549,17 @@ class TestStackedBundles:
         orders = self.corpus()
         assert len(orders) == 15
         for n, group in orders.items():
-            stacked = resistance._stacked_bundle(_laplacians(group, n))
-            stacked_values = _eigenvalues_in_place(stacked.rl)
-            moments = _energy_moments(stacked.r, stacked.rtr)
+            r = stacked_resistance(_laplacians(group, n))
+            rtr = r.sum(axis=-2)
+            rq, moments = resistance._signless(r, rtr), _energy_moments(r, rtr)
+            rl = resistance._set_diagonal(np.negative(r, out=r), rtr)
+            values, rl = _eigenvalues_in_place(rl), rl.copy()
+            r = resistance._set_diagonal(np.negative(r, out=r), 0.0)  # R again
             for k, g in enumerate(group):
                 ref = resistance_bundle(g)
-                for field in ("r", "rtr", "rl"):
-                    assert np.array_equal(getattr(stacked, field)[k], getattr(ref, field)), (n, field)
-                assert np.array_equal(stacked.rq[k], ref.rq), n
-                assert np.array_equal(stacked_values[k], eigenvalues_symmetric(ref.rl).values), n
+                for got, field in ((r, ref.r), (rtr, ref.rtr), (rl, ref.rl), (rq, ref.rq)):
+                    assert got[k].tobytes() == field.tobytes(), n
+                assert np.array_equal(values[k], eigenvalues_symmetric(ref.rl).values), n
                 single = _energy_moments(ref.r, ref.rtr)
                 assert [m[k] for m in moments] == list(single), n
 
@@ -576,17 +585,17 @@ class TestStackedBundles:
     def test_disconnected_member_raises(self, bad):
         graphs = [random_connected_graph(bad.n, 0.6, seed=s) for s in range(5)]
         with pytest.raises(Disconnected):
-            resistance._stacked_bundle(_laplacians(graphs[:2] + [bad] + graphs[2:], bad.n))
+            stacked_resistance(_laplacians(graphs[:2] + [bad] + graphs[2:], bad.n))
 
     def test_bundle_overwrites_the_stack_with_r(self):
-        # resq verify reads what it needs of its Laplacians before the
-        # bundle, which then needs no copy of the stack
+        # resq verify reads what it needs of its Laplacians before R
+        # overwrites them, so it needs no copy of the stack
         graphs = [random_connected_graph(9, 0.4, seed=s) for s in range(4)]
         laps = _laplacians(graphs, 9)
-        core = resistance._resistance(resistance._generalized_inverse_in_place(laps.copy()))
-        b = resistance._stacked_bundle(laps)
-        assert b.r is laps
-        assert np.array_equal(b.r, core)
+        per_graph = [resistance_matrix(g) for g in graphs]
+        r = stacked_resistance(laps)
+        assert r is laps
+        assert np.array_equal(r, np.stack(per_graph))
 
     def test_disconnected_member_caught_by_the_probe(self):
         # The stacked inv() returns without raising for some of these stacks;
@@ -610,7 +619,7 @@ class TestStackedBundles:
             except np.linalg.LinAlgError:
                 continue
             with pytest.raises(Disconnected, match="Penrose residual"):
-                resistance._stacked_bundle(laps)
+                stacked_resistance(laps)
             flagged += 1
         assert flagged >= 20
 
@@ -628,7 +637,7 @@ class TestStackedBundles:
             bad = Graph.from_edges(offset, [(perm[u], perm[v]) for u, v in edges])
             good = [random_connected_graph(offset, 0.5, seed=s) for s in range(3)]
             with pytest.raises(Disconnected):
-                resistance._stacked_bundle(_laplacians([good[0], bad, good[1], good[2]], offset))
+                stacked_resistance(_laplacians([good[0], bad, good[1], good[2]], offset))
 
 
 class TestTransmissions:

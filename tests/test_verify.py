@@ -115,25 +115,25 @@ class TestRunVerify:
                  + run_verify(scope="random", seed=seed, **PINNED))
         assert fields(both) == fields(split)
 
-    def test_one_stacked_bundle_one_quotient_and_one_eigvals_per_order(self, monkeypatch):
-        calls = {"_stacked_bundle": [], "quotient_matrix": [], "eigvals": []}
-        for module, name in ((resq.resistance, "_stacked_bundle"),
-                             (resq.spectral, "quotient_matrix"), (np.linalg, "eigvals")):
-            def counted(m, *args, fn=getattr(module, name), name=name):
+    def test_one_block_elimination_and_one_eigvals_per_order(self, monkeypatch):
+        calls = {"_generalized_inverse_in_place": [], "eigvals": []}
+        for module, name in ((resq.resistance, "_generalized_inverse_in_place"),
+                             (np.linalg, "eigvals")):
+            def counted(m, fn=getattr(module, name), name=name):
                 calls[name].append(m.shape)
-                return fn(m, *args)
+                return fn(m)
 
             monkeypatch.setattr(module, name, counted)
         outcomes = run_verify(scope="all", seed=1, **PINNED)
         assert all(o.passed for o in outcomes)
-        orders = [shape[-1] for shape in calls["_stacked_bundle"]]
+        orders = [shape[-1] for shape in calls["_generalized_inverse_in_place"]]
         assert sorted(orders) == list(range(2, 17))  # trees to 15, K_{8,8} at 16
-        # every K_{p,q}, p <= q <= 8, of one order in one (k, 3, n, n) stack of L, R^L and R^Q
-        quotients = calls["quotient_matrix"]
-        assert sorted(shape[-1] for shape in quotients) == list(range(2, 17))
-        assert all(len(shape) == 4 and shape[1] == 3 for shape in quotients)
-        assert sum(shape[0] for shape in quotients) == 36
-        assert [shape[:2] for shape in calls["eigvals"]] == [shape[:2] for shape in quotients]
+        # the quotients of L, R^L and R^Q of every K_{p,q}, p <= q <= 8, of one
+        # order in one (k, 3, 2, 2) stack: one eigvals for each of orders 2 to 16
+        quotients = calls["eigvals"]
+        assert all(len(shape) == 4 and shape[1:] == (3, 2, 2) for shape in quotients)
+        assert sorted(shape[0] for shape in quotients) == sorted(
+            sum(p + q == n for p in range(1, 9) for q in range(p, 9)) for n in range(2, 17))
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_stacked_engine_matches_per_graph(self, monkeypatch, seed):
@@ -142,9 +142,9 @@ class TestRunVerify:
         res = resq.resistance
         monkeypatch.setattr(
             res,
-            "_stacked_bundle",
-            lambda laps: res._bundle(np.stack(
-                [res._resistance(res._generalized_inverse_in_place(lap.copy())) for lap in laps])),
+            "_generalized_inverse_in_place",
+            lambda laps, inverse=res._generalized_inverse_in_place: np.stack(
+                [inverse(lap.copy()) for lap in laps]),
         )
         per_graph = run_verify(**args)
         key = [(o.name, o.status, o.measured) for o in stacked]
@@ -268,29 +268,45 @@ class TestRunVerify:
         # A measure that reads 0.0 on every instance could match by accident.
         assert all(value > 0.0 for value in worst.values()), worst
 
-    def test_families_scope_peak_is_at_most_the_per_instance_engines(self):
+    def test_families_scope_peak_is_at_most_the_per_instance_engines(self, monkeypatch):
         # The closed forms go a chunk at a time, so no (k, n, n) stack of
-        # them is built. The bound is the tracemalloc peak of the same
-        # second run of the engine that built one ClosedForm per instance
-        # and compared it alone (numpy 2.4, Python 3.11).
+        # them is built, and each order keeps one stack, R, beside chunks of
+        # its R^L and R^Q. The bounds are this engine's tracemalloc peaks
+        # (numpy 2.4, Python 3.11): the run's, plus 1%, which is reached in
+        # _resistance's tile temporaries and was 3,280,828 B for the engine
+        # that built one ClosedForm per instance; and the peak while the
+        # family rows of an order are taken, plus 5%, which a second
+        # (32, 60, 60) stack of 921,600 B beside R would exceed.
+        rows, peaks = resq.verify._family_rows, []
+
+        def measured(*args):
+            tracemalloc.reset_peak()
+            out = rows(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
+
         run_verify(scope="families", max_n=60)
         tracemalloc.start()
         try:
             outcomes = run_verify(scope="families", max_n=60)
             peak = tracemalloc.get_traced_memory()[1]
+            monkeypatch.setattr(resq.verify, "_family_rows", measured)
+            run_verify(scope="families", max_n=60)
         finally:
             tracemalloc.stop()
         assert all(o.status == "pass" for o in outcomes)
-        assert peak <= 3_280_828
+        assert peak <= 3_279_850
+        assert len(peaks) == 59 and max(peaks) <= 2_424_346
 
     def test_each_instance_is_stacked_once_and_its_forms_made_once_a_run(self, monkeypatch):
         # A K_{p,q} that is both a family and a quotient instance enters its
         # order's stack once; the closed forms of all K_{p,q} come from one
         # call a run, and no run reuses another's.
         rows, calls = [], []
-        bundle, bipartite = resq.resistance._stacked_bundle, resq.closed_forms._bipartite
-        monkeypatch.setattr(resq.resistance, "_stacked_bundle",
-                            lambda laps: rows.append(len(laps)) or bundle(laps))
+        inverse = resq.resistance._generalized_inverse_in_place
+        bipartite = resq.closed_forms._bipartite
+        monkeypatch.setattr(resq.resistance, "_generalized_inverse_in_place",
+                            lambda laps: rows.append(len(laps)) or inverse(laps))
         monkeypatch.setattr(resq.closed_forms, "_bipartite",
                             lambda p, q: calls.append(len(p)) or bipartite(p, q))
         for _ in range(2):
@@ -437,13 +453,13 @@ class TestRandomDraws:
 
     def test_stacked_g_plus_uv_rows_equal_the_laplacian_of_add_edge(self, monkeypatch):
         stacks = {}
-        bundle = resq.resistance._stacked_bundle
+        inverse = resq.resistance._generalized_inverse_in_place
 
         def captured(lap):
             stacks[lap.shape[-1]] = lap.copy()
-            return bundle(lap)
+            return inverse(lap)
 
-        monkeypatch.setattr(resq.resistance, "_stacked_bundle", captured)
+        monkeypatch.setattr(resq.resistance, "_generalized_inverse_in_place", captured)
         corpus = [random_connected_graph(2, 0.5, 0), random_connected_graph(14, 0.5, 1)]
         pairs = _edge_pairs(40, 14, 3)
         _measures(corpus=corpus, pairs=pairs)
@@ -489,10 +505,10 @@ class TestQuotientDiscrepancyReport:
 
 class TestFailurePath:
     def test_broken_sign_is_caught_and_graph_serialized(self, monkeypatch):
-        def broken(bundle):
-            return resq.resistance._set_diagonal(-bundle.r, bundle.rtr)
+        def broken(r, rtr):
+            return resq.resistance._set_diagonal(-r, rtr)
 
-        monkeypatch.setattr(resq.resistance.ResistanceBundle, "rq", property(broken))
+        monkeypatch.setattr(resq.resistance, "_signless", broken)
         outcomes = run_verify(scope="families", max_n=5, max_pq=3)
         failed = [o for o in outcomes if not o.passed]
         assert any(o.name == "closed_form_matrices" for o in failed)
